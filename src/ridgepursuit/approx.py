@@ -12,12 +12,13 @@ independent draws.
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._threads import ordered_map
 from .dictionary import RidgeUnit, eval_unit
 from .model import RidgeModel
 
@@ -209,8 +210,10 @@ def best_of(
 
     Candidate i draws from its own generator derived from ``seed``; the
     winner minimizes (measured distortion, candidate index), so the result is
-    deterministic and identical whether candidates run serially or in
-    parallel.
+    deterministic whatever order the candidates finish in.  The draws run on
+    as many threads as the process's CPU affinity allows; everything else in
+    the package is single-threaded, and BLAS threading is left at the library
+    default.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -220,6 +223,10 @@ def best_of(
         model = draw(np.random.default_rng(seeds[i]))
         return (float(distortion(model)), i, model)
 
-    results = ordered_map(_run, list(range(k)))
-    dist, idx, model = min(results, key=lambda r: (r[0], r[1]))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    with concurrent.futures.ThreadPoolExecutor(max_workers=min(k, cpus)) as pool:
+        dist, idx, model = min(pool.map(_run, range(k)), key=lambda r: (r[0], r[1]))
     return BestDraw(model=model, distortion=dist, index=idx)

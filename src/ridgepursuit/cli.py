@@ -4,8 +4,9 @@ Config files are plain ``key=value`` lines (``#`` starts a comment); command
 line flags override file values.  Every run writes one CSV whose leading
 ``#`` comment lines echo the fully resolved configuration, so reruns with the
 same inputs are byte-identical.  Exit codes: 0 success, 1 property/assertion
-failure, 2 configuration error.  The environment variable RIDGE_THREADS caps
-worker parallelism (default: machine parallelism).
+failure, 2 configuration error.  ``best_of`` draws run on as many threads as
+the process's CPU affinity allows; everything else is single-threaded, and
+BLAS threading is left at the library default.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import numpy as np
 from .approx import best_of
 from .dictionary import (
     ACTIVATION_KINDS,
+    CoverSizeError,
+    FieldError,
     cover_count_log_bound,
     enumerate_cover,
 )
@@ -336,12 +339,15 @@ def _build_penalty_config(config: RunConfig, target: SpectralTarget, n: int) -> 
             regime=config["regime"],
             mixed_C=config["mixed_C"],
         )
-    except ValueError as exc:
-        raise ConfigError(f"bad value for key 'regime': {exc}") from exc
+    except FieldError as exc:
+        raise ConfigError(f"bad value for key '{exc.field}': {exc}") from exc
 
 
 def _build_greedy_config(config: RunConfig) -> GreedyConfig:
-    w = w_linear(config["w_rate"]) if config["w_kind"] == "linear" else w_power(config["w_rate"])
+    try:
+        w = (w_linear if config["w_kind"] == "linear" else w_power)(config["w_rate"])
+    except ValueError as exc:
+        raise ConfigError(f"bad value for key 'w_rate': {exc}") from exc
     try:
         return GreedyConfig(
             lam=config["lam"],
@@ -354,8 +360,8 @@ def _build_greedy_config(config: RunConfig) -> GreedyConfig:
             cover_m_grid=config["cover_m_grid"],
             cover_cap=config["cover_cap"],
         )
-    except ValueError as exc:
-        raise ConfigError(f"bad value for key 'm_max': {exc}") from exc
+    except FieldError as exc:
+        raise ConfigError(f"bad value for key '{exc.field}': {exc}") from exc
 
 
 def _out_path(config: RunConfig, subcommand: str) -> str:
@@ -544,6 +550,12 @@ def dispatch(subcommand: str, config: RunConfig) -> int:
         return _COMMANDS[subcommand](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except CoverSizeError as exc:
+        print(
+            f"config error: bad value for key 'cover_m_grid' or 'cover_cap': {exc}",
+            file=sys.stderr,
+        )
         return 2
 
 

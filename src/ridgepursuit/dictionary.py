@@ -21,6 +21,7 @@ __all__ = [
     "RidgeUnit",
     "SparseCover",
     "CoverSizeError",
+    "FieldError",
     "eval_unit",
     "enumerate_cover",
     "sparsify_theta",
@@ -109,6 +110,14 @@ class RidgeUnit:
 
 class CoverSizeError(ValueError):
     """Raised when full cover enumeration would exceed the configured cap."""
+
+
+class FieldError(ValueError):
+    """A bad value for one configuration field, named in ``field``."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,15 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ._threads import ordered_map
-from .dictionary import Activation, CoverSizeError, RidgeUnit, enumerate_cover, eval_unit, lift
+from .dictionary import (
+    Activation,
+    CoverSizeError,
+    FieldError,
+    RidgeUnit,
+    enumerate_cover,
+    eval_unit,
+    lift,
+)
 from .model import RidgeModel
 from .targets import Dataset
 
@@ -162,22 +169,23 @@ class GreedyConfig:
 
     def __post_init__(self) -> None:
         if self.lam <= 0:
-            raise ValueError(f"need lam > 0, got {self.lam}")
+            raise FieldError("lam", f"need lam > 0, got {self.lam}")
         if self.m_max < 0:
-            raise ValueError(f"need m_max >= 0, got {self.m_max}")
+            raise FieldError("m_max", f"need m_max >= 0, got {self.m_max}")
         Activation(self.activation)  # validates the kind
         if not isinstance(self.w, CoefficientPenalty):
-            raise ValueError("w must be a CoefficientPenalty")
+            raise FieldError("w", "w must be a CoefficientPenalty")
         if self.strategy not in INNER_STRATEGIES:
-            raise ValueError(
-                f"unknown inner strategy {self.strategy!r}; expected {INNER_STRATEGIES}"
+            raise FieldError(
+                "strategy",
+                f"unknown inner strategy {self.strategy!r}; expected {INNER_STRATEGIES}",
             )
         if self.restarts < 1:
-            raise ValueError(f"need restarts >= 1, got {self.restarts}")
+            raise FieldError("restarts", f"need restarts >= 1, got {self.restarts}")
         if self.cover_m_grid < 1:
-            raise ValueError(f"need cover_m_grid >= 1, got {self.cover_m_grid}")
+            raise FieldError("cover_m_grid", f"need cover_m_grid >= 1, got {self.cover_m_grid}")
         if self.pg_steps < 1:
-            raise ValueError(f"need pg_steps >= 1, got {self.pg_steps}")
+            raise FieldError("pg_steps", f"need pg_steps >= 1, got {self.pg_steps}")
 
 
 @dataclass(frozen=True)
@@ -268,6 +276,27 @@ def _build_cover_cache(
     return _CoverCache(thetas=cover.thetas, values=values)
 
 
+def _cover_cache_for(
+    X: np.ndarray, activation: Activation, config: GreedyConfig
+) -> _CoverCache | None:
+    """The cover cache the configured strategy needs, or None if it needs none.
+
+    Exhaustive search cannot run without the cover, so an over-cap cover
+    raises CoverSizeError there; the ascent strategies use the cover only for
+    restart inits and the c diagnostic, and run without it.
+    """
+    if config.strategy != "cover-exhaustive" and not config.c_report:
+        return None
+    try:
+        return _build_cover_cache(
+            X, activation, config.cover_m_grid, config.lam, config.cover_cap
+        )
+    except CoverSizeError:
+        if config.strategy == "cover-exhaustive":
+            raise
+        return None
+
+
 def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the l1 ball of the given radius (sort-based)."""
     v = np.asarray(v, dtype=float)
@@ -317,15 +346,8 @@ def inner_maximize(
     n_candidates = 1
 
     need_cover = config.strategy == "cover-exhaustive" or config.c_report
-    if need_cover and cover_cache is None:
-        try:
-            cover_cache = _build_cover_cache(
-                X, act, config.cover_m_grid, config.lam, config.cover_cap
-            )
-        except CoverSizeError:
-            if config.strategy == "cover-exhaustive":
-                raise
-            cover_cache = None
+    if cover_cache is None:
+        cover_cache = _cover_cache_for(X, act, config)
     if cover_cache is not None and need_cover:
         cover_scores = R.astype(cover_cache.values.dtype, copy=False) @ cover_cache.values / n
         j = int(np.argmax(cover_scores))
@@ -350,14 +372,12 @@ def inner_maximize(
             theta[j] = config.lam * (1.0 if rgen.random() < 0.5 else -1.0)
             return theta
 
-        def one_restart(seed: int) -> tuple[float, np.ndarray]:
-            rgen = np.random.default_rng(seed)
-            theta0 = init_theta(rgen)
+        for seed in seeds:
+            theta0 = init_theta(np.random.default_rng(int(seed)))
             if config.strategy == "projected-gradient":
-                return _ascend_projected(score, act, R, X, theta0, config, step0)
-            return _ascend_frank_wolfe(score, act, R, X, theta0, config)
-
-        for value, theta in ordered_map(one_restart, [int(s) for s in seeds]):
+                value, theta = _ascend_projected(score, act, R, X, theta0, config, step0)
+            else:
+                value, theta = _ascend_frank_wolfe(score, act, R, X, theta0, config)
             n_candidates += 1
             if value > best_value:
                 best_value = value
@@ -510,16 +530,7 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
     act = Activation(config.activation)
     rng = np.random.default_rng(np.random.SeedSequence([int(data.seed) & (2**63 - 1), 104729]))
 
-    cover_cache: _CoverCache | None = None
-    if config.strategy == "cover-exhaustive" or config.c_report:
-        try:
-            cover_cache = _build_cover_cache(
-                X_lift, act, config.cover_m_grid, config.lam, config.cover_cap
-            )
-        except CoverSizeError:
-            if config.strategy == "cover-exhaustive":
-                raise
-            cover_cache = None
+    cover_cache = _cover_cache_for(X_lift, act, config)
 
     model = RidgeModel()
     fitted = np.zeros(n)

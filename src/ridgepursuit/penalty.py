@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dictionary import FieldError
 from .model import RidgeModel
 
 __all__ = [
@@ -63,25 +64,25 @@ class PenaltyConfig:
 
     def __post_init__(self) -> None:
         if self.B < 0:
-            raise ValueError(f"need B >= 0, got {self.B}")
+            raise FieldError("B", f"need B >= 0, got {self.B}")
         if self.B_n < self.B:
-            raise ValueError(f"need B_n >= B, got B_n={self.B_n} < B={self.B}")
-        if self.delta1 <= 0 or self.delta2 <= 0:
-            raise ValueError(
-                f"need delta1, delta2 > 0, got {self.delta1}, {self.delta2}"
-            )
+            raise FieldError("B_n", f"need B_n >= B, got B_n={self.B_n} < B={self.B}")
+        if self.delta1 <= 0:
+            raise FieldError("delta1", f"need delta1 > 0, got {self.delta1}")
+        if self.delta2 <= 0:
+            raise FieldError("delta2", f"need delta2 > 0, got {self.delta2}")
         if self.sigma_sq < 0:
-            raise ValueError(f"need sigma_sq >= 0, got {self.sigma_sq}")
+            raise FieldError("sigma_sq", f"need sigma_sq >= 0, got {self.sigma_sq}")
         if self.eta < 0:
-            raise ValueError(f"need eta >= 0, got {self.eta}")
+            raise FieldError("eta", f"need eta >= 0, got {self.eta}")
         if self.nu < 0:
-            raise ValueError(f"need nu >= 0, got {self.nu}")
+            raise FieldError("nu", f"need nu >= 0, got {self.nu}")
         if self.lam <= 0:
-            raise ValueError(f"need lam > 0, got {self.lam}")
+            raise FieldError("lam", f"need lam > 0, got {self.lam}")
         if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}; expected {REGIMES}")
+            raise FieldError("regime", f"unknown regime {self.regime!r}; expected {REGIMES}")
         if self.mixed_C <= 0:
-            raise ValueError(f"need mixed_C > 0, got {self.mixed_C}")
+            raise FieldError("mixed_C", f"need mixed_C > 0, got {self.mixed_C}")
 
     def with_Bn(self, B_n: float) -> PenaltyConfig:
         return replace(self, B_n=B_n)

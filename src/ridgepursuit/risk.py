@@ -27,12 +27,11 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from ._threads import ordered_map
 from .dictionary import Activation, RidgeUnit, eval_unit
 from .greedy import GreedyConfig, fit_lpgp
 from .model import RidgeModel
 from .penalty import PenaltyConfig, penalty_for_regime, tail_tn, truncate
-from .targets import Dataset, Noise, _draw_design
+from .targets import Dataset, Noise, _draw_design, gen_dataset
 
 __all__ = [
     "LossReport",
@@ -367,15 +366,6 @@ def shipped_class_specs(d: int = 1) -> dict[str, CountableClassSpec]:
 # ----------------------------------------------------------------------------
 
 
-def _gen_data(fstar, n: int, d: int, noise: Noise, seed: int, design: str) -> Dataset:
-    """Dataset from an arbitrary batch-callable regression function."""
-    rng = np.random.default_rng(seed)
-    X = _draw_design(n, d, rng, design)
-    Y = np.asarray(fstar(X), dtype=float) + noise.draw(n, rng)
-    Xp = _draw_design(n, d, np.random.default_rng(seed + 1), design)
-    return Dataset(X=X, Y=Y, noise=noise, seed=seed, X_prime=Xp)
-
-
 def risk_curve(
     target,
     n_grid: Sequence[int],
@@ -403,12 +393,10 @@ def risk_curve(
     if oracle_v is None and isinstance(target, RidgeModel):
         oracle_v = target.v
     grid = tuple(m_grid) if m_grid is not None else default_m_grid(greedy_config.m_max)
-    tasks = [(n, t) for n in sorted(n_grid) for t in range(trials)]
 
-    def one(task: tuple[int, int]) -> RiskRow:
-        n, trial = task
+    def one(n: int, trial: int) -> RiskRow:
         seed_i = int(np.random.SeedSequence([seed, n, trial]).generate_state(1)[0])
-        data = _gen_data(target, n, d, noise, seed_i, design)
+        data = gen_dataset(target, n, d, noise, seed_i, design=design)
         truncated, report = fit_and_select(data, greedy_config, pconfig, grid, target=target)
         if oracle_v is not None:
             T_n = tail_tn(data.Y, pconfig.B_n)
@@ -427,7 +415,7 @@ def risk_curve(
             resolvability_proxy=proxy,
         )
 
-    return list(ordered_map(one, tasks))
+    return [one(n, trial) for n in sorted(n_grid) for trial in range(trials)]
 
 
 def write_risk_csv(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -291,7 +292,7 @@ def _draw_design(
 
 
 def gen_dataset(
-    target: SpectralTarget,
+    target: Callable[[np.ndarray], np.ndarray],
     n: int,
     d: int,
     noise: Noise,
@@ -299,19 +300,21 @@ def gen_dataset(
     design: str = "uniform",
     with_test: bool = True,
 ) -> Dataset:
-    """Sample X (and X' from seed+1) from the design law and Y = f*(X) + eps."""
+    """Sample X (and X' from seed+1) from the design law and Y = f*(X) + eps.
+
+    ``target`` is any batch callable (n, d) -> (n,), such as a
+    ``SpectralTarget`` or a ``RidgeModel``.
+    """
     if n <= 0:
         raise ValueError(f"need n > 0, got {n}")
-    if target.dim != d:
-        raise ValueError(f"target has dimension {target.dim}, requested d={d}")
     rng = np.random.default_rng(seed)
     X = _draw_design(n, d, rng, design)
-    Y = eval_target(target, X) + noise.draw(n, rng)
+    Y = np.asarray(target(X), dtype=float) + noise.draw(n, rng)
     X_prime = None
     if with_test:
         rng_test = np.random.default_rng(seed + 1)
         X_prime = _draw_design(n, d, rng_test, design)
-    return Dataset(X=X, Y=np.asarray(Y), noise=noise, seed=seed, X_prime=X_prime)
+    return Dataset(X=X, Y=Y, noise=noise, seed=seed, X_prime=X_prime)
 
 
 def mc_l2_sq_distance(

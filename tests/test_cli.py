@@ -96,6 +96,35 @@ class TestParseConfig:
 # ---------------------------------------------------------------------------
 
 
+class TestConfigErrors:
+    """Bad values exit 2 with a `config error:` line naming the offending key."""
+
+    @pytest.mark.parametrize("subcommand", ["fit", "cover-stats"])
+    def test_over_cap_cover(self, subcommand, tmp_path, capsys):
+        argv = [subcommand, "--set", "cover_cap=10", "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "'cover_m_grid'" in err and "'cover_cap'" in err
+
+    def test_greedy_error_names_restarts(self, tmp_path, capsys):
+        argv = ["fit", "--set", "strategy=projected-gradient", "--set", "restarts=0"]
+        assert main(argv + ["--out", str(tmp_path / "fit.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "'restarts'" in err and "'m_max'" not in err
+
+    def test_penalty_error_names_delta1(self, tmp_path, capsys):
+        argv = ["penalty-table", "--set", "delta1=0", "--out", str(tmp_path / "pt.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'delta1'" in err and "'regime'" not in err
+
+    def test_negative_w_rate_names_key(self, tmp_path, capsys):
+        argv = ["fit", "--set", "w_rate=-1", "--out", str(tmp_path / "fit.csv")]
+        assert main(argv) == 2
+        assert "'w_rate'" in capsys.readouterr().err
+
+
 class TestMainPlumbing:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2

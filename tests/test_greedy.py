@@ -4,6 +4,7 @@ guarantee, and path CSV emission."""
 
 import io
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from ridgepursuit import (
     w_power,
     write_path_csv,
 )
+from ridgepursuit import greedy
 from ridgepursuit.greedy import PATH_CSV_COLUMNS
 
 CUSTOM_POINTS = [(0.0, 0.0), (1.0, 0.5), (2.0, 1.4), (5.0, 6.0)]
@@ -372,6 +374,23 @@ def sine_cover_target(rng, n=150, d=3):
 
 
 class TestFitLpgp:
+    def test_restarts_run_on_the_calling_thread(self, rng, monkeypatch):
+        # No setting may move work off the caller's thread, not even this
+        # variable, which once sized a pool over the restarts.
+        monkeypatch.setenv("RIDGE_THREADS", "2")
+        threads = set()
+        ascend = greedy._ascend_projected
+
+        def recording(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return ascend(*args, **kwargs)
+
+        monkeypatch.setattr(greedy, "_ascend_projected", recording)
+        X = rng.uniform(-1, 1, size=(40, 2))
+        cfg = GreedyConfig(lam=2.0, m_max=2, strategy="projected-gradient", restarts=4)
+        fit_lpgp(make_dataset(X, np.sin(2 * X[:, 0])), cfg)
+        assert threads == {threading.get_ident()}
+
     def test_zero_steps_empty_path(self, rng):
         X = rng.uniform(-1, 1, size=(20, 2))
         path = fit_lpgp(make_dataset(X, rng.normal(size=20)), GreedyConfig(lam=2.0, m_max=0))

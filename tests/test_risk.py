@@ -3,6 +3,7 @@ checks, and the risk-curve experiment driver."""
 
 import io
 import math
+import threading
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -461,6 +462,24 @@ class TestRiskCurve:
         assert math.isnan(risk_curve(target=opaque, **kwargs)[0].resolvability_proxy)
         row = risk_curve(target=opaque, oracle_v=0.5, **kwargs)[0]
         assert math.isfinite(row.resolvability_proxy)
+
+    def test_trials_run_on_the_calling_thread(self, monkeypatch):
+        # No setting may move work off the caller's thread, not even this
+        # variable, which once sized a pool over the trials.
+        monkeypatch.setenv("RIDGE_THREADS", "2")
+        gcfg, pcfg = small_risk_configs()
+        fstar = ramp_model_target()
+        threads = set()
+
+        def target(X):
+            threads.add(threading.get_ident())
+            return fstar(X)
+
+        risk_curve(
+            target=target, n_grid=(32,), d=2, regime="highdim-noise", trials=2,
+            greedy_config=gcfg, penalty_config=pcfg, noise=Noise("gaussian", 0.3), seed=3,
+        )
+        assert threads == {threading.get_ident()}
 
     def test_trials_validated(self):
         gcfg, pcfg = small_risk_configs()
