@@ -297,6 +297,12 @@ def _cover_cache_for(
         return None
 
 
+def _score_cover(R: np.ndarray, cover_cache: _CoverCache) -> np.ndarray:
+    """(1/n) sum_i R_i h_k(X_i) for every cover unit k."""
+    values = cover_cache.values
+    return R.astype(values.dtype, copy=False) @ values / values.shape[0]
+
+
 def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the l1 ball of the given radius (sort-based)."""
     v = np.asarray(v, dtype=float)
@@ -317,6 +323,8 @@ def inner_maximize(
     config: GreedyConfig,
     rng: np.random.Generator,
     cover_cache: _CoverCache | None = None,
+    *,
+    cover_scores: np.ndarray | None = None,
 ) -> InnerResult:
     """Maximize (1/n) sum_i R_i phi(theta . X_i) over ||theta||_1 <= lam.
 
@@ -324,6 +332,10 @@ def inner_maximize(
     column upstream to give the units a bias slot.  The returned value
     dominates every candidate examined and is always >= 0 because theta = 0
     (the zero function) is a candidate.
+
+    ``cover_scores``, if given, must equal ``R @ cover_cache.values / n``;
+    ``fit_lpgp`` passes the scores of +R and their negation for -R so that
+    the n x K product is formed once per step.
     """
     R = np.asarray(R, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -349,7 +361,8 @@ def inner_maximize(
     if cover_cache is None:
         cover_cache = _cover_cache_for(X, act, config)
     if cover_cache is not None and need_cover:
-        cover_scores = R.astype(cover_cache.values.dtype, copy=False) @ cover_cache.values / n
+        if cover_scores is None:
+            cover_scores = _score_cover(R, cover_cache)
         j = int(np.argmax(cover_scores))
         diagnostics["cover_value"] = float(cover_scores[j])
         n_candidates += cover_scores.shape[0]
@@ -538,8 +551,19 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
     records: list[GreedyStep] = []
     for m in range(1, config.m_max + 1):
         residual = Y - fitted
-        pos = inner_maximize(residual, X_lift, config, rng, cover_cache=cover_cache)
-        neg = inner_maximize(-residual, X_lift, config, rng, cover_cache=cover_cache)
+        # One n x K product scores the cover for both signs.
+        scores = None if cover_cache is None else _score_cover(residual, cover_cache)
+        pos = inner_maximize(
+            residual, X_lift, config, rng, cover_cache=cover_cache, cover_scores=scores
+        )
+        neg = inner_maximize(
+            -residual,
+            X_lift,
+            config,
+            rng,
+            cover_cache=cover_cache,
+            cover_scores=None if scores is None else -scores,
+        )
         if neg.value > pos.value:
             chosen, sign = neg, -1
         else:
