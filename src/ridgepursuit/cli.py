@@ -112,6 +112,18 @@ def _choice(*options: str) -> Callable[[str], str]:
     return parse
 
 
+def _at_least(parse: Callable[[str], object], low: float) -> Callable[[str], object]:
+    """``parse``, then reject numbers below ``low`` ("auto" passes through)."""
+
+    def checked(raw: str):
+        val = parse(raw)
+        if val != "auto" and val < low:
+            raise ValueError(f"need a value >= {format(low, 'g')}, got {val}")
+        return val
+
+    return checked
+
+
 def _int_list(raw: str) -> tuple[int, ...]:
     raw = raw.strip()
     if not raw:
@@ -148,7 +160,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     "seed": (_int, "0"),
     "out": (_str, ""),
     # data
-    "n": (_int, "200"),
+    "n": (_at_least(_int, 1), "200"),
     "d": (_int, "2"),
     "design": (_choice(*DESIGN_LAWS), "uniform"),
     "noise": (_choice(*NOISE_KINDS), "gaussian"),
@@ -173,7 +185,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     "B_n": (_auto_float, "auto"),
     "sigma_sq": (_auto_float, "auto"),
     "eta": (_auto_float, "auto"),
-    "nu": (_auto_float, "auto"),
+    "nu": (_at_least(_auto_float, 0.0), "auto"),
     "delta1": (_float, "1.0"),
     "delta2": (_float, "1.0"),
     "regime": (_choice(*REGIMES), "highdim-noise"),
@@ -182,13 +194,13 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     # concentration checks
     "gamma": (_float, "1.0"),
     "A": (_float, "2.0"),
-    "cc_trials": (_int, "2000"),
+    "cc_trials": (_at_least(_int, 2), "2000"),
     # experiment grids
-    "trials": (_int, "5"),
+    "trials": (_at_least(_int, 1), "5"),
     "n_grid": (_int_list, "256,512,1024"),
     "m_grid": (_int_list, ""),
     "ar_m_grid": (_int_list, "8,16,32,64"),
-    "draws": (_int, "32"),
+    "draws": (_at_least(_int, 1), "32"),
     "mc_points": (_int, "20000"),
     "v_f": (_float, "1.0"),
 }

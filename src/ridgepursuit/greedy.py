@@ -16,6 +16,14 @@ competitor f = sum_h beta_h h with mass v_f,
     b_f = c^2 v_f^2 + 2 v_f ||f*|| (c + 1) - ||f||^2,
 
 provided every dictionary unit has norm at most 1.
+
+Each step costs one n x K product for the cover scores (shared by the +R and
+-R searches, since the scores of -R are the negated scores of +R), one
+evaluation of the new unit, and a line search that reads only six inner
+products of the residual R = Y - f_{m-1}(X), the fitted values and the new
+unit's values.  The line search is exact: KKT candidates on the (alpha, beta)
+box for linear w and for each segment of piecewise-linear w (plus each knot),
+and one bounded convex search over the new mass s for power w.
 """
 
 from __future__ import annotations
@@ -467,64 +475,113 @@ def _ascend_frank_wolfe(
 # ----------------------------------------------------------------------------
 
 
+def _argmin_quadratic(a2: float, a1: float, lo: float, hi: float) -> float:
+    """Minimizer of a2 t^2 + a1 t over [lo, hi] for a2 >= 0 (hi may be inf)."""
+    if a2 > 0.0:
+        return min(max(-a1 / (2.0 * a2), lo), hi)
+    return lo if a1 >= 0.0 or math.isinf(hi) else hi
+
+
 def line_search(
-    f_prev: RidgeModel,
-    h_new: RidgeUnit,
+    F: np.ndarray,
+    H: np.ndarray,
     Y: np.ndarray,
-    X: np.ndarray,
+    v_prev: float,
     w: CoefficientPenalty,
 ) -> tuple[float, float, float]:
-    """Minimize ||Y - (1-alpha) f_prev - beta h||_n^2 + w((1-alpha) v_prev + beta).
+    """Minimize ||Y - (1-alpha) F - beta H||_n^2 + w((1-alpha) v_prev + beta).
 
-    Joint convexity (quadratic loss plus convex w of an affine map) makes the
-    nested 1-D searches exact; the result never does worse than keeping
-    f_prev unchanged, i.e. (alpha, beta) = (0, 0).
+    F and H are the previous fit's and the new unit's values on the design,
+    v_prev the previous coefficient mass; alpha ranges over [0, 1] and beta
+    over [0, inf).  Returns (alpha, beta, objective).
+
+    With R = Y - F the loss is the quadratic
+
+        (RR + 2 alpha RF - 2 beta RH + alpha^2 FF - 2 alpha beta FH + beta^2 HH) / n
+
+    so six inner products fix it and every later evaluation is O(1).  Write
+    s = (1-alpha) v_prev + beta for the new mass.
+
+    * Linear w: the problem is a convex QP on the box.  Its minimum is among
+      the KKT candidates: the interior 2 x 2 solve, the clipped minimizers on
+      the edges alpha = 0, alpha = 1 and beta = 0, and the corners.
+    * Piecewise-linear w: the linear candidates once per segment slope, plus,
+      for each knot s_k, the best point on the line s = s_k (a clipped 1-D
+      quadratic in alpha).  A minimizer either has s inside a segment, where
+      w is that segment's line, or sits on a knot.
+    * Power w: for fixed s the best point on the line s is that same clipped
+      1-D quadratic, and the partial minimum is convex in s; one bounded
+      scalar search over s finds it.
+
+    (alpha, beta) = (0, 0), which keeps f_prev, is always a candidate, so the
+    step never does worse than f_prev.  Exact ties go to the smaller alpha.
     """
+    F = np.asarray(F, dtype=float)
+    H = np.asarray(H, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    F = np.asarray(f_prev.evaluate(X), dtype=float)
-    H = np.asarray(eval_unit(h_new, X), dtype=float)
-    v_prev = f_prev.v
     n = Y.shape[0]
-    h_sq = float(H @ H) / n
+    R = Y - F
+    rr, rf, rh = float(R @ R) / n, float(R @ F) / n, float(R @ H) / n
+    ff, fh, hh = float(F @ F) / n, float(F @ H) / n, float(H @ H) / n
+    v = float(v_prev)
 
     def objective(alpha: float, beta: float) -> float:
-        resid = Y - (1.0 - alpha) * F - beta * H
-        return float(resid @ resid) / n + float(w((1.0 - alpha) * v_prev + beta))
+        loss = rr + 2.0 * alpha * rf - 2.0 * beta * rh
+        loss += alpha * alpha * ff - 2.0 * alpha * beta * fh + beta * beta * hh
+        return loss + float(w((1.0 - alpha) * v + beta))
 
-    def best_beta(alpha: float) -> float:
-        if h_sq <= 0.0:
-            return 0.0
-        resid_corr = float((Y - (1.0 - alpha) * F) @ H) / n
-        if w.kind == "linear":
-            return max(0.0, (resid_corr - w.rate / 2.0) / h_sq)
-        # General convex w: bracket the minimizer, then bounded search.
-        hi = 2.0 * max(1.0, abs(resid_corr) / h_sq)
-        for _ in range(60):
-            if objective(alpha, hi) >= objective(alpha, hi * (1.0 - 1e-7)):
-                break
-            hi *= 4.0
-        res = minimize_scalar(
-            lambda b: objective(alpha, b),
-            bounds=(0.0, hi),
-            method="bounded",
-            options={"xatol": 1e-11},
-        )
-        beta = float(res.x)
-        return beta if objective(alpha, beta) <= objective(alpha, 0.0) else 0.0
+    def box_candidates(rate: float) -> list[tuple[float, float]]:
+        """KKT points of loss + rate * s on alpha in [0, 1], beta >= 0."""
+        p_a = 2.0 * rf - rate * v  # linear coefficient of alpha
+        p_b = rate - 2.0 * rh  # linear coefficient of beta
+        cands = [
+            (0.0, _argmin_quadratic(hh, p_b, 0.0, math.inf)),
+            (1.0, _argmin_quadratic(hh, p_b - 2.0 * fh, 0.0, math.inf)),
+            (_argmin_quadratic(ff, p_a, 0.0, 1.0), 0.0),
+            (1.0, 0.0),
+        ]
+        det = ff * hh - fh * fh
+        if det > 0.0:
+            alpha = -(hh * p_a + fh * p_b) / (2.0 * det)
+            beta = -(fh * p_a + ff * p_b) / (2.0 * det)
+            if 0.0 <= alpha <= 1.0 and beta >= 0.0:
+                cands.append((alpha, beta))
+        return cands
 
-    res = minimize_scalar(
-        lambda a: objective(a, best_beta(a)),
-        bounds=(0.0, 1.0),
-        method="bounded",
-        options={"xatol": 1e-11},
-    )
-    candidates = [(float(res.x), best_beta(float(res.x)))]
-    for alpha in (0.0, 1.0, float(res.x)):
-        candidates.append((alpha, best_beta(alpha)))
-        candidates.append((alpha, 0.0))
-    scored = [(objective(a, b), a, b) for a, b in candidates]
-    obj, alpha, beta = min(scored)
-    return alpha, beta, obj
+    def on_mass_line(s: float) -> tuple[float, float]:
+        """Best (alpha, beta) with (1-alpha) v + beta = s, i.e. beta = b0 + alpha v."""
+        b0 = s - v
+        q2 = ff - 2.0 * fh * v + hh * v * v
+        q1 = 2.0 * (rf - rh * v - fh * b0 + hh * b0 * v)
+        lo = max(0.0, 1.0 - s / v) if v > 0.0 else 0.0
+        alpha = _argmin_quadratic(q2, q1, lo, 1.0)
+        # beta >= 0 holds exactly; the clamp only absorbs rounding at alpha = lo.
+        return alpha, max(0.0, b0 + alpha * v)
+
+    candidates = [(0.0, 0.0)]
+    if w.kind == "linear" or (w.kind == "power" and w.rate == 0.0):
+        candidates += box_candidates(w.rate)
+    elif w.kind == "custom":
+        vk = np.array([k[0] for k in w.knots], dtype=float)
+        wk = np.array([k[1] for k in w.knots], dtype=float)
+        for rate in np.diff(wk) / np.diff(vk):
+            candidates += box_candidates(float(rate))
+        candidates += [on_mass_line(float(s)) for s in vk[1:-1]]
+    else:
+        # Any s with w(s) above the keep-f_prev objective cannot win.
+        s_max = (objective(0.0, 0.0) / w.rate) ** 0.75
+        candidates.append(on_mass_line(0.0))
+        if s_max > 0.0:
+            res = minimize_scalar(
+                lambda s: objective(*on_mass_line(s)),
+                bounds=(0.0, s_max),
+                method="bounded",
+                options={"xatol": 1e-12},
+            )
+            candidates.append(on_mass_line(float(res.x)))
+
+    obj, alpha, beta = min((objective(a, b), a, b) for a, b in candidates)
+    return alpha + 0.0, beta + 0.0, obj
 
 
 # ----------------------------------------------------------------------------
@@ -536,8 +593,6 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
     """Run the pursuit for config.m_max steps on the dataset (deterministic per seed)."""
     X = np.atleast_2d(np.asarray(data.X, dtype=float))
     Y = np.asarray(data.Y, dtype=float)
-    if X.shape[0] == 0:
-        raise ValueError("dataset is empty")
     n = X.shape[0]
     X_lift = lift(X)
     act = Activation(config.activation)
@@ -569,11 +624,12 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
         else:
             chosen, sign = pos, 1
         unit = RidgeUnit(activation=act, theta=chosen.theta, sign=sign)
-        alpha, beta, _ = line_search(model, unit, Y, X, config.w)
+        H = np.asarray(eval_unit(unit, X), dtype=float)
+        alpha, beta, _ = line_search(fitted, H, Y, v_prev, config.w)
 
         terms = [((1.0 - alpha) * b, u) for b, u in model.terms] + [(beta, unit)]
         model = RidgeModel(terms=terms)
-        fitted = (1.0 - alpha) * fitted + beta * np.asarray(eval_unit(unit, X), dtype=float)
+        fitted = (1.0 - alpha) * fitted + beta * H
         v_m = (1.0 - alpha) * v_prev + beta
         v_prev = v_m
 

@@ -137,6 +137,24 @@ class Dataset:
     seed: int
     X_prime: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        X = np.asarray(self.X)
+        Y = np.asarray(self.Y)
+        if X.ndim != 2 or Y.ndim != 1:
+            raise ValueError(f"need X 2-D and Y 1-D, got shapes {X.shape} and {Y.shape}")
+        if Y.shape[0] != X.shape[0]:
+            raise ValueError(f"Y has {Y.shape[0]} values but X has {X.shape[0]} rows")
+        if X.size == 0:
+            raise ValueError(f"empty design: X has shape {X.shape}")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
+            raise ValueError("X and Y must be finite (found NaN or inf)")
+        if self.X_prime is not None:
+            Xp = np.asarray(self.X_prime)
+            if Xp.ndim != 2 or Xp.shape[1] != X.shape[1]:
+                raise ValueError(f"X' has shape {Xp.shape}, need {X.shape[1]} columns")
+            if not np.all(np.isfinite(Xp)):
+                raise ValueError("X' must be finite (found NaN or inf)")
+
     @property
     def n(self) -> int:
         return self.X.shape[0]

@@ -124,6 +124,23 @@ class TestConfigErrors:
         assert main(argv) == 2
         assert "'w_rate'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subcommand, key, value",
+        [
+            ("fit", "n", "0"),
+            ("risk-curve", "trials", "0"),
+            ("approx-rate", "draws", "0"),
+            ("concentration-check", "cc_trials", "1"),
+            ("penalty-table", "nu", "-1"),
+        ],
+    )
+    def test_out_of_range_value_names_key(self, subcommand, key, value, tmp_path, capsys):
+        argv = [subcommand, "--set", f"{key}={value}", "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{key}'" in err
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestMainPlumbing:
     def test_no_arguments_is_usage_error(self, capsys):

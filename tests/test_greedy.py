@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ridgepursuit import (
@@ -35,6 +35,8 @@ from ridgepursuit import (
 )
 from ridgepursuit import greedy
 from ridgepursuit.greedy import PATH_CSV_COLUMNS
+
+from line_search_oracle import line_search as oracle_line_search
 
 CUSTOM_POINTS = [(0.0, 0.0), (1.0, 0.5), (2.0, 1.4), (5.0, 6.0)]
 
@@ -258,6 +260,42 @@ class TestInnerMaximize:
         assert res.value >= 0.0
 
 
+class TestSharedCoverScores:
+    """fit_lpgp scores the cover once per step and hands -scores to the -R call."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(strategy="cover-exhaustive"),
+            dict(strategy="projected-gradient", restarts=4, c_report=True),
+        ],
+    )
+    def test_negated_scores_match_own_scoring(self, kwargs):
+        rng = np.random.default_rng(7)
+        X = np.hstack([rng.uniform(-1, 1, size=(60, 2)), np.ones((60, 1))])
+        R = rng.normal(size=60)
+        cfg = inner_config(**kwargs)
+        cache = greedy._cover_cache_for(X, Activation("ramp"), cfg)
+        scores = R @ cache.values / 60
+        own = inner_maximize(-R, X, cfg, np.random.default_rng(3), cover_cache=cache)
+        shared = inner_maximize(
+            -R, X, cfg, np.random.default_rng(3), cover_cache=cache, cover_scores=-scores
+        )
+        np.testing.assert_array_equal(shared.theta, own.theta)
+        assert shared.value == own.value
+        assert shared.diagnostics == own.diagnostics
+
+    def test_cover_scored_once_per_step(self, rng, monkeypatch):
+        calls = []
+        score = greedy._score_cover
+        monkeypatch.setattr(
+            greedy, "_score_cover", lambda R, cache: calls.append(1) or score(R, cache)
+        )
+        data, _ = sine_cover_target(rng)
+        fit_lpgp(data, GreedyConfig(lam=2.0, m_max=5))
+        assert len(calls) == 5
+
+
 # ---------------------------------------------------------------------------
 # Line search
 # ---------------------------------------------------------------------------
@@ -268,7 +306,7 @@ class TestLineSearch:
         X = rng.uniform(-1, 1, size=(40, 2))
         h = RidgeUnit(Activation("sine"), np.array([1.0, 0.5, 0.0]))
         Y = np.asarray(eval_unit(h, X))
-        alpha, beta, obj = line_search(RidgeModel(), h, Y, X, w_linear())
+        alpha, beta, obj = line_search(np.zeros(40), eval_unit(h, X), Y, 0.0, w_linear())
         assert beta == pytest.approx(1.0, rel=1e-12)
         assert obj <= 1e-12
 
@@ -282,7 +320,7 @@ class TestLineSearch:
             Y = -Y
             corr = -corr
         rate = 2.5 * corr
-        alpha, beta, obj = line_search(RidgeModel(), h, Y, X, w_linear(rate))
+        alpha, beta, obj = line_search(np.zeros(50), H, Y, 0.0, w_linear(rate))
         assert beta == 0.0
         assert alpha == 0.0
         assert obj == pytest.approx(float(Y @ Y) / 50, rel=1e-12)
@@ -294,7 +332,7 @@ class TestLineSearch:
         )
         Y = np.asarray(f_prev(X))
         h = RidgeUnit(Activation("sine"), np.array([0.0, 1.0, 0.5]))
-        alpha, beta, obj = line_search(f_prev, h, Y, X, w_linear())
+        alpha, beta, obj = line_search(f_prev(X), eval_unit(h, X), Y, f_prev.v, w_linear())
         assert alpha == 0.0
         assert beta == 0.0
         assert obj <= 1e-28
@@ -309,7 +347,7 @@ class TestLineSearch:
             h = RidgeUnit(Activation("sine"), np.array([0.3, -0.9, 0.4]))
             F = np.asarray(f_prev(X))
             origin = float((Y - F) @ (Y - F)) / 40 + w(f_prev.v)
-            _, _, obj = line_search(f_prev, h, Y, X, w)
+            _, _, obj = line_search(F, eval_unit(h, X), Y, f_prev.v, w)
             assert obj <= origin + 1e-15
 
     def test_matches_dense_grid_minimum(self, rng):
@@ -328,7 +366,7 @@ class TestLineSearch:
             h = RidgeUnit(Activation("tanh"), np.array([0.6, -0.6, 0.3]))
             Y = np.asarray(f_prev(X)) + rng.normal(scale=0.4, size=n)
             F, H = np.asarray(f_prev(X)), np.asarray(eval_unit(h, X))
-            _, _, obj = line_search(f_prev, h, Y, X, w)
+            _, _, obj = line_search(F, H, Y, f_prev.v, w)
 
             corr = abs(float(Y @ H)) / n
             h_sq = float(H @ H) / n
@@ -346,6 +384,80 @@ class TestLineSearch:
             ) / n
             grid_obj = resid_sq + w((1.0 - A) * f_prev.v + Bv)
             assert obj <= grid_obj.min() + 1e-6, w.kind
+
+
+ORACLE_PENALTIES = (
+    w_linear(0.0),
+    w_linear(0.3),
+    w_power(0.2),
+    w_power(1e-3),
+    w_custom(CUSTOM_POINTS),
+    w_custom([(0.0, 0.5), (1.0, 0.2), (3.0, 1.0)]),  # falls, then rises
+    w_custom([(0.5, 0.5), (1.5, 0.6), (2.0, 1.5)]),  # first knot above 0
+)
+LINE_SEARCH_CASES = ("generic", "h_zero", "f_zero", "h_parallel_f", "y_equals_f")
+
+
+def random_unit(rng):
+    kind = ("ramp", "sine", "tanh")[int(rng.integers(3))]
+    return RidgeUnit(Activation(kind), rng.normal(size=3), sign=int(rng.choice([-1, 1])))
+
+
+class TestLineSearchOracle:
+    """The exact line search against the nested-search oracle it replaced."""
+
+    @settings(max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(5, 40),
+        case=st.sampled_from(LINE_SEARCH_CASES),
+        w=st.sampled_from(ORACLE_PENALTIES),
+    )
+    def test_matches_or_beats_oracle(self, seed, n, case, w):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1, 1, size=(n, 2))
+        h = random_unit(rng)
+        f_prev = RidgeModel(
+            terms=[(float(rng.exponential(0.5)), random_unit(rng)) for _ in range(2)]
+        )
+        if case == "h_zero":
+            h = RidgeUnit(Activation("tanh"), np.zeros(3))
+        elif case == "f_zero":
+            f_prev = RidgeModel()
+        elif case == "h_parallel_f":  # the same unit picked again
+            f_prev = RidgeModel(terms=[(float(rng.exponential(1.0)), h)])
+        F, H = np.asarray(f_prev(X)), np.asarray(eval_unit(h, X))
+        Y = F.copy() if case == "y_equals_f" else F + rng.normal(scale=1.5, size=n)
+
+        alpha, beta, obj = line_search(F, H, Y, f_prev.v, w)
+        _, _, oracle_obj = oracle_line_search(f_prev, h, Y, X, w)
+
+        def direct(a, b):
+            resid = Y - (1.0 - a) * F - b * H
+            return float(resid @ resid) / n + float(w((1.0 - a) * f_prev.v + b))
+
+        assert 0.0 <= alpha <= 1.0 and beta >= 0.0
+        assert obj == pytest.approx(direct(alpha, beta), abs=1e-12)
+        assert direct(alpha, beta) <= oracle_obj + 1e-12
+        assert direct(alpha, beta) <= direct(0.0, 0.0) + 1e-12
+
+    def test_works_from_inner_products_alone(self, rng, monkeypatch):
+        # No model evaluation, and a scalar search only for power w.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("line_search evaluated a model")
+
+        searches = []
+        search = greedy.minimize_scalar
+        monkeypatch.setattr(greedy, "eval_unit", forbidden)
+        monkeypatch.setattr(RidgeModel, "evaluate", forbidden)
+        monkeypatch.setattr(
+            greedy, "minimize_scalar", lambda *a, **k: searches.append(1) or search(*a, **k)
+        )
+        F, H, Y = rng.normal(size=(3, 30))
+        for w in ORACLE_PENALTIES:
+            searches.clear()
+            line_search(F, H, Y, 0.7, w)
+            assert len(searches) == (1 if w.kind == "power" and w.rate > 0 else 0), w
 
 
 # ---------------------------------------------------------------------------

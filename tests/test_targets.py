@@ -337,6 +337,34 @@ class TestGenDataset:
         assert data.X_prime is None
 
 
+class TestDatasetValidation:
+    """Bad data is rejected when the Dataset is built, not deep inside a fit."""
+
+    def make(self, X, Y, X_prime=None):
+        return Dataset(X=X, Y=Y, noise=Noise("zero"), seed=0, X_prime=X_prime)
+
+    def test_nan_response_rejected(self):
+        Y = np.ones(5)
+        Y[2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            self.make(np.zeros((5, 2)), Y)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="4 values but X has 5 rows"):
+            self.make(np.zeros((5, 2)), np.zeros(4))
+
+    def test_empty_design_rejected(self):
+        with pytest.raises(ValueError, match="empty design"):
+            self.make(np.zeros((0, 2)), np.zeros(0))
+
+    def test_shapes_and_test_design_checked(self):
+        with pytest.raises(ValueError, match="2-D"):
+            self.make(np.zeros(5), np.zeros(5))
+        with pytest.raises(ValueError, match="columns"):
+            self.make(np.zeros((5, 2)), np.zeros(5), X_prime=np.zeros((5, 3)))
+        assert self.make(np.zeros((5, 2)), np.zeros(5), X_prime=np.zeros((7, 2))).n == 5
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo L2 distance and CSV interchange
 # ---------------------------------------------------------------------------
