@@ -503,8 +503,8 @@ def line_search(
     s = (1-alpha) v_prev + beta for the new mass.
 
     * Linear w: the problem is a convex QP on the box.  Its minimum is among
-      the KKT candidates: the interior 2 x 2 solve, the clipped minimizers on
-      the edges alpha = 0, alpha = 1 and beta = 0, and the corners.
+      the KKT candidates: the interior 2 x 2 solve and the clipped minimizers
+      on the edges alpha = 0, alpha = 1 and beta = 0 (which cover the corners).
     * Piecewise-linear w: the linear candidates once per segment slope, plus,
       for each knot s_k, the best point on the line s = s_k (a clipped 1-D
       quadratic in alpha).  A minimizer either has s inside a segment, where
@@ -538,7 +538,6 @@ def line_search(
             (0.0, _argmin_quadratic(hh, p_b, 0.0, math.inf)),
             (1.0, _argmin_quadratic(hh, p_b - 2.0 * fh, 0.0, math.inf)),
             (_argmin_quadratic(ff, p_a, 0.0, 1.0), 0.0),
-            (1.0, 0.0),
         ]
         det = ff * hh - fh * fh
         if det > 0.0:
