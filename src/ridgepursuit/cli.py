@@ -58,6 +58,7 @@ from .targets import (
     mc_l2_sq_distance,
     sample_ramp_model,
     spectral_norm,
+    write_csv,
 )
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "dispatch", "main", "SUBCOMMANDS"]
@@ -86,7 +87,10 @@ def _int(raw: str) -> int:
 
 
 def _float(raw: str) -> float:
-    return float(raw)
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(f"need a finite number, got {raw.strip()!r}")
+    return val
 
 
 def _bool(raw: str) -> bool:
@@ -112,13 +116,20 @@ def _choice(*options: str) -> Callable[[str], str]:
     return parse
 
 
-def _at_least(parse: Callable[[str], object], low: float) -> Callable[[str], object]:
-    """``parse``, then reject numbers below ``low`` ("auto" passes through)."""
+def _at_least(
+    parse: Callable[[str], object], low: float, strict: bool = False
+) -> Callable[[str], object]:
+    """``parse``, then reject numbers below ``low``, or equal to it when ``strict``.
+
+    List values are checked entry by entry; "auto" passes through.
+    """
+    relation = ">" if strict else ">="
 
     def checked(raw: str):
         val = parse(raw)
-        if val != "auto" and val < low:
-            raise ValueError(f"need a value >= {format(low, 'g')}, got {val}")
+        for x in val if isinstance(val, tuple) else (val,):
+            if x != "auto" and (x <= low if strict else x < low):
+                raise ValueError(f"need a value {relation} {format(low, 'g')}, got {x}")
         return val
 
     return checked
@@ -135,13 +146,13 @@ def _float_list(raw: str) -> tuple[float, ...]:
     raw = raw.strip()
     if not raw:
         return ()
-    return tuple(float(p) for p in raw.split(","))
+    return tuple(_float(p) for p in raw.split(","))
 
 
 def _matrix(raw: str) -> tuple[tuple[float, ...], ...]:
     """Rows separated by ';', entries by ',' (e.g. "1,1;0.5,2")."""
     rows = tuple(
-        tuple(float(p) for p in chunk.split(",")) for chunk in raw.strip().split(";") if chunk
+        tuple(_float(p) for p in chunk.split(",")) for chunk in raw.strip().split(";") if chunk
     )
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("rows have unequal lengths")
@@ -152,32 +163,32 @@ def _auto_float(raw: str) -> float | str:
     val = raw.strip().lower()
     if val == "auto":
         return "auto"
-    return float(raw)
+    return _float(raw)
 
 
 _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     # run plumbing
-    "seed": (_int, "0"),
+    "seed": (_at_least(_int, 0), "0"),
     "out": (_str, ""),
     # data
     "n": (_at_least(_int, 1), "200"),
-    "d": (_int, "2"),
+    "d": (_at_least(_int, 1), "2"),
     "design": (_choice(*DESIGN_LAWS), "uniform"),
     "noise": (_choice(*NOISE_KINDS), "gaussian"),
-    "noise_scale": (_float, "0.5"),
+    "noise_scale": (_at_least(_float, 0.0), "0.5"),
     # cosine target atoms
     "freqs": (_matrix, "1,1"),
     "amps": (_float_list, "1"),
     "phases": (_float_list, "0"),
     # pursuit
     "m_max": (_int, "8"),
-    "lam": (_float, "2.0"),
+    "lam": (_at_least(_float, 0.0, strict=True), "2.0"),
     "activation": (_choice(*ACTIVATION_KINDS), "ramp"),
     "strategy": (_choice(*INNER_STRATEGIES), "cover-exhaustive"),
     "restarts": (_int, "32"),
     "w_kind": (_choice("linear", "power"), "linear"),
     "w_rate": (_float, "0.0"),
-    "cover_m_grid": (_int, "2"),
+    "cover_m_grid": (_at_least(_int, 1), "2"),
     "cover_cap": (_int, "1000000"),
     "c_report": (_bool, "true"),
     # penalty
@@ -192,17 +203,17 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     "mixed_C": (_float, "1.0"),
     "tail": (_choice("auto", *TAIL_CLASSES), "auto"),
     # concentration checks
-    "gamma": (_float, "1.0"),
-    "A": (_float, "2.0"),
+    "gamma": (_at_least(_float, 0.0, strict=True), "1.0"),
+    "A": (_at_least(_float, 0.0, strict=True), "2.0"),
     "cc_trials": (_at_least(_int, 2), "2000"),
     # experiment grids
     "trials": (_at_least(_int, 1), "5"),
-    "n_grid": (_int_list, "256,512,1024"),
-    "m_grid": (_int_list, ""),
-    "ar_m_grid": (_int_list, "8,16,32,64"),
+    "n_grid": (_at_least(_int_list, 1), "256,512,1024"),
+    "m_grid": (_at_least(_int_list, 0), ""),
+    "ar_m_grid": (_at_least(_int_list, 1), "8,16,32,64"),
     "draws": (_at_least(_int, 1), "32"),
-    "mc_points": (_int, "20000"),
-    "v_f": (_float, "1.0"),
+    "mc_points": (_at_least(_int, 1), "20000"),
+    "v_f": (_at_least(_float, 0.0), "1.0"),
 }
 
 
@@ -380,6 +391,18 @@ def _out_path(config: RunConfig, subcommand: str) -> str:
     return config["out"] or f"{subcommand.replace('-', '_')}.csv"
 
 
+def _write_out(
+    config: RunConfig,
+    subcommand: str,
+    columns: Sequence[str],
+    rows: Sequence[Sequence],
+    notes: Sequence[str] = (),
+) -> None:
+    """Write one subcommand's CSV: the config echo, then ``notes``, as header lines."""
+    with open(_out_path(config, subcommand), "w", encoding="utf-8") as fh:
+        write_csv(fh, columns, rows, header_lines=[*config.header_lines(subcommand), *notes])
+
+
 # ----------------------------------------------------------------------------
 # Subcommand bodies (return process exit codes)
 # ----------------------------------------------------------------------------
@@ -408,8 +431,6 @@ def _cmd_approx_rate(config: RunConfig) -> int:
     m_grid = config["ar_m_grid"] or (8, 16, 32, 64)
     rows = []
     for m in m_grid:
-        if m < 1:
-            raise ConfigError(f"bad value for key 'ar_m_grid': m must be >= 1, got {m}")
         result = best_of(
             lambda rng, m=m: sample_ramp_model(target, m, rng),
             lambda model: mc_l2_sq_distance(
@@ -421,13 +442,10 @@ def _cmd_approx_rate(config: RunConfig) -> int:
         bound = 16.0 * v2**2 / m
         rows.append((m, result.distortion, bound))
     slope = _loglog_slope([r[0] for r in rows], [max(r[1], 1e-300) for r in rows])
-    with open(_out_path(config, "approx-rate"), "w", encoding="utf-8") as fh:
-        for line in config.header_lines("approx-rate"):
-            fh.write(f"# {line}\n")
-        fh.write(f"# log_log_slope={format(slope, '.17g')}\n")
-        fh.write("m,mc_sq_error,bound\n")
-        for m, err, bound in rows:
-            fh.write(f"{m},{format(err, '.17g')},{format(bound, '.17g')}\n")
+    _write_out(
+        config, "approx-rate", ("m", "mc_sq_error", "bound"), rows,
+        notes=[f"log_log_slope={format(slope, '.17g')}"],
+    )
     if any(err > bound for _, err, bound in rows):
         print("property failure: sampled error exceeded the mean bound", file=sys.stderr)
         return 1
@@ -447,14 +465,9 @@ def _cmd_cover_stats(config: RunConfig) -> int:
     lam = config["lam"]
     cover = enumerate_cover(d, m_grid, lam, cap=config["cover_cap"])
     log_bound = cover_count_log_bound(2 * d + 1, m_grid)
-    with open(_out_path(config, "cover-stats"), "w", encoding="utf-8") as fh:
-        for line in config.header_lines("cover-stats"):
-            fh.write(f"# {line}\n")
-        fh.write("d,m_grid,lam,multisets,distinct,log_multisets,log_bound\n")
-        fh.write(
-            f"{d},{m_grid},{format(lam, 'g')},{len(cover)},{cover.n_distinct},"
-            f"{format(math.log(len(cover)), '.17g')},{format(log_bound, '.17g')}\n"
-        )
+    columns = ("d", "m_grid", "lam", "multisets", "distinct", "log_multisets", "log_bound")
+    row = (d, m_grid, format(lam, "g"), len(cover), cover.n_distinct, math.log(len(cover)), log_bound)
+    _write_out(config, "cover-stats", columns, [row])
     if math.log(len(cover)) > log_bound:
         print("property failure: cover count exceeded its closed-form bound", file=sys.stderr)
         return 1
@@ -470,16 +483,11 @@ def _cmd_penalty_table(config: RunConfig) -> int:
         for n in n_grid:
             pconfig = replace(_build_penalty_config(config, target, n), regime=regime)
             pen = penalty_for_regime(pconfig, v_f, n, config["d"])
-            rows.append((regime, n, config["d"], v_f, pen))
-    with open(_out_path(config, "penalty-table"), "w", encoding="utf-8") as fh:
-        for line in config.header_lines("penalty-table"):
-            fh.write(f"# {line}\n")
-        fh.write("regime,n,d,v_f,pen_per_n,main_term,valid\n")
-        for regime, n, d, vf, pen in rows:
-            fh.write(
-                f"{regime},{n},{d},{format(vf, 'g')},{format(pen.pen_per_n, '.17g')},"
-                f"{format(pen.main_term, '.17g')},{'true' if pen.valid else 'false'}\n"
+            rows.append(
+                (regime, n, config["d"], format(v_f, "g"), pen.pen_per_n, pen.main_term, pen.valid)
             )
+    columns = ("regime", "n", "d", "v_f", "pen_per_n", "main_term", "valid")
+    _write_out(config, "penalty-table", columns, rows)
     return 0
 
 
@@ -487,32 +495,25 @@ def _cmd_concentration_check(config: RunConfig) -> int:
     d = config["d"]
     specs = shipped_class_specs(d=d)
     noise = _build_noise(config)
-    trials = config["cc_trials"]
+    n, trials = config["n"], config["cc_trials"]
     rng = np.random.default_rng(config["seed"])
     rows = []
     failed = False
     for name, spec in sorted(specs.items()):
         mean, se = mc_symmetrization_check(
-            spec, config["gamma"], config["n"], trials, design=config["design"], d=d, rng=rng
+            spec, config["gamma"], n, trials, design=config["design"], d=d, rng=rng
         )
         ok = mean <= 3.0 * se
         failed = failed or not ok
-        rows.append(("symmetrization", name, config["gamma"], mean, se, ok))
+        rows.append(("symmetrization", name, format(config["gamma"], "g"), n, trials, mean, se, ok))
         mean, se = mc_noise_check(
-            spec, config["A"], config["n"], trials, noise, design=config["design"], d=d, rng=rng
+            spec, config["A"], n, trials, noise, design=config["design"], d=d, rng=rng
         )
         ok = mean <= 3.0 * se
         failed = failed or not ok
-        rows.append(("noise", name, config["A"], mean, se, ok))
-    with open(_out_path(config, "concentration-check"), "w", encoding="utf-8") as fh:
-        for line in config.header_lines("concentration-check"):
-            fh.write(f"# {line}\n")
-        fh.write("check,spec,constant,n,trials,mean,se,pass\n")
-        for check, name, const, mean, se, ok in rows:
-            fh.write(
-                f"{check},{name},{format(const, 'g')},{config['n']},{trials},"
-                f"{format(mean, '.17g')},{format(se, '.17g')},{'true' if ok else 'false'}\n"
-            )
+        rows.append(("noise", name, format(config["A"], "g"), n, trials, mean, se, ok))
+    columns = ("check", "spec", "constant", "n", "trials", "mean", "se", "pass")
+    _write_out(config, "concentration-check", columns, rows)
     if failed:
         print("property failure: a concentration mean exceeded 3 standard errors", file=sys.stderr)
         return 1

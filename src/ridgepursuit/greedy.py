@@ -28,7 +28,6 @@ and one bounded convex search over the new mass s for power w.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -46,7 +45,7 @@ from .dictionary import (
     lift,
 )
 from .model import RidgeModel
-from .targets import Dataset
+from .targets import Dataset, write_csv
 
 __all__ = [
     "INNER_STRATEGIES",
@@ -702,20 +701,5 @@ def write_path_csv(
     path: GreedyPath, fp: IO[str], header_lines: Sequence[str] = ()
 ) -> None:
     """Write the iteration path as CSV with `#`-prefixed header comment lines."""
-    for line in header_lines:
-        fp.write(f"# {line}\n")
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(PATH_CSV_COLUMNS)
-    for rec in path.records:
-        writer.writerow(
-            [
-                rec.m,
-                format(rec.v_m, ".17g"),
-                format(rec.alpha, ".17g"),
-                format(rec.beta, ".17g"),
-                format(rec.inner_value, ".17g"),
-                format(rec.train_mse, ".17g"),
-                format(rec.penalty, ".17g"),
-                format(rec.objective, ".17g"),
-            ]
-        )
+    rows = ([getattr(rec, c) for c in PATH_CSV_COLUMNS] for rec in path.records)
+    write_csv(fp, PATH_CSV_COLUMNS, rows, header_lines)

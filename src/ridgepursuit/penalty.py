@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dictionary import FieldError
-from .model import RidgeModel
 
 __all__ = [
     "PenaltyConfig",
@@ -32,7 +31,6 @@ __all__ = [
     "gamma_tau",
     "select_Bn",
     "truncate",
-    "truncate_model_eval",
     "tail_tn",
     "pen_highdim",
     "pen_nonoise",
@@ -141,13 +139,6 @@ def truncate(value: np.ndarray | float, B_n: float) -> np.ndarray | float:
     if B_n <= 0:
         raise ValueError(f"need B_n > 0, got {B_n}")
     return np.clip(value, -B_n, B_n)
-
-
-def truncate_model_eval(
-    model: RidgeModel, x: np.ndarray, B_n: float
-) -> float | np.ndarray:
-    """Evaluate the model and truncate at B_n."""
-    return truncate(model.evaluate(x), B_n)
 
 
 def tail_tn(Y: np.ndarray, B_n: float) -> float:

@@ -20,7 +20,6 @@ satisfying the codelength (Kraft) inequality sum_g e^{-L(g)} <= 1.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import IO, Callable, Sequence
@@ -31,7 +30,7 @@ from .dictionary import Activation, RidgeUnit, eval_unit
 from .greedy import GreedyConfig, fit_lpgp
 from .model import RidgeModel
 from .penalty import PenaltyConfig, penalty_for_regime, tail_tn, truncate
-from .targets import Dataset, Noise, _draw_design, gen_dataset
+from .targets import Dataset, Noise, _draw_design, gen_dataset, write_csv
 
 __all__ = [
     "LossReport",
@@ -422,21 +421,5 @@ def write_risk_csv(
     rows: Sequence[RiskRow], fp: IO[str], header_lines: Sequence[str] = ()
 ) -> None:
     """Write risk rows as CSV with `#`-prefixed header comment lines."""
-    for line in header_lines:
-        fp.write(f"# {line}\n")
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(RISK_CSV_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [
-                r.n,
-                r.d,
-                r.trial,
-                r.regime,
-                r.m_hat,
-                format(r.v_hat, ".17g"),
-                format(r.test_mse, ".17g"),
-                format(r.pen_per_n, ".17g"),
-                format(r.resolvability_proxy, ".17g"),
-            ]
-        )
+    cells = ([getattr(r, c) for c in RISK_CSV_COLUMNS] for r in rows)
+    write_csv(fp, RISK_CSV_COLUMNS, cells, header_lines)

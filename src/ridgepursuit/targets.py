@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -31,6 +31,7 @@ __all__ = [
     "ramp_sampler_normalizer",
     "gen_dataset",
     "mc_l2_sq_distance",
+    "write_csv",
     "write_dataset_csv",
     "read_dataset_csv",
 ]
@@ -353,18 +354,38 @@ def mc_l2_sq_distance(
 # ----------------------------------------------------------------------------
 
 
+def write_csv(
+    fp: IO[str],
+    columns: Sequence[str],
+    rows: Iterable[Sequence],
+    header_lines: Sequence[str] = (),
+) -> None:
+    """Write `# `-prefixed header lines, the column row, then one line per row.
+
+    Floats get 17 significant digits (lossless float64), bools become
+    ``true``/``false``, and any other cell is written with ``str``.  Cells
+    are never quoted, so they must not contain commas.
+    """
+    for line in header_lines:
+        fp.write(f"# {line}\n")
+    fp.write(",".join(columns) + "\n")
+    for row in rows:
+        fp.write(",".join(map(_csv_cell, row)) + "\n")
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return format(value, ".17g")
+    if isinstance(value, (bool, np.bool_)):  # str() would write "True"
+        return "true" if value else "false"
+    return str(value)
+
+
 def write_dataset_csv(dataset: Dataset, path: str, header_lines: list[str] | None = None) -> None:
     """Write `x1,...,xd,y` rows with 17 significant digits (lossless float64)."""
-    d = dataset.d
-    cols = [f"x{j + 1}" for j in range(d)] + ["y"]
+    cols = [f"x{j + 1}" for j in range(dataset.d)] + ["y"]
     with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(cols) + "\n")
-        for i in range(dataset.n):
-            row = [format(val, ".17g") for val in dataset.X[i]]
-            row.append(format(dataset.Y[i], ".17g"))
-            fh.write(",".join(row) + "\n")
+        write_csv(fh, cols, np.column_stack([dataset.X, dataset.Y]), header_lines or ())
 
 
 def read_dataset_csv(path: str) -> tuple[np.ndarray, np.ndarray]:

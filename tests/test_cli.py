@@ -132,6 +132,21 @@ class TestConfigErrors:
             ("approx-rate", "draws", "0"),
             ("concentration-check", "cc_trials", "1"),
             ("penalty-table", "nu", "-1"),
+            ("risk-curve", "n_grid", "0"),
+            ("penalty-table", "n_grid", "0"),
+            ("cover-stats", "d", "0"),
+            ("cover-stats", "lam", "0"),
+            ("cover-stats", "cover_m_grid", "0"),
+            ("concentration-check", "d", "0"),
+            ("risk-curve", "m_grid", "0,-1"),
+            ("fit", "noise_scale", "-1"),
+            ("approx-rate", "mc_points", "0"),
+            ("fit", "lam", "nan"),
+            ("cover-stats", "lam", "nan"),
+            ("fit", "seed", "-1"),
+            ("concentration-check", "gamma", "0"),
+            ("concentration-check", "A", "-1"),
+            ("penalty-table", "v_f", "-1"),
         ],
     )
     def test_out_of_range_value_names_key(self, subcommand, key, value, tmp_path, capsys):
@@ -331,6 +346,27 @@ class TestRiskCurve:
     def test_dimension_mismatch_is_config_error(self, capsys):
         assert main(["risk-curve", "--set", "d=3"]) == 2  # freqs default has 2 coords
         assert "freqs" in capsys.readouterr().err
+
+
+# Small runs of every subcommand; the CSV must not depend on anything but the config.
+SMALL_RUNS = {
+    "fit": ["--set", "n=64", "--set", "m_max=3"],
+    "approx-rate": ["--set", "ar_m_grid=4,8", "--set", "draws=2", "--set", "mc_points=500"],
+    "cover-stats": ["--set", "d=2"],
+    "penalty-table": ["--set", "n_grid=64,256"],
+    "concentration-check": ["--set", "cc_trials=50", "--set", "n=32"],
+    "risk-curve": ["--set", "n_grid=32", "--set", "trials=1", "--set", "m_max=2"],
+}
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_rerun_is_byte_identical(subcommand, tmp_path):
+    out = tmp_path / "out.csv"
+    argv = [subcommand, *SMALL_RUNS[subcommand], "--out", str(out)]
+    assert main(argv) == 0
+    first = out.read_bytes()
+    assert main(argv) == 0
+    assert out.read_bytes() == first
 
 
 class TestDefaultOutPath:

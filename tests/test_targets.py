@@ -2,6 +2,7 @@
 ramp-network sampler with its exact normalizer, dataset generation under the
 three noise laws, and CSV interchange."""
 
+import io
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from ridgepursuit import (
     sample_ramp_model,
     spectral_norm,
     target_gradient_at_zero,
+    write_csv,
     write_dataset_csv,
 )
 
@@ -389,6 +391,36 @@ class TestMcDistance:
         a = mc_l2_sq_distance(t, zero, d=2, n_points=2000, seed=5)
         b = mc_l2_sq_distance(t, zero, d=2, n_points=2000, seed=5)
         assert a == b
+
+
+class TestWriteCsv:
+    def render(self, columns, rows, header_lines=()):
+        fp = io.StringIO()
+        write_csv(fp, columns, rows, header_lines)
+        return fp.getvalue()
+
+    def test_floats_round_trip_exactly(self):
+        values = [0.1, 1.0 / 3.0, -2.5e-300, 1e17, np.float64(math.pi), math.nan, math.inf, -math.inf]
+        text = self.render(["x"], [[v] for v in values])
+        lines = text.splitlines()[1:]
+        assert len(lines) == len(values)
+        for v, line in zip(values, lines):
+            back = float(line)
+            assert back == v or (math.isnan(v) and math.isnan(back))
+        assert lines[-3:] == ["nan", "inf", "-inf"]
+
+    def test_bools_before_ints(self):
+        text = self.render(["a", "b", "c", "d"], [[True, False, np.bool_(True), np.bool_(False)]])
+        assert text.splitlines()[1] == "true,false,true,false"
+
+    def test_other_cells_pass_through(self):
+        text = self.render(["i", "j", "s"], [[7, np.int64(-3), "0.5"], [0, np.int64(10**12), "1e-05"]])
+        assert text.splitlines()[1:] == ["7,-3,0.5", "0,1000000000000,1e-05"]
+
+    def test_layout(self):
+        text = self.render(("m", "label"), [(1, "a b"), (2, 'say "x"')], header_lines=["k=v", "n=2"])
+        assert text == '# k=v\n# n=2\nm,label\n1,a b\n2,say "x"\n'
+        assert self.render(["m"], []) == "m\n"
 
 
 class TestDatasetCsv:
