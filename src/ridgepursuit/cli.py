@@ -116,20 +116,35 @@ def _choice(*options: str) -> Callable[[str], str]:
     return parse
 
 
-def _at_least(
-    parse: Callable[[str], object], low: float, strict: bool = False
-) -> Callable[[str], object]:
-    """``parse``, then reject numbers below ``low``, or equal to it when ``strict``.
+# Upper bound on the scale keys: amps, noise_scale, lam, B, B_n and v_f.  The
+# penalty formulas multiply powers of them of total degree up to eight (the
+# mixed regime's v_f^4 lam^2 (B + B_n)^2, where B_n grows with noise_scale),
+# so 1e12 keeps every such product far inside the float64 range.
+_MAX_SCALE = 1e12
 
-    List values are checked entry by entry; "auto" passes through.
+
+def _at_least(
+    parse: Callable[[str], object],
+    low: float,
+    strict: bool = False,
+    at_most: float = math.inf,
+) -> Callable[[str], object]:
+    """``parse``, then range-check the value.
+
+    Rejects numbers below ``low`` (or equal to it when ``strict``) and above
+    ``at_most``.  List values are checked entry by entry; "auto" passes through.
     """
     relation = ">" if strict else ">="
 
     def checked(raw: str):
         val = parse(raw)
         for x in val if isinstance(val, tuple) else (val,):
-            if x != "auto" and (x <= low if strict else x < low):
+            if x == "auto":
+                continue
+            if x <= low if strict else x < low:
                 raise ValueError(f"need a value {relation} {format(low, 'g')}, got {x}")
+            if x > at_most:
+                raise ValueError(f"need a value <= {format(at_most, 'g')}, got {x}")
         return val
 
     return checked
@@ -175,14 +190,14 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     "d": (_at_least(_int, 1), "2"),
     "design": (_choice(*DESIGN_LAWS), "uniform"),
     "noise": (_choice(*NOISE_KINDS), "gaussian"),
-    "noise_scale": (_at_least(_float, 0.0), "0.5"),
+    "noise_scale": (_at_least(_float, 0.0, at_most=_MAX_SCALE), "0.5"),
     # cosine target atoms
     "freqs": (_matrix, "1,1"),
-    "amps": (_float_list, "1"),
+    "amps": (_at_least(_float_list, 0.0, strict=True, at_most=_MAX_SCALE), "1"),
     "phases": (_float_list, "0"),
     # pursuit
     "m_max": (_int, "8"),
-    "lam": (_at_least(_float, 0.0, strict=True), "2.0"),
+    "lam": (_at_least(_float, 0.0, strict=True, at_most=_MAX_SCALE), "2.0"),
     "activation": (_choice(*ACTIVATION_KINDS), "ramp"),
     "strategy": (_choice(*INNER_STRATEGIES), "cover-exhaustive"),
     "restarts": (_int, "32"),
@@ -192,8 +207,8 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     "cover_cap": (_int, "1000000"),
     "c_report": (_bool, "true"),
     # penalty
-    "B": (_auto_float, "auto"),
-    "B_n": (_auto_float, "auto"),
+    "B": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
+    "B_n": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
     "sigma_sq": (_auto_float, "auto"),
     "eta": (_auto_float, "auto"),
     "nu": (_at_least(_auto_float, 0.0), "auto"),
@@ -213,7 +228,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     "ar_m_grid": (_at_least(_int_list, 1), "8,16,32,64"),
     "draws": (_at_least(_int, 1), "32"),
     "mc_points": (_at_least(_int, 1), "20000"),
-    "v_f": (_at_least(_float, 0.0), "1.0"),
+    "v_f": (_at_least(_float, 0.0, at_most=_MAX_SCALE), "1.0"),
 }
 
 
@@ -455,6 +470,8 @@ def _cmd_approx_rate(config: RunConfig) -> int:
 def _loglog_slope(ms: Sequence[int], errs: Sequence[float]) -> float:
     lx = np.log(np.asarray(ms, dtype=float))
     ly = np.log(np.asarray(errs, dtype=float))
+    if np.unique(lx).size < 2:
+        return math.nan  # no slope through fewer than two distinct m
     slope, _ = np.polyfit(lx, ly, 1)
     return float(slope)
 

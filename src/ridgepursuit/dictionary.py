@@ -28,7 +28,6 @@ __all__ = [
     "cover_count_library",
     "cover_count_log_bound",
     "lift",
-    "library_matrix",
 ]
 
 ACTIVATION_KINDS = ("ramp", "sine", "tanh")
@@ -174,17 +173,6 @@ def eval_unit(unit: RidgeUnit, x: np.ndarray) -> float | np.ndarray:
         )
     values = unit.sign * unit.activation(X @ unit.theta)
     return float(values[0]) if single else values
-
-
-def library_matrix(activation: Activation, thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Evaluate phi(theta . (x, 1)) for every theta (rows) at every x: (n, K)."""
-    X_lift = lift(X)
-    if X_lift.shape[1] != thetas.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: lifted design has {X_lift.shape[1]} columns, "
-            f"thetas have {thetas.shape[1]}"
-        )
-    return np.asarray(activation(X_lift @ thetas.T))
 
 
 def enumerate_cover(

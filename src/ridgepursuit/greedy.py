@@ -17,13 +17,16 @@ competitor f = sum_h beta_h h with mass v_f,
 
 provided every dictionary unit has norm at most 1.
 
-Each step costs one n x K product for the cover scores (shared by the +R and
--R searches, since the scores of -R are the negated scores of +R), one
-evaluation of the new unit, and a line search that reads only six inner
-products of the residual R = Y - f_{m-1}(X), the fitted values and the new
-unit's values.  The line search is exact: KKT candidates on the (alpha, beta)
-box for linear w and for each segment of piecewise-linear w (plus each knot),
-and one bounded convex search over the new mass s for power w.
+The inner maximizer is either exhaustive search over an enumerated cover of
+the l1 ball or projected-gradient ascent restarted from the best cover
+points.  Each step costs one n x K product for the cover scores (shared by
+the +R and -R searches, since the scores of -R are the negated scores of
++R), one evaluation of the new unit, and a line search that reads only six
+inner products of the residual R = Y - f_{m-1}(X), the fitted values and the
+new unit's values.  The line search is exact: KKT candidates on the
+(alpha, beta) box for linear w and for each segment of piecewise-linear w
+(plus each knot), and one bounded convex search over the new mass s for
+power w.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ __all__ = [
     "project_l1",
 ]
 
-INNER_STRATEGIES = ("cover-exhaustive", "projected-gradient", "frank-wolfe")
+INNER_STRATEGIES = ("cover-exhaustive", "projected-gradient")
 
 PATH_CSV_COLUMNS = ("m", "v_m", "alpha", "beta", "inner_value", "train_mse", "penalty", "objective")
 
@@ -156,11 +159,13 @@ class GreedyConfig:
     """Settings for one pursuit run.
 
     ``lam`` is the l1 radius of the internal parameter; ``strategy`` selects
-    the inner maximizer; ``restarts`` seeds the multi-start strategies;
-    ``c_report`` additionally scores the enumerated cover grid each step so
-    the achieved relaxation factor is estimable; ``cover_m_grid`` sets the
-    cover resolution used for exhaustive search, restart inits, and the
-    c diagnostic.
+    the inner maximizer; ``restarts`` is the number of projected-gradient
+    ascents per search, started from the ``restarts`` best-scoring cover
+    points (all of them if the cover is smaller), or from random vertices
+    +-lam e_j when there is no cover; ``c_report`` builds and scores the
+    cover for projected gradient too (exhaustive search always does);
+    ``cover_m_grid`` sets the cover resolution used for exhaustive search,
+    the restart inits, and the ``cover_value`` diagnostic.
     """
 
     lam: float
@@ -233,8 +238,11 @@ class GreedyPath:
     def measured_c(self) -> float:
         """Largest observed ratio (best cover-grid value) / (achieved value), >= 1.
 
-        With the cover-exhaustive strategy this is exactly 1; for the local
-        strategies it estimates the relaxation factor against the cover grid.
+        This is 1.0 by construction for every strategy: the cover scores are
+        themselves candidates, so the achieved value never falls below the
+        best cover value.  It says nothing about the relaxation factor
+        against the whole l1 ball; ROADMAP item 2 replaces it with certified
+        bounds.
         """
         worst = 1.0
         for rec in self.records:
@@ -289,8 +297,8 @@ def _cover_cache_for(
     """The cover cache the configured strategy needs, or None if it needs none.
 
     Exhaustive search cannot run without the cover, so an over-cap cover
-    raises CoverSizeError there; the ascent strategies use the cover only for
-    restart inits and the c diagnostic, and run without it.
+    raises CoverSizeError there; projected gradient uses the cover only for
+    restart inits and the c diagnostic, and runs without it.
     """
     if config.strategy != "cover-exhaustive" and not config.c_report:
         return None
@@ -342,7 +350,8 @@ def inner_maximize(
 
     ``cover_scores``, if given, must equal ``R @ cover_cache.values / n``;
     ``fit_lpgp`` passes the scores of +R and their negation for -R so that
-    the n x K product is formed once per step.
+    the n x K product is formed once per step.  ``rng`` is drawn from only
+    when projected gradient runs without a cover.
     """
     R = np.asarray(R, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -364,10 +373,9 @@ def inner_maximize(
     best_value = 0.0
     n_candidates = 1
 
-    need_cover = config.strategy == "cover-exhaustive" or config.c_report
     if cover_cache is None:
         cover_cache = _cover_cache_for(X, act, config)
-    if cover_cache is not None and need_cover:
+    if cover_cache is not None:
         if cover_scores is None:
             cover_scores = _score_cover(R, cover_cache)
         j = int(np.argmax(cover_scores))
@@ -377,27 +385,22 @@ def inner_maximize(
             best_value = float(cover_scores[j])
             best_theta = cover_cache.thetas[j].copy()
 
-    if config.strategy != "cover-exhaustive":
-        seeds = rng.integers(0, 2**63 - 1, size=config.restarts)
+    if config.strategy == "projected-gradient":
+        if cover_cache is not None:
+            inits = cover_cache.thetas[np.argsort(-cover_scores, kind="stable")[: config.restarts]]
+        else:
+            inits = []  # random vertices lam * (+-e_j)
+            for seed in rng.integers(0, 2**63 - 1, size=config.restarts):
+                rgen = np.random.default_rng(int(seed))
+                theta0 = np.zeros(D)
+                j = int(rgen.integers(D))
+                theta0[j] = config.lam * (1.0 if rgen.random() < 0.5 else -1.0)
+                inits.append(theta0)
         row_sq = np.einsum("ij,ij->i", X, X)
         lipschitz = float(np.abs(R) @ row_sq) / n + 1e-12
         step0 = 1.0 / lipschitz
-
-        def init_theta(rgen: np.random.Generator) -> np.ndarray:
-            if cover_cache is not None:
-                k = int(rgen.integers(cover_cache.thetas.shape[0]))
-                return cover_cache.thetas[k].copy()
-            theta = np.zeros(D)
-            j = int(rgen.integers(D))
-            theta[j] = config.lam * (1.0 if rgen.random() < 0.5 else -1.0)
-            return theta
-
-        for seed in seeds:
-            theta0 = init_theta(np.random.default_rng(int(seed)))
-            if config.strategy == "projected-gradient":
-                value, theta = _ascend_projected(score, act, R, X, theta0, config, step0)
-            else:
-                value, theta = _ascend_frank_wolfe(score, act, R, X, theta0, config)
+        for theta0 in inits:
+            value, theta = _ascend_projected(score, act, R, X, theta0, config, step0)
             n_candidates += 1
             if value > best_value:
                 best_value = value
@@ -434,38 +437,6 @@ def _ascend_projected(
             step *= 0.5
             if step < 1e-14 * step0:
                 break
-    return best
-
-
-def _ascend_frank_wolfe(
-    score,
-    act: Activation,
-    R: np.ndarray,
-    X: np.ndarray,
-    theta0: np.ndarray,
-    config: GreedyConfig,
-) -> tuple[float, np.ndarray]:
-    """Coordinate vertex moves: blend toward lam * sign(g_j) e_j for the best j."""
-    n, D = X.shape
-    theta = project_l1(theta0, config.lam)
-    best = (score(theta), theta)
-    for _ in range(config.pg_steps):
-        grad = X.T @ (R * act.derivative(X @ theta)) / n
-        j = int(np.argmax(np.abs(grad)))
-        vertex = np.zeros(D)
-        vertex[j] = config.lam * (1.0 if grad[j] >= 0 else -1.0)
-        res = minimize_scalar(
-            lambda t: -score((1.0 - t) * theta + t * vertex),
-            bounds=(0.0, 1.0),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        cand = (1.0 - res.x) * theta + res.x * vertex
-        value = score(cand)
-        if value <= best[0] + 1e-15:
-            break
-        theta = cand
-        best = (value, cand)
     return best
 
 

@@ -58,14 +58,3 @@ class RidgeModel:
             if beta != 0.0:
                 out += beta * eval_unit(unit, X)
         return float(out[0]) if single else out
-
-    def scaled(self, factor: float) -> RidgeModel:
-        """Model with every weight and the affine part multiplied by factor >= 0."""
-        if factor < 0:
-            raise ValueError(f"factor must be nonnegative, got {factor}")
-        slope = None if self.slope is None else factor * self.slope
-        return RidgeModel(
-            terms=[(factor * beta, unit) for beta, unit in self.terms],
-            intercept=factor * self.intercept,
-            slope=slope,
-        )

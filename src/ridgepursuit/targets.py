@@ -319,7 +319,10 @@ def gen_dataset(
     design: str = "uniform",
     with_test: bool = True,
 ) -> Dataset:
-    """Sample X (and X' from seed+1) from the design law and Y = f*(X) + eps.
+    """Sample X and Y = f*(X) + eps from seed, and X' from a child of seed.
+
+    X' comes from ``SeedSequence(seed).spawn(1)[0]``, a stream independent of
+    the one behind X and Y, so X' is not the X of any nearby seed.
 
     ``target`` is any batch callable (n, d) -> (n,), such as a
     ``SpectralTarget`` or a ``RidgeModel``.
@@ -331,7 +334,7 @@ def gen_dataset(
     Y = np.asarray(target(X), dtype=float) + noise.draw(n, rng)
     X_prime = None
     if with_test:
-        rng_test = np.random.default_rng(seed + 1)
+        rng_test = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         X_prime = _draw_design(n, d, rng_test, design)
     return Dataset(X=X, Y=Y, noise=noise, seed=seed, X_prime=X_prime)
 

@@ -147,6 +147,15 @@ class TestConfigErrors:
             ("concentration-check", "gamma", "0"),
             ("concentration-check", "A", "-1"),
             ("penalty-table", "v_f", "-1"),
+            ("fit", "strategy", "frank-wolfe"),
+            ("penalty-table", "v_f", "1e308"),
+            ("penalty-table", "noise_scale", "1e308"),
+            ("penalty-table", "amps", "1e308"),
+            ("penalty-table", "lam", "1e308"),
+            ("penalty-table", "B", "1e308"),
+            ("penalty-table", "B_n", "1e308"),
+            ("fit", "noise_scale", "1e308"),
+            ("approx-rate", "amps", "1e308"),
         ],
     )
     def test_out_of_range_value_names_key(self, subcommand, key, value, tmp_path, capsys):
@@ -287,6 +296,15 @@ class TestApproxRate:
         for row in data:
             assert float(row[1]) <= float(row[2])
         assert any(c.startswith("# log_log_slope=") for c in comments)
+
+    def test_single_m_writes_nan_slope(self, tmp_path, recwarn):
+        out = tmp_path / "ar.csv"
+        argv = ["approx-rate", "--set", "ar_m_grid=8", "--set", "draws=2"]
+        assert main(argv + ["--set", "mc_points=200", "--out", str(out)]) == 0
+        comments, _, data = read_csv_with_comments(out)
+        assert len(data) == 1
+        assert "# log_log_slope=nan" in comments
+        assert len(recwarn) == 0
 
     def test_rejects_nonpositive_m(self, capsys):
         assert main(["approx-rate", "--set", "ar_m_grid=0,8"]) == 2

@@ -17,7 +17,6 @@ from ridgepursuit import (
     cover_count_log_bound,
     enumerate_cover,
     eval_unit,
-    library_matrix,
     lift,
     sparsify_theta,
 )
@@ -134,21 +133,6 @@ class TestEvalUnit:
         assert L.shape == (7, 4)
         np.testing.assert_allclose(L[:, :3], X)
         np.testing.assert_allclose(L[:, 3], 1.0)
-
-    def test_library_matrix_columns(self, rng):
-        act = Activation("ramp")
-        thetas = np.array([[1.0, 0.0], [0.5, 0.5], [-0.7, 0.2]])
-        X = rng.uniform(-1, 1, size=(9, 1))
-        mat = library_matrix(act, thetas, X)
-        assert mat.shape == (9, 3)
-        for j, theta in enumerate(thetas):
-            unit = RidgeUnit(act, theta)
-            np.testing.assert_allclose(mat[:, j], eval_unit(unit, X))
-
-    def test_library_matrix_dimension_mismatch(self, rng):
-        X = rng.uniform(-1, 1, size=(4, 3))
-        with pytest.raises(ValueError):
-            library_matrix(Activation("ramp"), np.array([[1.0, 0.0]]), X)
 
 
 # ---------------------------------------------------------------------------

@@ -220,15 +220,14 @@ class TestInnerMaximize:
         np.testing.assert_array_equal(exact.theta, [lam])
         assert exact.value == pytest.approx(oracle, rel=1e-12)
 
-        for strategy in ("projected-gradient", "frank-wolfe"):
-            res = inner_maximize(
-                R,
-                X,
-                inner_config(strategy=strategy, restarts=8, c_report=False),
-                np.random.default_rng(7),
-            )
-            assert res.value >= oracle - 1e-6, strategy
-            assert abs(res.theta[0] - lam) <= 1e-4, strategy
+        res = inner_maximize(
+            R,
+            X,
+            inner_config(strategy="projected-gradient", restarts=8, c_report=False),
+            np.random.default_rng(7),
+        )
+        assert res.value >= oracle - 1e-6
+        assert abs(res.theta[0] - lam) <= 1e-4
 
     def test_gradient_strategies_dominate_cover_value(self, rng):
         # With the c diagnostic on, the reported value must match or beat the
@@ -236,11 +235,44 @@ class TestInnerMaximize:
         n = 60
         X = np.hstack([rng.uniform(-1, 1, size=(n, 2)), np.ones((n, 1))])
         R = rng.normal(size=n)
-        for strategy in ("projected-gradient", "frank-wolfe"):
-            res = inner_maximize(
-                R, X, inner_config(strategy=strategy, restarts=8), rng
-            )
-            assert res.value >= res.diagnostics["cover_value"] - 1e-12
+        res = inner_maximize(R, X, inner_config(strategy="projected-gradient", restarts=8), rng)
+        assert res.value >= res.diagnostics["cover_value"] - 1e-12
+
+    @pytest.mark.parametrize("restarts", [1, 3, 1000])
+    def test_restarts_start_from_top_cover_points(self, restarts, monkeypatch):
+        # The ascents start from the `restarts` best cover points in score
+        # order (every point when the cover is smaller), whatever the rng.
+        rng = np.random.default_rng(5)
+        X = np.hstack([rng.uniform(-1, 1, size=(60, 2)), np.ones((60, 1))])
+        R = rng.normal(size=60)
+        cfg = inner_config(strategy="projected-gradient", restarts=restarts)
+        cache = greedy._cover_cache_for(X, Activation("ramp"), cfg)
+        scores = R @ cache.values / 60
+        inits, ascents = [], []
+        ascend = greedy._ascend_projected
+
+        def recording(score, act, R, X, theta0, config, step0):
+            inits.append(theta0.copy())
+            ascents.append(ascend(score, act, R, X, theta0, config, step0))
+            return ascents[-1]
+
+        monkeypatch.setattr(greedy, "_ascend_projected", recording)
+        inner_maximize(R, X, cfg, rng, cover_cache=cache)
+        top = np.argsort(-scores, kind="stable")[:restarts]
+        np.testing.assert_array_equal(np.array(inits), cache.thetas[top])
+        assert len(inits) == min(restarts, len(cache.thetas))
+        # The first ascent starts at the cover argmax and never loses ground.
+        assert ascents[0][0] >= scores.max()
+
+    def test_cover_seeding_ignores_rng(self, rng):
+        X = np.hstack([rng.uniform(-1, 1, size=(60, 2)), np.ones((60, 1))])
+        R = rng.normal(size=60)
+        cfg = inner_config(strategy="projected-gradient", restarts=4)
+        a = inner_maximize(R, X, cfg, np.random.default_rng(1))
+        b = inner_maximize(R, X, cfg, np.random.default_rng(2))
+        np.testing.assert_array_equal(a.theta, b.theta)
+        assert a.value == b.value
+        assert a.diagnostics == b.diagnostics
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
@@ -592,13 +624,12 @@ class TestFitLpgp:
         X = rng.uniform(-1, 1, size=(60, 2))
         Y = np.sin(X[:, 0] + X[:, 1]) + rng.normal(scale=0.1, size=60)
         base = float(Y @ Y) / 60
-        for strategy in ("projected-gradient", "frank-wolfe"):
-            cfg = GreedyConfig(lam=2.0, m_max=4, strategy=strategy, restarts=6)
-            path = fit_lpgp(make_dataset(X, Y), cfg)
-            objs = [rec.objective for rec in path.records]
-            assert all(a >= b - 1e-12 for a, b in zip(objs, objs[1:]))
-            assert objs[-1] < base
-            assert path.measured_c() >= 1.0
+        cfg = GreedyConfig(lam=2.0, m_max=4, strategy="projected-gradient", restarts=6)
+        path = fit_lpgp(make_dataset(X, Y), cfg)
+        objs = [rec.objective for rec in path.records]
+        assert all(a >= b - 1e-12 for a, b in zip(objs, objs[1:]))
+        assert objs[-1] < base
+        assert path.measured_c() >= 1.0
 
     def test_cover_cap_propagates_for_exhaustive_only(self, rng):
         X = rng.uniform(-1, 1, size=(10, 40))
@@ -611,7 +642,7 @@ class TestFitLpgp:
         path = fit_lpgp(
             make_dataset(X, Y),
             GreedyConfig(
-                lam=2.0, m_max=1, cover_cap=10, strategy="frank-wolfe", restarts=2
+                lam=2.0, m_max=1, cover_cap=10, strategy="projected-gradient", restarts=2
             ),
         )
         assert len(path.records) == 1

@@ -314,11 +314,17 @@ class TestGenDataset:
         assert data.X_prime.shape == data.X.shape
         assert not np.array_equal(data.X, data.X_prime)
 
-    def test_test_design_from_shifted_seed(self):
+    def test_test_design_from_spawned_seed(self):
+        # X' comes from the seed's first child stream, so it is not the
+        # training design of the next seed; X and Y keep the seed's own stream.
         t = one_atom_target()
         data = gen_dataset(t, 12, 2, Noise("zero"), seed=20)
-        expected = np.random.default_rng(21).uniform(-1.0, 1.0, size=(12, 2))
-        np.testing.assert_array_equal(data.X_prime, expected)
+        child = np.random.default_rng(np.random.SeedSequence(20).spawn(1)[0])
+        np.testing.assert_array_equal(data.X_prime, child.uniform(-1.0, 1.0, size=(12, 2)))
+        own = np.random.default_rng(20).uniform(-1.0, 1.0, size=(12, 2))
+        np.testing.assert_array_equal(data.X, own)
+        nxt = gen_dataset(t, 12, 2, Noise("zero"), seed=21)
+        assert not np.array_equal(data.X_prime, nxt.X)
 
     def test_rademacher_design(self):
         t = one_atom_target()
