@@ -116,10 +116,12 @@ def _choice(*options: str) -> Callable[[str], str]:
     return parse
 
 
-# Upper bound on the scale keys: amps, noise_scale, lam, B, B_n and v_f.  The
-# penalty formulas multiply powers of them of total degree up to eight (the
-# mixed regime's v_f^4 lam^2 (B + B_n)^2, where B_n grows with noise_scale),
-# so 1e12 keeps every such product far inside the float64 range.
+# Upper bound on the scale keys: amps, noise_scale, lam, B, B_n and v_f, and
+# on the magnitude of each freqs entry.  The penalty formulas multiply powers
+# of them of total degree up to eight (the mixed regime's
+# v_f^4 lam^2 (B + B_n)^2, where B_n grows with noise_scale), and the ramp
+# sampler's masses are amps * ||omega||_1^2, so 1e12 keeps every such product
+# far inside the float64 range.
 _MAX_SCALE = 1e12
 
 
@@ -171,6 +173,8 @@ def _matrix(raw: str) -> tuple[tuple[float, ...], ...]:
     )
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("rows have unequal lengths")
+    if any(abs(x) > _MAX_SCALE for r in rows for x in r):
+        raise ValueError(f"need entries of magnitude <= {format(_MAX_SCALE, 'g')}")
     return rows
 
 

@@ -10,7 +10,6 @@ concentrating near a given theta.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -54,12 +53,15 @@ class Activation:
                 f"unknown activation kind {self.kind!r}; expected one of {ACTIVATION_KINDS}"
             )
 
-    def __call__(self, u: np.ndarray | float) -> np.ndarray | float:
+    def __call__(
+        self, u: np.ndarray | float, out: np.ndarray | None = None
+    ) -> np.ndarray | float:
+        """phi(u), written into ``out`` when given (``out=u`` works in place)."""
         if self.kind == "ramp":
-            return np.maximum(u, 0.0)
+            return np.maximum(u, 0.0, out=out)
         if self.kind == "sine":
-            return np.sin(u)
-        return np.tanh(u)
+            return np.sin(u, out=out)
+        return np.tanh(u, out=out)
 
     @property
     def bound(self) -> float:
@@ -125,7 +127,8 @@ class SparseCover:
 
     ``size`` counts the generating multisets, C(2d + m_grid, m_grid); distinct
     multisets can realize the same vector (e.g. {+e1, -e1} and {0, 0}), so
-    ``thetas`` holds the deduplicated vectors in lexicographic order.
+    ``thetas`` holds the distinct vectors in lexicographic order.  The set is
+    symmetric, so row K-1-k is the negation of row k and the middle row is 0.
     """
 
     d: int
@@ -180,8 +183,11 @@ def enumerate_cover(
 ) -> SparseCover:
     """Enumerate all vectors (lam/m_grid) * sum of m_grid symbols from {+-e_j, 0}.
 
-    The multiset count is C(2d + m_grid, m_grid); enumeration refuses to run
-    past ``cap`` multisets.
+    These are the vectors (lam/m_grid) * c for the integer vectors c with
+    ||c||_1 <= m_grid, built directly in lexicographic order, so row K-1-k
+    is the negation of row k and the middle row is zero.  The multiset count
+    is C(2d + m_grid, m_grid); enumeration refuses to run past ``cap``
+    multisets.
     """
     if d < 1 or m_grid < 1:
         raise ValueError(f"need d >= 1 and m_grid >= 1, got d={d}, m_grid={m_grid}")
@@ -193,20 +199,21 @@ def enumerate_cover(
             f"cover has C({2 * d + m_grid},{m_grid}) = {size} elements, above the "
             f"cap {cap}; use sampled covers (sparsify_theta) instead"
         )
-    # Symbol i: 0 is the zero vector, 1..d is +e_i, d+1..2d is -e_{i-d}.
-    scale = lam / m_grid
-    rows = np.zeros((size, d))
-    for pos, combo in enumerate(
-        itertools.combinations_with_replacement(range(2 * d + 1), m_grid)
-    ):
-        for sym in combo:
-            if sym == 0:
-                continue
-            if sym <= d:
-                rows[pos, sym - 1] += scale
-            else:
-                rows[pos, sym - d - 1] -= scale
-    thetas = np.unique(rows, axis=0)
+    dtype = np.min_scalar_type(-m_grid)
+
+    def prepend(v: int, tail: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.full((tail.shape[0], 1), v, dtype=dtype), tail], axis=1)
+
+    # After t passes, tails[r] holds the integer vectors in Z^t with l1 norm
+    # <= r in lexicographic order; a pass prepends each leading value v in
+    # increasing order, followed by the vectors of budget r - |v|.
+    tails = [np.zeros((1, 0), dtype=dtype)] * (m_grid + 1)
+    for _ in range(d):
+        tails = [
+            np.vstack([prepend(v, tails[r - abs(v)]) for v in range(-r, r + 1)])
+            for r in range(m_grid + 1)
+        ]
+    thetas = np.multiply(tails[m_grid], lam / m_grid, dtype=np.float64)
     thetas.setflags(write=False)
     return SparseCover(d=d, m_grid=m_grid, lam=float(lam), thetas=thetas, size=size)
 

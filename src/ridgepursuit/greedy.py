@@ -19,14 +19,15 @@ provided every dictionary unit has norm at most 1.
 
 The inner maximizer is either exhaustive search over an enumerated cover of
 the l1 ball or projected-gradient ascent restarted from the best cover
-points.  Each step costs one n x K product for the cover scores (shared by
-the +R and -R searches, since the scores of -R are the negated scores of
-+R), one evaluation of the new unit, and a line search that reads only six
-inner products of the residual R = Y - f_{m-1}(X), the fitted values and the
-new unit's values.  The line search is exact: KKT candidates on the
-(alpha, beta) box for linear w and for each segment of piecewise-linear w
-(plus each knot), and one bounded convex search over the new mass s for
-power w.
+points.  Each step costs one n x K/2 product for the K cover scores (the
+cover is symmetric, so one row of each pair theta, -theta is evaluated; the
+scores are shared by the +R and -R searches, since the scores of -R are the
+negated scores of +R), one evaluation of the new unit, and a line search
+that reads only six inner products of the residual R = Y - f_{m-1}(X), the
+fitted values and the new unit's values.  The line search is exact: KKT
+candidates on the (alpha, beta) box for linear w and for each segment of
+piecewise-linear w (plus each knot), and one bounded convex search over the
+new mass s for power w.
 """
 
 from __future__ import annotations
@@ -268,27 +269,36 @@ class InnerResult:
 
 @dataclass(frozen=True)
 class _CoverCache:
-    """Precomputed cover grid: parameter rows and their unit values on a design."""
+    """Precomputed cover grid: parameter rows and half of their unit values.
 
-    thetas: np.ndarray  # (K, D)
-    values: np.ndarray  # (n, K) = phi(X @ thetas.T)
+    The cover rows are in lexicographic order, so row K-1-k is -(row k) and
+    the middle row is 0; only the first K//2 rows are evaluated, in float64.
+    ``_score_cover`` derives the scores of the other rows from them.
+    """
+
+    thetas: np.ndarray  # (K, D), all cover rows
+    values: np.ndarray  # (n, K//2) = phi(X @ thetas[:K//2].T)
+    X: np.ndarray  # (n, D), the design the values were taken on
+    activation: Activation
+
+
+# Cells per block of the cache build: small enough that the activation runs
+# on a block still in cache, large enough that each product stays efficient.
+_BLOCK_CELLS = 2**20
 
 
 def _build_cover_cache(
     X: np.ndarray, activation: Activation, m_grid: int, lam: float, cap: int
 ) -> _CoverCache:
     cover = enumerate_cover(X.shape[1], m_grid, lam, cap=cap)
-    n = X.shape[0]
-    K = cover.thetas.shape[0]
-    # Large grids are cached in float32 (unit values are O(1); scoring only
-    # needs argmax resolution) and built block-wise to bound peak memory.
-    dtype = np.float32 if n * K > 30_000_000 else np.float64
-    values = np.empty((n, K), dtype=dtype)
-    block = 2048
-    for start in range(0, K, block):
-        stop = min(start + block, K)
-        values[:, start:stop] = activation(X @ cover.thetas[start:stop].T)
-    return _CoverCache(thetas=cover.thetas, values=values)
+    half = cover.thetas[: cover.thetas.shape[0] // 2]
+    values = np.empty((X.shape[0], half.shape[0]))
+    block = max(1, _BLOCK_CELLS // half.shape[0])
+    for start in range(0, X.shape[0], block):
+        out = values[start : start + block]
+        np.matmul(X[start : start + block], half.T, out=out)
+        activation(out, out=out)
+    return _CoverCache(thetas=cover.thetas, values=values, X=X, activation=activation)
 
 
 def _cover_cache_for(
@@ -313,9 +323,21 @@ def _cover_cache_for(
 
 
 def _score_cover(R: np.ndarray, cover_cache: _CoverCache) -> np.ndarray:
-    """(1/n) sum_i R_i h_k(X_i) for every cover unit k."""
+    """(1/n) sum_i R_i h_k(X_i) for every cover unit k, in cover order.
+
+    One n x K/2 product scores the first half.  Row K-1-k is -(row k): it
+    scores -s_k for the odd activations (sine, tanh) and, since
+    ramp(-u) = ramp(u) - u, s_k - (row k) . (X^T R) / n for the ramp.  The
+    middle row is 0 and scores 0.
+    """
     values = cover_cache.values
-    return R.astype(values.dtype, copy=False) @ values / values.shape[0]
+    n, half = values.shape
+    first = R @ values / n
+    if cover_cache.activation.kind == "ramp":
+        mirror = first - cover_cache.thetas[:half] @ (R @ cover_cache.X / n)
+    else:
+        mirror = -first
+    return np.concatenate([first, [0.0], mirror[::-1]])
 
 
 def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
@@ -348,9 +370,9 @@ def inner_maximize(
     dominates every candidate examined and is always >= 0 because theta = 0
     (the zero function) is a candidate.
 
-    ``cover_scores``, if given, must equal ``R @ cover_cache.values / n``;
+    ``cover_scores``, if given, must equal ``_score_cover(R, cover_cache)``;
     ``fit_lpgp`` passes the scores of +R and their negation for -R so that
-    the n x K product is formed once per step.  ``rng`` is drawn from only
+    the cover is scored once per step.  ``rng`` is drawn from only
     when projected gradient runs without a cover.
     """
     R = np.asarray(R, dtype=float)
@@ -575,7 +597,7 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
     records: list[GreedyStep] = []
     for m in range(1, config.m_max + 1):
         residual = Y - fitted
-        # One n x K product scores the cover for both signs.
+        # One scoring of the cover serves both signs.
         scores = None if cover_cache is None else _score_cover(residual, cover_cache)
         pos = inner_maximize(
             residual, X_lift, config, rng, cover_cache=cover_cache, cover_scores=scores

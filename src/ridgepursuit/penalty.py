@@ -243,16 +243,24 @@ def tuning_highdim(
 def penalty_for_regime(
     config: PenaltyConfig, v_f: float, n: int, d: int, T_n: float = 0.0
 ) -> PenValue:
-    """Evaluate the configured regime's penalty per sample."""
+    """Evaluate the configured regime's penalty per sample.
+
+    A value that overflows (pen_per_n or main_term not finite) is returned
+    with valid=False, like a regime outside its range.
+    """
     gamma_n, _ = gamma_tau(config)
     if config.regime == "highdim-noise":
-        return pen_highdim(v_f, n, d, config.lam, gamma_n, config.B_n, T_n)
-    if config.regime == "no-noise":
-        return pen_nonoise(v_f, n, d, config.lam, gamma_n)
-    if config.regime == "moderate":
-        return pen_moderate(v_f, n, d, config.lam, gamma_n, T_n)
-    sigma = math.sqrt(config.sigma_sq)
-    return pen_mixed(v_f, n, d, config.lam, gamma_n, sigma, config.mixed_C)
+        pen = pen_highdim(v_f, n, d, config.lam, gamma_n, config.B_n, T_n)
+    elif config.regime == "no-noise":
+        pen = pen_nonoise(v_f, n, d, config.lam, gamma_n)
+    elif config.regime == "moderate":
+        pen = pen_moderate(v_f, n, d, config.lam, gamma_n, T_n)
+    else:
+        sigma = math.sqrt(config.sigma_sq)
+        pen = pen_mixed(v_f, n, d, config.lam, gamma_n, sigma, config.mixed_C)
+    if not (math.isfinite(pen.pen_per_n) and math.isfinite(pen.main_term)):
+        return replace(pen, valid=False)
+    return pen
 
 
 def _check_nd(n: int, d: int) -> None:

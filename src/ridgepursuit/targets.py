@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .dictionary import Activation, RidgeUnit
 from .model import RidgeModel
@@ -206,23 +205,24 @@ def _target_value_at_zero(target: SpectralTarget) -> float:
 
 
 def _abs_cos_integral(c: float, phase: float) -> float:
-    """Integral over [0,1] of |cos(c t + phase)|, split at the cosine zeros."""
+    """Integral over [0,1] of |cos(c t + phase)|, in closed form.
+
+    F(u) = 2k + (-1)^k sin u with k = floor(u/pi + 1/2) is a continuous
+    antiderivative of |cos u| (each half-period between zeros adds 2), so the
+    integral is (F(c + phase) - F(phase)) / c.  Without a zero inside, the
+    sign is constant and the sine difference is taken as a product, which
+    keeps small c exact to rounding.
+    """
     if c == 0.0:
         return abs(math.cos(phase))
+    k0, k1 = (math.floor(u / math.pi + 0.5) for u in (phase, c + phase))
+    if k0 == k1:
+        return abs(2.0 * math.cos(phase + c / 2.0) * math.sin(c / 2.0)) / c
 
-    def f(t: float) -> float:
-        return abs(math.cos(c * t + phase))
+    def F(u: float, k: int) -> float:
+        return 2.0 * k + (1 - 2 * (k % 2)) * math.sin(u)
 
-    # Zeros of cos(c t + phase) at t = (pi/2 + k pi - phase) / c.
-    k_lo = math.ceil((0.0 * c + phase - math.pi / 2) / math.pi)
-    k_hi = math.floor((1.0 * c + phase - math.pi / 2) / math.pi)
-    kinks = [
-        (math.pi / 2 + k * math.pi - phase) / c
-        for k in range(k_lo, k_hi + 1)
-        if 0.0 < (math.pi / 2 + k * math.pi - phase) / c < 1.0
-    ]
-    value, _ = integrate.quad(f, 0.0, 1.0, points=sorted(kinks) or None, limit=200)
-    return value
+    return (F(c + phase, k1) - F(phase, k0)) / c
 
 
 def ramp_sampler_normalizer(target: SpectralTarget) -> tuple[float, np.ndarray]:

@@ -156,6 +156,7 @@ class TestConfigErrors:
             ("penalty-table", "B_n", "1e308"),
             ("fit", "noise_scale", "1e308"),
             ("approx-rate", "amps", "1e308"),
+            ("approx-rate", "freqs", "1e308,1"),
         ],
     )
     def test_out_of_range_value_names_key(self, subcommand, key, value, tmp_path, capsys):
@@ -228,8 +229,26 @@ class TestCoverStats:
         _, _, data = read_csv_with_comments(out)
         assert int(data[0][3]) == 3
 
+    def test_distinct_count_without_rounding_duplicates(self, tmp_path):
+        # sum_k 2^k C(4,k) C(4,k) = 321 distinct vectors; lam/m = 0.325 is not
+        # dyadic, so summing it four times once left near-duplicate rows.
+        out = tmp_path / "c4.csv"
+        argv = ["cover-stats", "--set", "d=4", "--set", "cover_m_grid=4", "--set", "lam=1.3"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, _, data = read_csv_with_comments(out)
+        assert int(data[0][4]) == 321
+
 
 class TestPenaltyTable:
+    def test_overflowing_penalty_is_not_valid(self, tmp_path):
+        out = tmp_path / "pen.csv"
+        assert main(["penalty-table", "--set", "sigma_sq=1e308", "--out", str(out)]) == 0
+        _, header, data = read_csv_with_comments(out)
+        for row in (dict(zip(header, r)) for r in data):
+            if row["valid"] == "true":
+                assert math.isfinite(float(row["pen_per_n"]))
+                assert math.isfinite(float(row["main_term"]))
+
     def test_all_regimes_all_sizes(self, tmp_path):
         out = tmp_path / "pen.csv"
         assert main(["penalty-table", "--set", "n_grid=64,256", "--out", str(out)]) == 0
@@ -304,6 +323,15 @@ class TestApproxRate:
         comments, _, data = read_csv_with_comments(out)
         assert len(data) == 1
         assert "# log_log_slope=nan" in comments
+        assert len(recwarn) == 0
+
+    def test_high_frequency_atom(self, tmp_path, recwarn):
+        # 223 cosine zeros on [0, 1]: past the old quadrature's interval limit.
+        out = tmp_path / "ar.csv"
+        argv = ["approx-rate", "--set", "freqs=700,1", "--set", "ar_m_grid=4"]
+        assert main(argv + ["--set", "draws=2", "--set", "mc_points=100", "--out", str(out)]) == 0
+        _, _, data = read_csv_with_comments(out)
+        assert len(data) == 1 and all(math.isfinite(float(x)) for x in data[0])
         assert len(recwarn) == 0
 
     def test_rejects_nonpositive_m(self, capsys):

@@ -1,6 +1,7 @@
 """Unit library: activations, ridge-unit evaluation, sparse l1-ball covers, and
 the randomized sparsification of dense parameter vectors onto the cover grid."""
 
+import itertools
 import math
 
 import numpy as np
@@ -175,6 +176,40 @@ class TestEnumerateCover:
         assert cover.thetas.shape == (13, 2)
         as_tuples = [tuple(row) for row in cover.thetas]
         assert as_tuples == sorted(as_tuples)
+
+    @staticmethod
+    def multiset_reference(d, m, lam):
+        """The cover as sums of m symbols from {0, +-e_j}, deduplicated by np.unique."""
+        scale = lam / m
+        rows = []
+        for combo in itertools.combinations_with_replacement(range(2 * d + 1), m):
+            row = np.zeros(d)
+            for sym in combo:
+                if 1 <= sym <= d:
+                    row[sym - 1] += scale
+                elif sym > d:
+                    row[sym - d - 1] -= scale
+            rows.append(row)
+        return np.unique(np.array(rows), axis=0)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_distinct_rows_closed_form_and_mirror(self, d, m):
+        # A non-dyadic lam: repeated float additions of lam/m would leave
+        # near-duplicates such as 0.65 and 0.6500000000000001 at m >= 4.
+        lam = 1.3
+        cover = enumerate_cover(d, m, lam)
+        expected = sum(
+            2**k * math.comb(d, k) * math.comb(m, k) for k in range(min(d, m) + 1)
+        )
+        assert cover.n_distinct == expected
+        assert np.unique(cover.thetas, axis=0).shape[0] == expected
+        # Lexicographic order of a symmetric set: row K-1-k is -(row k).
+        np.testing.assert_array_equal(cover.thetas[::-1], -cover.thetas)
+        assert not np.any(cover.thetas[expected // 2])
+        if m <= 3:
+            ref = self.multiset_reference(d, m, lam)
+            assert cover.thetas.tobytes() == ref.tobytes()
 
     def test_cap_exceeded_raises(self):
         with pytest.raises(CoverSizeError):

@@ -247,7 +247,7 @@ class TestInnerMaximize:
         R = rng.normal(size=60)
         cfg = inner_config(strategy="projected-gradient", restarts=restarts)
         cache = greedy._cover_cache_for(X, Activation("ramp"), cfg)
-        scores = R @ cache.values / 60
+        scores = greedy._score_cover(R, cache)
         inits, ascents = [], []
         ascend = greedy._ascend_projected
 
@@ -308,7 +308,7 @@ class TestSharedCoverScores:
         R = rng.normal(size=60)
         cfg = inner_config(**kwargs)
         cache = greedy._cover_cache_for(X, Activation("ramp"), cfg)
-        scores = R @ cache.values / 60
+        scores = greedy._score_cover(R, cache)
         own = inner_maximize(-R, X, cfg, np.random.default_rng(3), cover_cache=cache)
         shared = inner_maximize(
             -R, X, cfg, np.random.default_rng(3), cover_cache=cache, cover_scores=-scores
@@ -316,6 +316,26 @@ class TestSharedCoverScores:
         np.testing.assert_array_equal(shared.theta, own.theta)
         assert shared.value == own.value
         assert shared.diagnostics == own.diagnostics
+
+    @pytest.mark.parametrize("kind", ["ramp", "sine", "tanh"])
+    def test_half_cache_scores_match_full_float64(self, kind):
+        # n K = 4096 * 8581 is past the size where the cache once dropped to
+        # float32; every cover unit is scored here directly in float64.
+        rng = np.random.default_rng(11)
+        n, d = 4096, 64
+        X = np.hstack([rng.uniform(-1, 1, size=(n, d)), np.ones((n, 1))])
+        R = rng.normal(size=n)
+        act = Activation(kind)
+        cache = greedy._build_cover_cache(X, act, m_grid=2, lam=2.0, cap=10**6)
+        K = cache.thetas.shape[0]
+        assert n * K > 30_000_000
+        assert cache.values.shape == (n, K // 2) and cache.values.dtype == np.float64
+        direct = np.concatenate(
+            [R @ act(X @ cache.thetas[s : s + 1024].T) / n for s in range(0, K, 1024)]
+        )
+        scores = greedy._score_cover(R, cache)
+        np.testing.assert_allclose(scores, direct, rtol=0, atol=1e-12)
+        assert int(np.argmax(scores)) == int(np.argmax(direct))
 
     def test_cover_scored_once_per_step(self, rng, monkeypatch):
         calls = []

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from ridgepursuit import (
     Dataset,
@@ -24,6 +25,7 @@ from ridgepursuit import (
     write_csv,
     write_dataset_csv,
 )
+from ridgepursuit.targets import _abs_cos_integral
 
 from conftest import three_se
 
@@ -148,6 +150,22 @@ class TestRampSamplerNormalizer:
         assert v == pytest.approx(expected, rel=1e-9)
         assert masses.shape == (1, 2)
         assert masses[0, 0] == pytest.approx(masses[0, 1], rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-3, 0.5, 2.0, 3.7, 10.0, 33.3, 99.5, 100.0])
+    @pytest.mark.parametrize("phase", [-2.0, 0.0, 0.3, 1.9, 5.0])
+    def test_abs_cos_closed_form_matches_quadrature(self, c, phase):
+        f = lambda t: abs(math.cos(c * t + phase))
+        kinks = [(math.pi / 2 + k * math.pi - phase) / c for k in range(-3, 40)]
+        points = [t for t in kinks if 0.0 < t < 1.0] or None
+        expected, _ = integrate.quad(f, 0.0, 1.0, points=points, limit=200)
+        assert _abs_cos_integral(c, phase) == pytest.approx(expected, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("c", [700.0, 1e8])
+    def test_abs_cos_large_frequency_near_mean(self, c):
+        # Over many half-periods the mean of |cos| is 2/pi.
+        value = _abs_cos_integral(c, 0.3)
+        assert math.isfinite(value)
+        assert abs(value - 2.0 / math.pi) <= 1.0 / c
 
     def test_bounded_by_twice_second_spectral_norm(self, rng):
         for _ in range(5):
