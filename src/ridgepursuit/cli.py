@@ -198,7 +198,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     # cosine target atoms
     "freqs": (_matrix, "1,1"),
     "amps": (_at_least(_float_list, 0.0, strict=True, at_most=_MAX_SCALE), "1"),
-    "phases": (_float_list, "0"),
+    "phases": (_at_least(_float_list, -math.pi, at_most=math.pi), "0"),
     # pursuit
     "m_max": (_int, "8"),
     "lam": (_at_least(_float, 0.0, strict=True, at_most=_MAX_SCALE), "2.0"),

@@ -24,10 +24,8 @@ cover is symmetric, so one row of each pair theta, -theta is evaluated; the
 scores are shared by the +R and -R searches, since the scores of -R are the
 negated scores of +R), one evaluation of the new unit, and a line search
 that reads only six inner products of the residual R = Y - f_{m-1}(X), the
-fitted values and the new unit's values.  The line search is exact: KKT
-candidates on the (alpha, beta) box for linear w and for each segment of
-piecewise-linear w (plus each knot), and one bounded convex search over the
-new mass s for power w.
+fitted values and the new unit's values.  The line search is exact and in
+closed form for every kind of w.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dictionary import (
     Activation,
@@ -178,7 +175,6 @@ class GreedyConfig:
     c_report: bool = True
     cover_m_grid: int = 2
     cover_cap: int = 10**6
-    pg_steps: int = 200
 
     def __post_init__(self) -> None:
         if self.lam <= 0:
@@ -197,8 +193,6 @@ class GreedyConfig:
             raise FieldError("restarts", f"need restarts >= 1, got {self.restarts}")
         if self.cover_m_grid < 1:
             raise FieldError("cover_m_grid", f"need cover_m_grid >= 1, got {self.cover_m_grid}")
-        if self.pg_steps < 1:
-            raise FieldError("pg_steps", f"need pg_steps >= 1, got {self.pg_steps}")
 
 
 @dataclass(frozen=True)
@@ -432,6 +426,10 @@ def inner_maximize(
     return InnerResult(best_theta, best_value, diagnostics)
 
 
+# Gradient steps per projected-gradient ascent, at most.
+_PG_STEPS = 200
+
+
 def _ascend_projected(
     score,
     act: Activation,
@@ -447,7 +445,7 @@ def _ascend_projected(
     current = score(theta)
     best = (current, theta)
     step = step0
-    for _ in range(config.pg_steps):
+    for _ in range(_PG_STEPS):
         grad = X.T @ (R * act.derivative(X @ theta)) / n
         cand = project_l1(theta + step * grad, config.lam)
         value = score(cand)
@@ -467,11 +465,54 @@ def _ascend_projected(
 # ----------------------------------------------------------------------------
 
 
-def _argmin_quadratic(a2: float, a1: float, lo: float, hi: float) -> float:
-    """Minimizer of a2 t^2 + a1 t over [lo, hi] for a2 >= 0 (hi may be inf)."""
+def _argmin_quadratic(a2: float, a1: float, hi: float) -> float:
+    """Minimizer of a2 t^2 + a1 t over [0, hi] for a2 >= 0 (hi may be inf)."""
     if a2 > 0.0:
-        return min(max(-a1 / (2.0 * a2), lo), hi)
-    return lo if a1 >= 0.0 or math.isinf(hi) else hi
+        return min(max(-a1 / (2.0 * a2), 0.0), hi)
+    return 0.0 if a1 >= 0.0 or math.isinf(hi) else hi
+
+
+def _cubic_root(p: float, q: float) -> float:
+    """The one real root of u^3 + p u + q = 0 for p >= 0.
+
+    The sinh form avoids the cancellation of Cardano's formula.  Where p is
+    too small next to q for it to stay finite, the root is cbrt(-q).
+    """
+    k = math.sqrt(p / 3.0)
+    k3 = k * k * k
+    x = -q / (2.0 * k3) if k3 > 0.0 else math.copysign(math.inf, -q)
+    if math.isinf(x):
+        return -math.copysign(abs(q) ** (1.0 / 3.0), q)
+    return 2.0 * k * math.sinh(math.asinh(x) / 3.0)
+
+
+def _argmin_on_line(
+    a2: float, a1: float, s0: float, ds: float, hi: float, w: CoefficientPenalty
+) -> list[float]:
+    """Candidate minimizers of a2 t^2 + a1 t + w(s0 + ds t) over [0, hi].
+
+    a2 >= 0, and the mass s0 + ds t is >= 0 on [0, hi].  Linear w: the
+    clipped quadratic with linear coefficient a1 + rate ds.  Piecewise-linear
+    w: that quadratic once per segment slope, plus the interior knots.  Power
+    w: in u = s^(1/3) stationarity is u^3 + p u + q = 0 with
+    p = 2 rate ds^2 / (3 a2) > 0; its one real root, clipped to s >= 0 and
+    then to [0, hi], is the minimizer by convexity.
+    """
+    if w.kind == "custom":
+        vk, wk = np.array(w.knots, dtype=float).T
+        slopes = (np.diff(wk) / np.diff(vk)).tolist()
+        ts = [_argmin_quadratic(a2, a1 + rate * ds, hi) for rate in slopes]
+        if ds != 0.0:
+            ts += [t for t in ((vk[1:-1] - s0) / ds).tolist() if 0.0 <= t <= hi]
+        return ts
+    if w.kind == "linear" or w.rate == 0.0 or ds == 0.0:
+        return [_argmin_quadratic(a2, a1 + w.rate * ds, hi)]
+    if a2 > 0.0:
+        u = _cubic_root(2.0 * w.rate * ds * ds / (3.0 * a2), a1 * ds / (2.0 * a2) - s0)
+    else:
+        u = -0.75 * a1 / (w.rate * ds)
+    t = (max(u, 0.0) ** 3 - s0) / ds
+    return [min(max(t, 0.0), hi)]
 
 
 def line_search(
@@ -489,24 +530,18 @@ def line_search(
 
     With R = Y - F the loss is the quadratic
 
-        (RR + 2 alpha RF - 2 beta RH + alpha^2 FF - 2 alpha beta FH + beta^2 HH) / n
+        L = (RR + 2 alpha RF - 2 beta RH + alpha^2 FF - 2 alpha beta FH + beta^2 HH) / n
 
-    so six inner products fix it and every later evaluation is O(1).  Write
-    s = (1-alpha) v_prev + beta for the new mass.
+    so six inner products fix it and every later evaluation is O(1).  w sees
+    only the new mass s = (1-alpha) v_prev + beta, which is constant along
+    (1, v_prev), so by convexity a minimizer lies on an edge alpha = 0,
+    alpha = 1 or beta = 0, or, if interior, on the "valley" where
+    grad L . (1, v_prev) = 0.  The valley does not depend on w and is
+    parameterized by s >= 0.  ``_argmin_on_line`` minimizes along each line.
 
-    * Linear w: the problem is a convex QP on the box.  Its minimum is among
-      the KKT candidates: the interior 2 x 2 solve and the clipped minimizers
-      on the edges alpha = 0, alpha = 1 and beta = 0 (which cover the corners).
-    * Piecewise-linear w: the linear candidates once per segment slope, plus,
-      for each knot s_k, the best point on the line s = s_k (a clipped 1-D
-      quadratic in alpha).  A minimizer either has s inside a segment, where
-      w is that segment's line, or sits on a knot.
-    * Power w: for fixed s the best point on the line s is that same clipped
-      1-D quadratic, and the partial minimum is convex in s; one bounded
-      scalar search over s finds it.
-
-    (alpha, beta) = (0, 0), which keeps f_prev, is always a candidate, so the
-    step never does worse than f_prev.  Exact ties go to the smaller alpha.
+    Every candidate is scored with the true objective.  (0, 0), which keeps
+    f_prev, is always one, so the step never does worse than f_prev.  Exact
+    ties go to the smaller alpha.
     """
     F = np.asarray(F, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -522,54 +557,28 @@ def line_search(
         loss += alpha * alpha * ff - 2.0 * alpha * beta * fh + beta * beta * hh
         return loss + float(w((1.0 - alpha) * v + beta))
 
-    def box_candidates(rate: float) -> list[tuple[float, float]]:
-        """KKT points of loss + rate * s on alpha in [0, 1], beta >= 0."""
-        p_a = 2.0 * rf - rate * v  # linear coefficient of alpha
-        p_b = rate - 2.0 * rh  # linear coefficient of beta
-        cands = [
-            (0.0, _argmin_quadratic(hh, p_b, 0.0, math.inf)),
-            (1.0, _argmin_quadratic(hh, p_b - 2.0 * fh, 0.0, math.inf)),
-            (_argmin_quadratic(ff, p_a, 0.0, 1.0), 0.0),
-        ]
-        det = ff * hh - fh * fh
-        if det > 0.0:
-            alpha = -(hh * p_a + fh * p_b) / (2.0 * det)
-            beta = -(fh * p_a + ff * p_b) / (2.0 * det)
-            if 0.0 <= alpha <= 1.0 and beta >= 0.0:
-                cands.append((alpha, beta))
-        return cands
-
-    def on_mass_line(s: float) -> tuple[float, float]:
-        """Best (alpha, beta) with (1-alpha) v + beta = s, i.e. beta = b0 + alpha v."""
-        b0 = s - v
-        q2 = ff - 2.0 * fh * v + hh * v * v
-        q1 = 2.0 * (rf - rh * v - fh * b0 + hh * b0 * v)
-        lo = max(0.0, 1.0 - s / v) if v > 0.0 else 0.0
-        alpha = _argmin_quadratic(q2, q1, lo, 1.0)
-        # beta >= 0 holds exactly; the clamp only absorbs rounding at alpha = lo.
-        return alpha, max(0.0, b0 + alpha * v)
+    def on_line(alpha0, beta0, d_alpha, d_beta, hi) -> list[tuple[float, float]]:
+        """Candidate points (alpha0, beta0) + t (d_alpha, d_beta), t in [0, hi]."""
+        g_alpha = 2.0 * (rf + alpha0 * ff - beta0 * fh)  # grad L at t = 0
+        g_beta = 2.0 * (beta0 * hh - rh - alpha0 * fh)
+        a1 = g_alpha * d_alpha + g_beta * d_beta
+        a2 = d_alpha * d_alpha * ff - 2.0 * d_alpha * d_beta * fh + d_beta * d_beta * hh
+        s0, ds = (1.0 - alpha0) * v + beta0, d_beta - v * d_alpha
+        ts = _argmin_on_line(a2, a1, s0, ds, hi, w)
+        return [(alpha0 + t * d_alpha, beta0 + t * d_beta) for t in ts]
 
     candidates = [(0.0, 0.0)]
-    if w.kind == "linear" or (w.kind == "power" and w.rate == 0.0):
-        candidates += box_candidates(w.rate)
-    elif w.kind == "custom":
-        vk = np.array([k[0] for k in w.knots], dtype=float)
-        wk = np.array([k[1] for k in w.knots], dtype=float)
-        for rate in np.diff(wk) / np.diff(vk):
-            candidates += box_candidates(float(rate))
-        candidates += [on_mass_line(float(s)) for s in vk[1:-1]]
-    else:
-        # Any s with w(s) above the keep-f_prev objective cannot win.
-        s_max = (objective(0.0, 0.0) / w.rate) ** 0.75
-        candidates.append(on_mass_line(0.0))
-        if s_max > 0.0:
-            res = minimize_scalar(
-                lambda s: objective(*on_mass_line(s)),
-                bounds=(0.0, s_max),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            candidates.append(on_mass_line(float(res.x)))
+    candidates += on_line(0.0, 0.0, 0.0, 1.0, math.inf)  # alpha = 0
+    candidates += on_line(1.0, 0.0, 0.0, 1.0, math.inf)  # alpha = 1
+    candidates += on_line(0.0, 0.0, 1.0, 0.0, 1.0)  # beta = 0
+    q2 = ff - 2.0 * fh * v + hh * v * v  # ||F - v H||_n^2, the loss curvature along (1, v)
+    if q2 > 0.0:
+        # The valley by its mass s: alpha q2 = (v - s)(v HH - FH) - RF + v RH and
+        # beta = s - (1 - alpha) v, starting at s = 0.
+        alpha0 = (v * (v * hh - fh) - rf + v * rh) / q2
+        d_alpha = (fh - v * hh) / q2
+        valley = on_line(alpha0, (alpha0 - 1.0) * v, d_alpha, 1.0 + v * d_alpha, math.inf)
+        candidates += [(a, b) for a, b in valley if 0.0 <= a <= 1.0 and b >= 0.0]
 
     obj, alpha, beta = min((objective(a, b), a, b) for a, b in candidates)
     return alpha + 0.0, beta + 0.0, obj

@@ -1,9 +1,14 @@
 """Batch CLI: config resolution, subcommand dispatch, CSV outputs, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ridgepursuit
 from ridgepursuit import cli
 from ridgepursuit.cli import ConfigError, RunConfig, SUBCOMMANDS, main, parse_config
 
@@ -157,6 +162,8 @@ class TestConfigErrors:
             ("fit", "noise_scale", "1e308"),
             ("approx-rate", "amps", "1e308"),
             ("approx-rate", "freqs", "1e308,1"),
+            ("fit", "phases", "4"),
+            ("approx-rate", "phases", "-3.2"),
         ],
     )
     def test_out_of_range_value_names_key(self, subcommand, key, value, tmp_path, capsys):
@@ -197,6 +204,20 @@ class TestMainPlumbing:
             "concentration-check",
             "risk-curve",
         }
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only dependency: importing the package and its CLI
+        # in a fresh interpreter must not load it.
+        src = str(Path(ridgepursuit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, ridgepursuit, ridgepursuit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,16 @@ class TestLineSearch:
             _, _, obj = line_search(F, eval_unit(h, X), Y, f_prev.v, w)
             assert obj <= origin + 1e-15
 
+    def test_tiny_power_rate_matches_unpenalized(self, rng):
+        # rate * s^(4/3) is below rounding for any mass here, so the step is
+        # the unpenalized one; the cubic's linear term underflows.
+        F, H = rng.normal(size=(2, 40))
+        Y = 0.6 * F + 0.8 * H + rng.normal(scale=0.1, size=40)
+        alpha, beta, obj = line_search(F, H, Y, 0.7, w_power(1e-300))
+        alpha0, beta0, obj0 = line_search(F, H, Y, 0.7, w_linear())
+        assert alpha == pytest.approx(alpha0, rel=1e-9) and beta == pytest.approx(beta0, rel=1e-9)
+        assert obj == pytest.approx(obj0, rel=1e-12)
+
     def test_matches_dense_grid_minimum(self, rng):
         # 101 x 101 (alpha, beta) grid: the returned objective is within 1e-6
         # of the grid's best for every penalty kind.
@@ -443,6 +453,7 @@ ORACLE_PENALTIES = (
     w_linear(0.3),
     w_power(0.2),
     w_power(1e-3),
+    w_power(50.0),
     w_custom(CUSTOM_POINTS),
     w_custom([(0.0, 0.5), (1.0, 0.2), (3.0, 1.0)]),  # falls, then rises
     w_custom([(0.5, 0.5), (1.5, 0.6), (2.0, 1.5)]),  # first knot above 0
@@ -494,22 +505,53 @@ class TestLineSearchOracle:
         assert direct(alpha, beta) <= direct(0.0, 0.0) + 1e-12
 
     def test_works_from_inner_products_alone(self, rng, monkeypatch):
-        # No model evaluation, and a scalar search only for power w.
         def forbidden(*args, **kwargs):
             raise AssertionError("line_search evaluated a model")
 
-        searches = []
-        search = greedy.minimize_scalar
         monkeypatch.setattr(greedy, "eval_unit", forbidden)
         monkeypatch.setattr(RidgeModel, "evaluate", forbidden)
-        monkeypatch.setattr(
-            greedy, "minimize_scalar", lambda *a, **k: searches.append(1) or search(*a, **k)
-        )
         F, H, Y = rng.normal(size=(3, 30))
         for w in ORACLE_PENALTIES:
-            searches.clear()
             line_search(F, H, Y, 0.7, w)
-            assert len(searches) == (1 if w.kind == "power" and w.rate > 0 else 0), w
+
+
+class TestPowerStationarity:
+    """Power w: the closed-form root meets the first-order conditions to rounding."""
+
+    RATE = 0.1
+
+    def gradient(self, F, H, Y, v, alpha, beta):
+        """d/dalpha and d/dbeta of the objective, each with the sum of its terms' sizes."""
+        n = Y.shape[0]
+        resid = Y - (1.0 - alpha) * F - beta * H
+        dw = 4.0 / 3.0 * self.RATE * ((1.0 - alpha) * v + beta) ** (1.0 / 3.0)
+        d_alpha = (2.0 * float(resid @ F) / n, -v * dw)
+        d_beta = (-2.0 * float(resid @ H) / n, dw)
+        return [(sum(t), sum(map(abs, t))) for t in (d_alpha, d_beta)]
+
+    def case(self, seed, f_scale):
+        rng = np.random.default_rng(seed)
+        F, H = rng.normal(size=(2, 40))
+        Y = f_scale * F + 0.8 * H + rng.normal(scale=0.1, size=40)
+        return F, H, Y, float(rng.uniform(0.5, 1.0))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_alpha_zero_edge(self, seed):
+        # Y carries more of F than f_prev does, so shrinking f_prev never pays.
+        F, H, Y, v = self.case(seed, f_scale=1.5)
+        alpha, beta, _ = line_search(F, H, Y, v, w_power(self.RATE))
+        assert alpha == 0.0 and beta > 0.0
+        (g_alpha, _), (g_beta, size) = self.gradient(F, H, Y, v, alpha, beta)
+        assert g_alpha > 0.0
+        assert abs(g_beta) <= 1e-12 * size
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_valley_point(self, seed):
+        F, H, Y, v = self.case(seed, f_scale=0.6)
+        alpha, beta, _ = line_search(F, H, Y, v, w_power(self.RATE))
+        assert 0.0 < alpha < 1.0 and beta > 0.0
+        for g, size in self.gradient(F, H, Y, v, alpha, beta):
+            assert abs(g) <= 1e-12 * size
 
 
 # ---------------------------------------------------------------------------
