@@ -135,6 +135,7 @@ def _at_least(
 
     Rejects numbers below ``low`` (or equal to it when ``strict``) and above
     ``at_most``.  List values are checked entry by entry; "auto" passes through.
+    The returned parser carries the range as ``bounds = (low, strict, at_most)``.
     """
     relation = ">" if strict else ">="
 
@@ -149,6 +150,7 @@ def _at_least(
                 raise ValueError(f"need a value <= {format(at_most, 'g')}, got {x}")
         return val
 
+    checked.bounds = (low, strict, at_most)
     return checked
 
 

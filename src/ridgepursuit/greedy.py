@@ -19,13 +19,17 @@ provided every dictionary unit has norm at most 1.
 
 The inner maximizer is either exhaustive search over an enumerated cover of
 the l1 ball or projected-gradient ascent restarted from the best cover
-points.  Each step costs one n x K/2 product for the K cover scores (the
-cover is symmetric, so one row of each pair theta, -theta is evaluated; the
-scores are shared by the +R and -R searches, since the scores of -R are the
-negated scores of +R), one evaluation of the new unit, and a line search
-that reads only six inner products of the residual R = Y - f_{m-1}(X), the
-fitted values and the new unit's values.  The line search is exact and in
-closed form for every kind of w.
+points; the restarts of one search run as one batch (in blocks of columns
+under a fixed cell budget), with one product per gradient and per value and
+one row-wise l1 projection per iteration.  Each step costs one n x K/2
+product for the K cover scores (the cover is symmetric, so one row of each
+pair theta, -theta is evaluated; the scores are shared by the +R and -R
+searches, since the scores of -R are the negated scores of +R), one
+evaluation of the new unit, and a line search that reads only six inner
+products of the residual R = Y - f_{m-1}(X), the fitted values and the new
+unit's values.  For the odd activations (sine, tanh) with a cover, the -R
+search mirrors the +R one, so only +R is searched.  The line search is exact
+and in closed form for every kind of w.
 """
 
 from __future__ import annotations
@@ -160,10 +164,14 @@ class GreedyConfig:
     the inner maximizer; ``restarts`` is the number of projected-gradient
     ascents per search, started from the ``restarts`` best-scoring cover
     points (all of them if the cover is smaller), or from random vertices
-    +-lam e_j when there is no cover; ``c_report`` builds and scores the
+    +-lam e_j when there is no cover, and run as one batch in blocks of at
+    most ``_BLOCK_CELLS // n`` restarts; ``c_report`` builds and scores the
     cover for projected gradient too (exhaustive search always does);
     ``cover_m_grid`` sets the cover resolution used for exhaustive search,
-    the restart inits, and the ``cover_value`` diagnostic.
+    the restart inits, and the ``cover_value`` diagnostic.  Each step
+    searches both signs of the residual, except for the odd activations
+    (sine, tanh) with a cover, where the -R search is the +R one mirrored
+    and only +R is searched.
     """
 
     lam: float
@@ -335,17 +343,26 @@ def _score_cover(R: np.ndarray, cover_cache: _CoverCache) -> np.ndarray:
 
 
 def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball of the given radius (sort-based)."""
+    """Euclidean projection onto the l1 ball of the given radius (sort-based).
+
+    ``v`` is one vector or a (k, D) stack whose rows are projected one by
+    one (Duchi et al. 2008); rows already inside the ball are copied as is.
+    """
     v = np.asarray(v, dtype=float)
-    mag = np.abs(v)
-    if mag.sum() <= radius:
-        return v.copy()
-    u = np.sort(mag)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, u.shape[0] + 1)
-    rho = np.nonzero(u * idx > (css - radius))[0][-1]
-    tau = (css[rho] - radius) / (rho + 1.0)
-    return np.sign(v) * np.maximum(mag - tau, 0.0)
+    rows = np.atleast_2d(v)
+    out = rows.copy()
+    mag = np.abs(rows)
+    outside = mag.sum(axis=1) > radius
+    if outside.any():
+        mag = mag[outside]
+        u = np.sort(mag, axis=1)[:, ::-1]
+        css = np.cumsum(u, axis=1)
+        idx = np.arange(1, u.shape[1] + 1)
+        # The last index where u_j j > css_j - radius; index 0 always qualifies.
+        rho = u.shape[1] - 1 - np.argmax((u * idx > css - radius)[:, ::-1], axis=1)
+        tau = (css[np.arange(rho.shape[0]), rho] - radius) / (rho + 1.0)
+        out[outside] = np.sign(rows[outside]) * np.maximum(mag - tau[:, None], 0.0)
+    return out if v.ndim > 1 else out[0]
 
 
 def inner_maximize(
@@ -368,6 +385,12 @@ def inner_maximize(
     ``fit_lpgp`` passes the scores of +R and their negation for -R so that
     the cover is scored once per step.  ``rng`` is drawn from only
     when projected gradient runs without a cover.
+
+    Projected gradient runs its restarts as one batch (``_ascend_batch``),
+    in blocks of at most ``_BLOCK_CELLS // n`` restarts so that no n x
+    restarts array is allocated; the best of the cover argmax and the
+    restarts is then taken in init order, a later one winning only if
+    strictly better.
     """
     R = np.asarray(R, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -381,9 +404,6 @@ def inner_maximize(
         diagnostics["cover_value"] = 0.0
         diagnostics["n_candidates"] = 1
         return InnerResult(np.zeros(D), 0.0, diagnostics)
-
-    def score(theta: np.ndarray) -> float:
-        return float(R @ act(X @ theta)) / n
 
     best_theta = np.zeros(D)
     best_value = 0.0
@@ -405,22 +425,24 @@ def inner_maximize(
         if cover_cache is not None:
             inits = cover_cache.thetas[np.argsort(-cover_scores, kind="stable")[: config.restarts]]
         else:
-            inits = []  # random vertices lam * (+-e_j)
-            for seed in rng.integers(0, 2**63 - 1, size=config.restarts):
+            inits = np.zeros((config.restarts, D))  # random vertices lam * (+-e_j)
+            for i, seed in enumerate(rng.integers(0, 2**63 - 1, size=config.restarts)):
                 rgen = np.random.default_rng(int(seed))
-                theta0 = np.zeros(D)
                 j = int(rgen.integers(D))
-                theta0[j] = config.lam * (1.0 if rgen.random() < 0.5 else -1.0)
-                inits.append(theta0)
+                inits[i, j] = config.lam * (1.0 if rgen.random() < 0.5 else -1.0)
         row_sq = np.einsum("ij,ij->i", X, X)
         lipschitz = float(np.abs(R) @ row_sq) / n + 1e-12
         step0 = 1.0 / lipschitz
-        for theta0 in inits:
-            value, theta = _ascend_projected(score, act, R, X, theta0, config, step0)
-            n_candidates += 1
-            if value > best_value:
-                best_value = value
-                best_theta = theta
+        block = max(1, _BLOCK_CELLS // n)
+        for start in range(0, inits.shape[0], block):
+            values, thetas = _ascend_batch(
+                R, X, act, inits[start : start + block], config.lam, step0
+            )
+            n_candidates += values.shape[0]
+            for value, theta in zip(values.tolist(), thetas):
+                if value > best_value:
+                    best_value = value
+                    best_theta = theta
 
     diagnostics["n_candidates"] = n_candidates
     return InnerResult(best_theta, best_value, diagnostics)
@@ -430,34 +452,53 @@ def inner_maximize(
 _PG_STEPS = 200
 
 
-def _ascend_projected(
-    score,
-    act: Activation,
+def _ascend_batch(
     R: np.ndarray,
     X: np.ndarray,
-    theta0: np.ndarray,
-    config: GreedyConfig,
+    act: Activation,
+    inits: np.ndarray,
+    lam: float,
     step0: float,
-) -> tuple[float, np.ndarray]:
-    """Projected gradient ascent with monotone step halving."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradient ascent from every row of ``inits`` at once.
+
+    Each row ascends on its own: a candidate is accepted only if it raises
+    that row's value, otherwise the row's step halves, and the row stops
+    (and is frozen) once its step falls below 1e-14 step0 or after
+    ``_PG_STEPS`` iterations.  Per iteration the live rows share one
+    gradient product, one row-wise projection and one product for the
+    candidates' values, whose Z = Theta X^T is kept for the next gradient.
+    Returns the accepted values (k,) and parameters (k, D).
+    """
     n = X.shape[0]
-    theta = project_l1(theta0, config.lam)
-    current = score(theta)
-    best = (current, theta)
-    step = step0
+    XT = np.ascontiguousarray(X.T)
+    values = np.empty(inits.shape[0])
+    thetas = np.empty(inits.shape)
+    live = np.arange(inits.shape[0])
+    theta = project_l1(inits, lam)
+    Z = theta @ XT
+    current = act(Z) @ R / n
+    step = np.full(live.shape[0], step0)
     for _ in range(_PG_STEPS):
-        grad = X.T @ (R * act.derivative(X @ theta)) / n
-        cand = project_l1(theta + step * grad, config.lam)
-        value = score(cand)
-        if value > current:
-            theta, current = cand, value
-            if value > best[0]:
-                best = (value, cand)
-        else:
-            step *= 0.5
-            if step < 1e-14 * step0:
+        grad = (act.derivative(Z) * R) @ X / n
+        cand = project_l1(theta + step[:, None] * grad, lam)
+        Z_cand = cand @ XT
+        value = act(Z_cand) @ R / n
+        up = value > current
+        np.copyto(theta, cand, where=up[:, None])
+        np.copyto(Z, Z_cand, where=up[:, None])
+        np.copyto(current, value, where=up)
+        step[~up] *= 0.5
+        stop = ~up & (step < 1e-14 * step0)
+        if stop.any():
+            values[live[stop]], thetas[live[stop]] = current[stop], theta[stop]
+            keep = ~stop
+            live, theta, Z = live[keep], theta[keep], Z[keep]
+            current, step = current[keep], step[keep]
+            if not live.shape[0]:
                 break
-    return best
+    values[live], thetas[live] = current, theta
+    return values, thetas
 
 
 # ----------------------------------------------------------------------------
@@ -589,6 +630,19 @@ def line_search(
 # ----------------------------------------------------------------------------
 
 
+def _searches_both_signs(act: Activation, cover_cache: _CoverCache | None) -> bool:
+    """Whether a step must search -R as well as +R.
+
+    For an odd activation (sine, tanh) with a cover, the -R search is the
+    +R search mirrored: its cover scores are +R's reversed, so it starts
+    from the mirror rows -theta_0 and ends at -theta with the same value,
+    and never strictly beats +R.  The ramp is not odd, and without a cover
+    the -R search draws its own random inits, so both keep the second
+    search.
+    """
+    return act.kind == "ramp" or cover_cache is None
+
+
 def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
     """Run the pursuit for config.m_max steps on the dataset (deterministic per seed)."""
     X = np.atleast_2d(np.asarray(data.X, dtype=float))
@@ -611,18 +665,20 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
         pos = inner_maximize(
             residual, X_lift, config, rng, cover_cache=cover_cache, cover_scores=scores
         )
-        neg = inner_maximize(
-            -residual,
-            X_lift,
-            config,
-            rng,
-            cover_cache=cover_cache,
-            cover_scores=None if scores is None else -scores,
-        )
-        if neg.value > pos.value:
-            chosen, sign = neg, -1
-        else:
-            chosen, sign = pos, 1
+        searches = [pos]
+        chosen, sign = pos, 1
+        if _searches_both_signs(act, cover_cache):
+            neg = inner_maximize(
+                -residual,
+                X_lift,
+                config,
+                rng,
+                cover_cache=cover_cache,
+                cover_scores=None if scores is None else -scores,
+            )
+            searches.append(neg)
+            if neg.value > pos.value:
+                chosen, sign = neg, -1
         unit = RidgeUnit(activation=act, theta=chosen.theta, sign=sign)
         H = np.asarray(eval_unit(unit, X), dtype=float)
         alpha, beta, _ = line_search(fitted, H, Y, v_prev, config.w)
@@ -635,8 +691,7 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
 
         diagnostics = dict(chosen.diagnostics)
         diagnostics["cover_value"] = max(
-            pos.diagnostics.get("cover_value", math.nan),
-            neg.diagnostics.get("cover_value", math.nan),
+            r.diagnostics.get("cover_value", math.nan) for r in searches
         )
         resid_after = Y - fitted
         records.append(

@@ -1,12 +1,17 @@
 """Batch CLI: config resolution, subcommand dispatch, CSV outputs, exit codes."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ridgepursuit
 from ridgepursuit import cli
@@ -172,6 +177,72 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"'{key}'" in err
         assert not (tmp_path / "out.csv").exists()
+
+
+# Small sizes at which each subcommand runs in milliseconds.
+FUZZ_BASE = {
+    "fit": ["n=32", "m_max=2", "restarts=2"],
+    "approx-rate": ["draws=2", "mc_points=64", "ar_m_grid=2,4"],
+    "cover-stats": [],
+    "penalty-table": ["n_grid=64"],
+    "concentration-check": ["n=16", "cc_trials=8"],
+    "risk-curve": ["n_grid=16", "trials=1", "m_max=2"],
+}
+HOSTILE_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308", "", "abc")
+
+
+def past_bounds(key):
+    """Values just outside the range ``cli._KEYS`` checks for ``key``."""
+    bounds = getattr(cli._KEYS[key][0], "bounds", None)
+    if bounds is None:
+        return []
+    low, strict, at_most = bounds
+    values = [repr(math.nextafter(low, -math.inf))]
+    if float(low).is_integer():
+        values.append(str(int(low) - 1))
+    if strict:
+        values.append(repr(float(low)))
+    if math.isfinite(at_most):
+        values.append(repr(math.nextafter(at_most, math.inf)))
+    return values
+
+
+@st.composite
+def hostile_runs(draw):
+    subcommand = draw(st.sampled_from(SUBCOMMANDS))
+    key = draw(st.sampled_from(sorted(cli._KEYS)))
+    value = draw(st.sampled_from(HOSTILE_VALUES + tuple(past_bounds(key))))
+    return subcommand, key, value
+
+
+class TestHostileValues:
+    """One hostile value in one key never lets an exception escape ``main``."""
+
+    @settings(max_examples=600)
+    @given(hostile_runs())
+    def test_exit_code_contract(self, run):
+        subcommand, key, value = run
+        argv = [subcommand]
+        for pair in FUZZ_BASE[subcommand] + [f"{key}={value}"]:
+            argv += ["--set", pair]
+        err = io.StringIO()
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # `out` may be the drawn key
+            try:
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert any(f"'{k}'" in err.getvalue() for k in cli._KEYS), err.getvalue()
+        if value in past_bounds(key):
+            assert code == 2 and f"'{key}'" in err.getvalue(), err.getvalue()
+
+    def test_range_checked_keys_expose_their_bounds(self):
+        checked = [key for key in cli._KEYS if past_bounds(key)]
+        assert {"n", "lam", "phases", "amps", "cc_trials"} <= set(checked)
 
 
 class TestMainPlumbing:

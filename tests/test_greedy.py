@@ -5,6 +5,7 @@ guarantee, and path CSV emission."""
 import io
 import math
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from ridgepursuit import (
 from ridgepursuit import greedy
 from ridgepursuit.greedy import PATH_CSV_COLUMNS
 
+import ascent_oracle
 from line_search_oracle import line_search as oracle_line_search
 
 CUSTOM_POINTS = [(0.0, 0.0), (1.0, 0.5), (2.0, 1.4), (5.0, 6.0)]
@@ -158,6 +160,26 @@ class TestProjectL1:
         again = project_l1(out, radius)
         np.testing.assert_allclose(again, out, atol=1e-9)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(3, 12),
+        D=st.integers(1, 8),
+        radius=st.floats(0.1, 10.0, allow_nan=False),
+    )
+    def test_stack_matches_rows_bit_for_bit(self, seed, k, D, radius):
+        rng = np.random.default_rng(seed)
+        V = rng.normal(scale=rng.uniform(0.01, 5.0), size=(k, D))
+        V[0] = 0.0
+        V[1] *= 0.5 * radius / max(np.abs(V[1]).sum(), 1e-300)  # strictly inside
+        V[2] = 0.0
+        V[2, : min(D, 2)] = radius / min(D, 2)  # on the boundary
+        assert np.abs(V[2]).sum() == radius
+        out = project_l1(V, radius)
+        assert out.shape == V.shape
+        for row, projected in zip(V, out):
+            np.testing.assert_array_equal(projected, project_l1(row, radius))
+        np.testing.assert_array_equal(out[:3], V[:3])
+
 
 # ---------------------------------------------------------------------------
 # Inner maximization
@@ -248,21 +270,22 @@ class TestInnerMaximize:
         cfg = inner_config(strategy="projected-gradient", restarts=restarts)
         cache = greedy._cover_cache_for(X, Activation("ramp"), cfg)
         scores = greedy._score_cover(R, cache)
-        inits, ascents = [], []
-        ascend = greedy._ascend_projected
+        inits, values = [], []
+        ascend = greedy._ascend_batch
 
-        def recording(score, act, R, X, theta0, config, step0):
+        def recording(R, X, act, theta0, lam, step0):
             inits.append(theta0.copy())
-            ascents.append(ascend(score, act, R, X, theta0, config, step0))
-            return ascents[-1]
+            result = ascend(R, X, act, theta0, lam, step0)
+            values.append(result[0])
+            return result
 
-        monkeypatch.setattr(greedy, "_ascend_projected", recording)
+        monkeypatch.setattr(greedy, "_ascend_batch", recording)
         inner_maximize(R, X, cfg, rng, cover_cache=cache)
         top = np.argsort(-scores, kind="stable")[:restarts]
-        np.testing.assert_array_equal(np.array(inits), cache.thetas[top])
-        assert len(inits) == min(restarts, len(cache.thetas))
+        np.testing.assert_array_equal(np.concatenate(inits), cache.thetas[top])
+        assert sum(len(b) for b in inits) == min(restarts, len(cache.thetas))
         # The first ascent starts at the cover argmax and never loses ground.
-        assert ascents[0][0] >= scores.max()
+        assert values[0][0] >= scores.max()
 
     def test_cover_seeding_ignores_rng(self, rng):
         X = np.hstack([rng.uniform(-1, 1, size=(60, 2)), np.ones((60, 1))])
@@ -290,6 +313,92 @@ class TestInnerMaximize:
         res = inner_maximize(np.ones(10), X, cfg, rng)
         assert math.isnan(res.diagnostics["cover_value"])
         assert res.value >= 0.0
+
+
+class TestBatchedAscent:
+    """The restarts run as one blocked batch that matches the serial ascents."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["ramp", "sine", "tanh"]),
+        restarts=st.integers(1, 8),
+        cover=st.booleans(),
+    )
+    def test_matches_serial_oracle(self, seed, kind, restarts, cover):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(8, 60)), int(rng.integers(1, 4))
+        X = np.hstack([rng.uniform(-1, 1, size=(n, d)), np.ones((n, 1))])
+        R = rng.normal(size=n)
+        act = Activation(kind)
+        cfg = inner_config(
+            activation=kind, strategy="projected-gradient", restarts=restarts, c_report=cover
+        )
+        cache = greedy._cover_cache_for(X, act, cfg)
+        with mock.patch.object(greedy, "_ascend_batch", wraps=greedy._ascend_batch) as batch:
+            res = inner_maximize(R, X, cfg, np.random.default_rng(seed + 1), cover_cache=cache)
+        (_, _, _, batch_inits, _, step0), _ = batch.call_args
+
+        # The serial search: the same inits, one ascent each, then the best
+        # of the cover argmax and the ascents in init order.
+        best_value, best_theta = 0.0, np.zeros(d + 1)
+        n_candidates = 1 + restarts
+        if cover:
+            scores = greedy._score_cover(R, cache)
+            j = int(np.argmax(scores))
+            if scores[j] > best_value:
+                best_value, best_theta = float(scores[j]), cache.thetas[j]
+            inits = cache.thetas[np.argsort(-scores, kind="stable")[:restarts]]
+            n_candidates += len(scores)
+        else:
+            rgen = np.random.default_rng(seed + 1)
+            inits = np.array(ascent_oracle.random_inits(rgen, restarts, d + 1, cfg.lam))
+        np.testing.assert_array_equal(batch_inits, inits)
+        assert step0 == ascent_oracle.step0(R, X)
+        score = ascent_oracle.score(R, X, act)
+        serial = [
+            ascent_oracle._ascend_projected(score, act, R, X, theta0, cfg, step0)
+            for theta0 in inits
+        ]
+
+        # 1e-12 relative to mean|R| lam max|x|, which bounds every |value|
+        # since phi is 1-Lipschitz with phi(0) = 0.
+        tol = 1e-12 * np.abs(R).mean() * cfg.lam * np.abs(X).max()
+        values, _ = greedy._ascend_batch(R, X, act, inits, cfg.lam, step0)
+        for (value, theta), batched in zip(serial, values):
+            assert abs(batched - value) <= tol
+            if value > best_value:
+                best_value, best_theta = value, theta
+        assert abs(res.value - best_value) <= tol
+        np.testing.assert_allclose(res.theta, best_theta, rtol=0, atol=1e-6)
+        assert res.diagnostics["n_candidates"] == n_candidates
+
+        # Blocks of two columns: more restarts than one block changes nothing.
+        with mock.patch.object(greedy, "_BLOCK_CELLS", 2 * n):
+            blocked = inner_maximize(R, X, cfg, np.random.default_rng(seed + 1), cover_cache=cache)
+        assert abs(blocked.value - res.value) <= tol
+        np.testing.assert_allclose(blocked.theta, res.theta, rtol=0, atol=1e-6)
+        assert blocked.diagnostics == res.diagnostics
+
+    def test_blocks_bound_the_batch_width(self, monkeypatch):
+        # restarts has no upper bound, so the batch is cut into blocks of at
+        # most _BLOCK_CELLS // n columns.
+        rng = np.random.default_rng(2)
+        n = 40
+        X = np.hstack([rng.uniform(-1, 1, size=(n, 2)), np.ones((n, 1))])
+        R = rng.normal(size=n)
+        monkeypatch.setattr(greedy, "_BLOCK_CELLS", 3 * n)
+        widths = []
+        ascend = greedy._ascend_batch
+
+        def recording(R, X, act, inits, lam, step0):
+            widths.append(inits.shape[0])
+            return ascend(R, X, act, inits, lam, step0)
+
+        monkeypatch.setattr(greedy, "_ascend_batch", recording)
+        cfg = inner_config(strategy="projected-gradient", restarts=10, c_report=False)
+        res = inner_maximize(R, X, cfg, np.random.default_rng(0))
+        assert widths == [3, 3, 3, 1]
+        assert res.diagnostics["n_candidates"] == 1 + 10
 
 
 class TestSharedCoverScores:
@@ -585,17 +694,56 @@ class TestFitLpgp:
         # variable, which once sized a pool over the restarts.
         monkeypatch.setenv("RIDGE_THREADS", "2")
         threads = set()
-        ascend = greedy._ascend_projected
+        ascend = greedy._ascend_batch
 
         def recording(*args, **kwargs):
             threads.add(threading.get_ident())
             return ascend(*args, **kwargs)
 
-        monkeypatch.setattr(greedy, "_ascend_projected", recording)
+        monkeypatch.setattr(greedy, "_ascend_batch", recording)
         X = rng.uniform(-1, 1, size=(40, 2))
         cfg = GreedyConfig(lam=2.0, m_max=2, strategy="projected-gradient", restarts=4)
         fit_lpgp(make_dataset(X, np.sin(2 * X[:, 0])), cfg)
         assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize(
+        "kind, kwargs, per_step",
+        [
+            ("sine", dict(strategy="cover-exhaustive"), 1),
+            ("tanh", dict(strategy="cover-exhaustive"), 1),
+            ("sine", dict(strategy="projected-gradient", restarts=8), 1),
+            ("tanh", dict(strategy="projected-gradient", restarts=8), 1),
+            ("tanh", dict(strategy="projected-gradient", restarts=3, cover_m_grid=3), 1),
+            ("ramp", dict(strategy="projected-gradient", restarts=8), 2),
+            ("sine", dict(strategy="projected-gradient", restarts=8, c_report=False), 2),
+        ],
+    )
+    def test_odd_activation_with_cover_searches_one_sign(self, kind, kwargs, per_step, monkeypatch):
+        # For sine and tanh with a cover the -R search mirrors the +R one and
+        # never wins, so it is skipped; the path is byte-identical to the run
+        # that searches both signs.
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-1, 1, size=(120, 3))
+        Y = np.sin(2.0 * X[:, 0] - X[:, 1]) + 0.3 * rng.normal(size=120)
+        data = make_dataset(X, Y, seed=4)
+        cfg = GreedyConfig(lam=2.0, m_max=6, activation=kind, **kwargs)
+        calls = []
+        search = greedy.inner_maximize
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return search(*args, **kw)
+
+        monkeypatch.setattr(greedy, "inner_maximize", counting)
+        one = io.StringIO()
+        write_path_csv(fit_lpgp(data, cfg), one)
+        assert len(calls) == per_step * cfg.m_max
+
+        monkeypatch.setattr(greedy, "_searches_both_signs", lambda act, cache: True)
+        both = io.StringIO()
+        write_path_csv(fit_lpgp(data, cfg), both)
+        assert len(calls) == (per_step + 2) * cfg.m_max
+        assert one.getvalue() == both.getvalue()
 
     def test_zero_steps_empty_path(self, rng):
         X = rng.uniform(-1, 1, size=(20, 2))
