@@ -116,9 +116,11 @@ def _choice(*options: str) -> Callable[[str], str]:
     return parse
 
 
-# Upper bound on the scale keys: amps, noise_scale, lam, B, B_n and v_f, and
-# on the magnitude of each freqs entry.  The penalty formulas multiply powers
-# of them of total degree up to eight (the mixed regime's
+# Upper bound on the scale keys: amps, noise_scale, lam, B, B_n, v_f and the
+# penalty keys sigma_sq, eta, nu and mixed_C, and on the magnitude of each
+# freqs entry; delta1 and delta2 lie in [1 / _MAX_SCALE, _MAX_SCALE], since
+# gamma_tau divides by them.  The penalty formulas multiply powers of these
+# keys of total degree up to eight (the mixed regime's
 # v_f^4 lam^2 (B + B_n)^2, where B_n grows with noise_scale), and the ramp
 # sampler's masses are amps * ||omega||_1^2, so 1e12 keeps every such product
 # far inside the float64 range.
@@ -215,13 +217,13 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     # penalty
     "B": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
     "B_n": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
-    "sigma_sq": (_auto_float, "auto"),
-    "eta": (_auto_float, "auto"),
-    "nu": (_at_least(_auto_float, 0.0), "auto"),
-    "delta1": (_float, "1.0"),
-    "delta2": (_float, "1.0"),
+    "sigma_sq": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
+    "eta": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
+    "nu": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
+    "delta1": (_at_least(_float, 1.0 / _MAX_SCALE, at_most=_MAX_SCALE), "1.0"),
+    "delta2": (_at_least(_float, 1.0 / _MAX_SCALE, at_most=_MAX_SCALE), "1.0"),
     "regime": (_choice(*REGIMES), "highdim-noise"),
-    "mixed_C": (_float, "1.0"),
+    "mixed_C": (_at_least(_float, 0.0, strict=True, at_most=_MAX_SCALE), "1.0"),
     "tail": (_choice("auto", *TAIL_CLASSES), "auto"),
     # concentration checks
     "gamma": (_at_least(_float, 0.0, strict=True), "1.0"),

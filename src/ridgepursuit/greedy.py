@@ -17,23 +17,25 @@ competitor f = sum_h beta_h h with mass v_f,
 
 provided every dictionary unit has norm at most 1.
 
-The inner maximizer is either exhaustive search over an enumerated cover of
-the l1 ball or projected-gradient ascent restarted from the best cover
-points; the restarts of one search run as one batch (in blocks of columns
-under a fixed cell budget), with one product per gradient and per value and
-one row-wise l1 projection per iteration.  Each step costs one n x K/2
-product for the K cover scores (the cover is symmetric, so one row of each
-pair theta, -theta is evaluated; the scores are shared by the +R and -R
-searches, since the scores of -R are the negated scores of +R), one
-evaluation of the new unit, and a line search that reads only six inner
-products of the residual R = Y - f_{m-1}(X), the fitted values and the new
-unit's values.  For the odd activations (sine, tanh) with a cover, the -R
-search mirrors the +R one, so only +R is searched.  The line search is exact
-and in closed form for every kind of w.
+The inner maximizer searches the signed dictionary {+-phi(theta . x)}: one
+call returns the best unit and its sign, by exhaustive search over an
+enumerated cover of the l1 ball or by projected-gradient ascent restarted from
+the best cover points of each sign.  The restarts of both signs run as one
+batch (in blocks of rows under a fixed cell budget, so a block may hold rows
+of both signs), with one product per gradient and per value and one row-wise
+l1 projection per iteration.  Each step costs one n x K/2 product for the K
+cover scores (the cover is symmetric, so one row of each pair theta, -theta
+is evaluated; the scores of -R are the negated scores of +R), one evaluation
+of the new unit, and a line search that reads only six inner products of the
+residual R = Y - f_{m-1}(X), the fitted values and the new unit's values.
+For the odd activations (sine, tanh) with a cover, the -R search mirrors the
++R one, so only +R is searched.  The line search is exact and in closed form
+for every kind of w.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -164,14 +166,14 @@ class GreedyConfig:
     the inner maximizer; ``restarts`` is the number of projected-gradient
     ascents per search, started from the ``restarts`` best-scoring cover
     points (all of them if the cover is smaller), or from random vertices
-    +-lam e_j when there is no cover, and run as one batch in blocks of at
-    most ``_BLOCK_CELLS // n`` restarts; ``c_report`` builds and scores the
-    cover for projected gradient too (exhaustive search always does);
-    ``cover_m_grid`` sets the cover resolution used for exhaustive search,
-    the restart inits, and the ``cover_value`` diagnostic.  Each step
-    searches both signs of the residual, except for the odd activations
-    (sine, tanh) with a cover, where the -R search is the +R one mirrored
-    and only +R is searched.
+    +-lam e_j when there is no cover, per sign of the residual; the restarts
+    of both signs run as one batch in blocks of at most ``_BLOCK_CELLS // n``
+    rows.  ``c_report`` builds and scores the cover for projected gradient
+    too (exhaustive search always does); ``cover_m_grid`` sets the cover
+    resolution used for exhaustive search, the restart inits, and the
+    ``cover_value`` diagnostic.  Each step searches both signs of the
+    residual, except for the odd activations (sine, tanh) with a cover,
+    where the -R search is the +R one mirrored and only +R is searched.
     """
 
     lam: float
@@ -262,10 +264,17 @@ class GreedyPath:
 
 @dataclass(frozen=True)
 class InnerResult:
-    """Outcome of one inner maximization: argmax, value, and diagnostics."""
+    """Outcome of one signed inner maximization.
+
+    The best unit is sign * phi(theta . x), with correlation ``value`` >= 0
+    against the residual.  ``diagnostics["n_candidates"]`` counts every
+    candidate scored, over both signs; ``diagnostics["cover_value"]`` is the
+    best signed cover score (nan without a cover).
+    """
 
     theta: np.ndarray
     value: float
+    sign: int
     diagnostics: dict
 
 
@@ -365,32 +374,54 @@ def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     return out if v.ndim > 1 else out[0]
 
 
+def _searches_both_signs(act: Activation, cover_cache: _CoverCache | None) -> bool:
+    """Whether a step must search -R as well as +R.
+
+    For an odd activation (sine, tanh) with a cover, the -R search is the
+    +R search mirrored: its cover scores are +R's reversed, so it starts
+    from the mirror rows -theta_0 and ends at -theta with the same value,
+    and never strictly beats +R.  The ramp is not odd, and without a cover
+    the -R search draws its own random inits, so both keep the second
+    search.
+    """
+    return act.kind == "ramp" or cover_cache is None
+
+
+def _random_vertices(rng: np.random.Generator, k: int, D: int, lam: float) -> np.ndarray:
+    """k random vertices lam * (+-e_j), each from its own child generator."""
+    inits = np.zeros((k, D))
+    for i, seed in enumerate(rng.integers(0, 2**63 - 1, size=k)):
+        rgen = np.random.default_rng(int(seed))
+        j = int(rgen.integers(D))
+        inits[i, j] = lam * (1.0 if rgen.random() < 0.5 else -1.0)
+    return inits
+
+
 def inner_maximize(
     R: np.ndarray,
     X: np.ndarray,
     config: GreedyConfig,
     rng: np.random.Generator,
     cover_cache: _CoverCache | None = None,
-    *,
-    cover_scores: np.ndarray | None = None,
 ) -> InnerResult:
-    """Maximize (1/n) sum_i R_i phi(theta . X_i) over ||theta||_1 <= lam.
+    """Maximize (1/n) sum_i s R_i phi(theta . X_i) over s = +-1, ||theta||_1 <= lam.
 
     The columns of X are the literal inner-product inputs: append a constant
     column upstream to give the units a bias slot.  The returned value
     dominates every candidate examined and is always >= 0 because theta = 0
-    (the zero function) is a candidate.
+    (the zero function) is a candidate.  -R is searched too unless
+    ``_searches_both_signs`` says it mirrors +R; the cover is scored once,
+    and the -R scores are the negated +R scores.  ``rng`` is drawn from only
+    when projected gradient runs without a cover, for the +R inits and then
+    the -R ones.
 
-    ``cover_scores``, if given, must equal ``_score_cover(R, cover_cache)``;
-    ``fit_lpgp`` passes the scores of +R and their negation for -R so that
-    the cover is scored once per step.  ``rng`` is drawn from only
-    when projected gradient runs without a cover.
-
-    Projected gradient runs its restarts as one batch (``_ascend_batch``),
-    in blocks of at most ``_BLOCK_CELLS // n`` restarts so that no n x
-    restarts array is allocated; the best of the cover argmax and the
-    restarts is then taken in init order, a later one winning only if
-    strictly better.
+    Projected gradient runs the +R restarts and then the -R restarts as one
+    batch (``_ascend_batch``, one sign per row), in blocks of at most
+    ``_BLOCK_CELLS // n`` rows, so a block may straddle the two signs.  A
+    block's inits are taken when it runs, so memory is bounded by the block
+    and the cover, not by ``restarts``.  The winner is the first strict
+    maximum over the zero unit, the +R cover argmax, the +R restarts, the -R
+    cover argmax and the -R restarts, in that order.
     """
     R = np.asarray(R, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -398,54 +429,55 @@ def inner_maximize(
     if R.shape != (n,):
         raise ValueError(f"residual shape {R.shape} does not match design rows {n}")
     act = Activation(config.activation)
-    diagnostics: dict = {"strategy": config.strategy, "cover_value": math.nan}
+    diagnostics: dict = {"strategy": config.strategy, "cover_value": math.nan, "n_candidates": 1}
 
     if not np.any(R):
         diagnostics["cover_value"] = 0.0
-        diagnostics["n_candidates"] = 1
-        return InnerResult(np.zeros(D), 0.0, diagnostics)
-
-    best_theta = np.zeros(D)
-    best_value = 0.0
-    n_candidates = 1
+        return InnerResult(np.zeros(D), 0.0, 1, diagnostics)
 
     if cover_cache is None:
         cover_cache = _cover_cache_for(X, act, config)
+    signs = (1, -1) if _searches_both_signs(act, cover_cache) else (1,)
+    heads: list = [[] for _ in signs]  # per sign, the cover argmax
+    count, rows = 0, iter(())  # per sign, the restarts
     if cover_cache is not None:
-        if cover_scores is None:
-            cover_scores = _score_cover(R, cover_cache)
-        j = int(np.argmax(cover_scores))
-        diagnostics["cover_value"] = float(cover_scores[j])
-        n_candidates += cover_scores.shape[0]
-        if cover_scores[j] > best_value:
-            best_value = float(cover_scores[j])
-            best_theta = cover_cache.thetas[j].copy()
+        scores = _score_cover(R, cover_cache)
+        signed = [scores if sign == 1 else -scores for sign in signs]
+        for head, score in zip(heads, signed):
+            j = int(np.argmax(score))
+            head.append((float(score[j]), cover_cache.thetas[j]))
+        diagnostics["cover_value"] = max(value for head in heads for value, _ in head)
+        diagnostics["n_candidates"] += len(signs) * scores.shape[0]
 
     if config.strategy == "projected-gradient":
+        count, order = config.restarts, None
         if cover_cache is not None:
-            inits = cover_cache.thetas[np.argsort(-cover_scores, kind="stable")[: config.restarts]]
-        else:
-            inits = np.zeros((config.restarts, D))  # random vertices lam * (+-e_j)
-            for i, seed in enumerate(rng.integers(0, 2**63 - 1, size=config.restarts)):
-                rgen = np.random.default_rng(int(seed))
-                j = int(rgen.integers(D))
-                inits[i, j] = config.lam * (1.0 if rgen.random() < 0.5 else -1.0)
-        row_sq = np.einsum("ij,ij->i", X, X)
-        lipschitz = float(np.abs(R) @ row_sq) / n + 1e-12
-        step0 = 1.0 / lipschitz
+            count = min(count, cover_cache.thetas.shape[0])
+            order = np.concatenate([np.argsort(-score, kind="stable")[:count] for score in signed])
+        total = len(signs) * count
+        step0 = 1.0 / (float(np.abs(R) @ np.einsum("ij,ij->i", X, X)) / n + 1e-12)
         block = max(1, _BLOCK_CELLS // n)
-        for start in range(0, inits.shape[0], block):
-            values, thetas = _ascend_batch(
-                R, X, act, inits[start : start + block], config.lam, step0
-            )
-            n_candidates += values.shape[0]
-            for value, theta in zip(values.tolist(), thetas):
-                if value > best_value:
-                    best_value = value
-                    best_theta = theta
 
-    diagnostics["n_candidates"] = n_candidates
-    return InnerResult(best_theta, best_value, diagnostics)
+        def restarts():
+            for start in range(0, total, block):
+                stop = min(start + block, total)
+                if order is None:
+                    inits = _random_vertices(rng, stop - start, D, config.lam)
+                else:
+                    inits = cover_cache.thetas[order[start:stop]]
+                sign = np.where(np.arange(start, stop) < count, 1.0, -1.0)
+                values, thetas = _ascend_batch(R, X, act, inits, sign, config.lam, step0)
+                yield from zip(values.tolist(), thetas)
+
+        rows = restarts()
+        diagnostics["n_candidates"] += total
+
+    best_value, best_theta, best_sign = 0.0, np.zeros(D), 1
+    for sign, head in zip(signs, heads):
+        for value, theta in itertools.chain(head, itertools.islice(rows, count)):
+            if value > best_value:
+                best_value, best_theta, best_sign = value, theta, sign
+    return InnerResult(best_theta.copy(), best_value, best_sign, diagnostics)
 
 
 # Gradient steps per projected-gradient ascent, at most.
@@ -457,15 +489,17 @@ def _ascend_batch(
     X: np.ndarray,
     act: Activation,
     inits: np.ndarray,
+    sign: np.ndarray,
     lam: float,
     step0: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent from every row of ``inits`` at once.
 
-    Each row ascends on its own: a candidate is accepted only if it raises
-    that row's value, otherwise the row's step halves, and the row stops
-    (and is frozen) once its step falls below 1e-14 step0 or after
-    ``_PG_STEPS`` iterations.  Per iteration the live rows share one
+    Row i maximizes (1/n) sum_j sign_i R_j phi(theta . X_j), sign_i = +-1
+    applied after each product (negation is exact), and ascends on its own:
+    a candidate is accepted only if it raises that row's value, otherwise
+    the row's step halves, and the row stops (and is frozen) once its step
+    falls below 1e-14 step0 or after ``_PG_STEPS`` iterations.  Per iteration the live rows share one
     gradient product, one row-wise projection and one product for the
     candidates' values, whose Z = Theta X^T is kept for the next gradient.
     Returns the accepted values (k,) and parameters (k, D).
@@ -477,13 +511,13 @@ def _ascend_batch(
     live = np.arange(inits.shape[0])
     theta = project_l1(inits, lam)
     Z = theta @ XT
-    current = act(Z) @ R / n
+    current = sign * (act(Z) @ R) / n
     step = np.full(live.shape[0], step0)
     for _ in range(_PG_STEPS):
-        grad = (act.derivative(Z) * R) @ X / n
+        grad = sign[:, None] * ((act.derivative(Z) * R) @ X) / n
         cand = project_l1(theta + step[:, None] * grad, lam)
         Z_cand = cand @ XT
-        value = act(Z_cand) @ R / n
+        value = sign * (act(Z_cand) @ R) / n
         up = value > current
         np.copyto(theta, cand, where=up[:, None])
         np.copyto(Z, Z_cand, where=up[:, None])
@@ -494,7 +528,7 @@ def _ascend_batch(
             values[live[stop]], thetas[live[stop]] = current[stop], theta[stop]
             keep = ~stop
             live, theta, Z = live[keep], theta[keep], Z[keep]
-            current, step = current[keep], step[keep]
+            current, step, sign = current[keep], step[keep], sign[keep]
             if not live.shape[0]:
                 break
     values[live], thetas[live] = current, theta
@@ -630,19 +664,6 @@ def line_search(
 # ----------------------------------------------------------------------------
 
 
-def _searches_both_signs(act: Activation, cover_cache: _CoverCache | None) -> bool:
-    """Whether a step must search -R as well as +R.
-
-    For an odd activation (sine, tanh) with a cover, the -R search is the
-    +R search mirrored: its cover scores are +R's reversed, so it starts
-    from the mirror rows -theta_0 and ends at -theta with the same value,
-    and never strictly beats +R.  The ramp is not odd, and without a cover
-    the -R search draws its own random inits, so both keep the second
-    search.
-    """
-    return act.kind == "ramp" or cover_cache is None
-
-
 def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
     """Run the pursuit for config.m_max steps on the dataset (deterministic per seed)."""
     X = np.atleast_2d(np.asarray(data.X, dtype=float))
@@ -659,27 +680,8 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
     v_prev = 0.0
     records: list[GreedyStep] = []
     for m in range(1, config.m_max + 1):
-        residual = Y - fitted
-        # One scoring of the cover serves both signs.
-        scores = None if cover_cache is None else _score_cover(residual, cover_cache)
-        pos = inner_maximize(
-            residual, X_lift, config, rng, cover_cache=cover_cache, cover_scores=scores
-        )
-        searches = [pos]
-        chosen, sign = pos, 1
-        if _searches_both_signs(act, cover_cache):
-            neg = inner_maximize(
-                -residual,
-                X_lift,
-                config,
-                rng,
-                cover_cache=cover_cache,
-                cover_scores=None if scores is None else -scores,
-            )
-            searches.append(neg)
-            if neg.value > pos.value:
-                chosen, sign = neg, -1
-        unit = RidgeUnit(activation=act, theta=chosen.theta, sign=sign)
+        found = inner_maximize(Y - fitted, X_lift, config, rng, cover_cache=cover_cache)
+        unit = RidgeUnit(activation=act, theta=found.theta, sign=found.sign)
         H = np.asarray(eval_unit(unit, X), dtype=float)
         alpha, beta, _ = line_search(fitted, H, Y, v_prev, config.w)
 
@@ -689,10 +691,6 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
         v_m = (1.0 - alpha) * v_prev + beta
         v_prev = v_m
 
-        diagnostics = dict(chosen.diagnostics)
-        diagnostics["cover_value"] = max(
-            r.diagnostics.get("cover_value", math.nan) for r in searches
-        )
         resid_after = Y - fitted
         records.append(
             GreedyStep(
@@ -701,10 +699,10 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
                 v_m=v_m,
                 alpha=alpha,
                 beta=beta,
-                inner_value=chosen.value,
+                inner_value=found.value,
                 train_mse=float(resid_after @ resid_after) / n,
                 penalty=float(config.w(v_m)),
-                diagnostics=diagnostics,
+                diagnostics=dict(found.diagnostics),
             )
         )
     return GreedyPath(records=tuple(records))

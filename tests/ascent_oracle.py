@@ -4,13 +4,15 @@
 ``_ascend_projected`` below is the earlier implementation unchanged: one
 restart at a time, one matrix-vector product per gradient and per value, and
 one l1 projection per iteration.  ``score``, ``step0`` and ``random_inits``
-rebuild what the serial ``inner_maximize`` passed it.
+rebuild what the serial ``inner_maximize`` passed it.  ``two_sign_search``
+rebuilds the search of the signed dictionary as two serial searches, one per
+sign of the residual, with ``signed_inits`` giving their starting points.
 """
 
 import numpy as np
 
 from ridgepursuit import Activation, GreedyConfig
-from ridgepursuit.greedy import _PG_STEPS, project_l1
+from ridgepursuit.greedy import _PG_STEPS, _score_cover, project_l1
 
 
 def score(R: np.ndarray, X: np.ndarray, act: Activation):
@@ -71,3 +73,53 @@ def _ascend_projected(
             if step < 1e-14 * step0:
                 break
     return best
+
+
+def signed_inits(R, X, config: GreedyConfig, rng, cover_cache, signs) -> list:
+    """The (sign, theta0) pairs the serial searches start from, +R first.
+
+    Each sign starts from the ``restarts`` best cover points of sign * R or,
+    without a cover, from random vertices drawn from ``rng`` in turn.
+    """
+    pairs = []
+    for sign in signs:
+        if cover_cache is None:
+            inits = random_inits(rng, config.restarts, X.shape[1], config.lam)
+        else:
+            scores = _score_cover(sign * R, cover_cache)
+            inits = cover_cache.thetas[np.argsort(-scores, kind="stable")[: config.restarts]]
+        pairs += [(sign, theta0) for theta0 in inits]
+    return pairs
+
+
+def two_sign_search(R, X, config: GreedyConfig, rng, cover_cache, signs=(1, -1)):
+    """The best signed unit of one serial search per sign.
+
+    Each search takes the best of the zero unit, the cover argmax of sign * R
+    and the serial ascents from its inits, a later candidate winning only if
+    strictly better; -R wins only if strictly better than +R.  Returns
+    (sign, value, theta, n_candidates).
+    """
+    act = Activation(config.activation)
+    pairs = []
+    if config.strategy == "projected-gradient":
+        pairs = signed_inits(R, X, config, rng, cover_cache, signs)
+    best = (1, 0.0, np.zeros(X.shape[1]))
+    n_candidates = 1 + len(pairs)
+    for sign in signs:
+        signed_R = sign * R
+        value, theta = 0.0, np.zeros(X.shape[1])
+        if cover_cache is not None:
+            scores = _score_cover(signed_R, cover_cache)
+            n_candidates += scores.shape[0]
+            j = int(np.argmax(scores))
+            if scores[j] > value:
+                value, theta = float(scores[j]), cover_cache.thetas[j]
+        value_of, first_step = score(signed_R, X, act), step0(signed_R, X)
+        for _, theta0 in (p for p in pairs if p[0] == sign):
+            found, at = _ascend_projected(value_of, act, signed_R, X, theta0, config, first_step)
+            if found > value:
+                value, theta = found, at
+        if value > best[1]:
+            best = (sign, value, theta)
+    return best + (n_candidates,)

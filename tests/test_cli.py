@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import ridgepursuit
 from ridgepursuit import cli
 from ridgepursuit.cli import ConfigError, RunConfig, SUBCOMMANDS, main, parse_config
+from ridgepursuit.penalty import REGIMES, PenaltyConfig, penalty_for_regime
 
 
 def read_csv_with_comments(path):
@@ -243,6 +245,7 @@ class TestHostileValues:
     def test_range_checked_keys_expose_their_bounds(self):
         checked = [key for key in cli._KEYS if past_bounds(key)]
         assert {"n", "lam", "phases", "amps", "cc_trials"} <= set(checked)
+        assert {"sigma_sq", "eta", "nu", "delta1", "delta2", "mixed_C"} <= set(checked)
 
 
 class TestMainPlumbing:
@@ -332,14 +335,39 @@ class TestCoverStats:
 
 
 class TestPenaltyTable:
-    def test_overflowing_penalty_is_not_valid(self, tmp_path):
+    def test_overflowing_penalty_is_not_valid(self, tmp_path, capsys):
+        # sigma_sq past 1e12 is a config error; below the CLI a penalty that
+        # overflows is still marked invalid rather than written as valid.
         out = tmp_path / "pen.csv"
-        assert main(["penalty-table", "--set", "sigma_sq=1e308", "--out", str(out)]) == 0
+        assert main(["penalty-table", "--set", "sigma_sq=1e308", "--out", str(out)]) == 2
+        assert "'sigma_sq'" in capsys.readouterr().err and not out.exists()
+        base = PenaltyConfig(B=1.0, B_n=1.5, sigma_sq=1e308, eta=0.5, nu=1.0, lam=2.0)
+        pens = [penalty_for_regime(replace(base, regime=r), 1.0, 256, 2) for r in REGIMES]
+        assert not all(pen.valid for pen in pens)
+        for pen in (pen for pen in pens if pen.valid):
+            assert math.isfinite(pen.pen_per_n) and math.isfinite(pen.main_term)
+
+    @pytest.mark.parametrize(
+        "key, bound",
+        [
+            ("sigma_sq", "1e12"),
+            ("eta", "1e12"),
+            ("nu", "1e12"),
+            ("mixed_C", "1e12"),
+            ("delta1", "1e12"),
+            ("delta1", "1e-12"),
+            ("delta2", "1e12"),
+            ("delta2", "1e-12"),
+        ],
+    )
+    def test_penalty_keys_at_their_bounds_stay_finite(self, key, bound, tmp_path):
+        out = tmp_path / "pen.csv"
+        assert main(["penalty-table", "--set", f"{key}={bound}", "--out", str(out)]) == 0
         _, header, data = read_csv_with_comments(out)
         for row in (dict(zip(header, r)) for r in data):
-            if row["valid"] == "true":
-                assert math.isfinite(float(row["pen_per_n"]))
-                assert math.isfinite(float(row["main_term"]))
+            # At the default sizes the moderate regime's scale eps1 exceeds lam.
+            if row["regime"] != "moderate":
+                assert row["valid"] == "true" and math.isfinite(float(row["pen_per_n"]))
 
     def test_all_regimes_all_sizes(self, tmp_path):
         out = tmp_path / "pen.csv"

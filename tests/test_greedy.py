@@ -5,6 +5,7 @@ guarantee, and path CSV emission."""
 import io
 import math
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -199,13 +200,19 @@ class TestInnerMaximize:
         np.testing.assert_array_equal(res.theta, np.zeros(3))
         assert res.value == 0.0
 
-    def test_value_never_negative(self, rng):
-        # Residuals anti-correlated with every ramp: the zero parameter wins.
+    def test_value_never_negative(self, rng, monkeypatch):
+        # Residuals anti-correlated with every ramp: the -R search finds a
+        # ramp with positive value, and with +R alone the zero parameter wins.
         X = rng.uniform(-1, 1, size=(50, 1))
         X = np.hstack([X, np.ones((50, 1))])  # lifted: constant column
         R = -np.ones(50)
         res = inner_maximize(R, X, inner_config(), rng)
-        assert res.value == 0.0
+        assert res.sign == -1 and res.value > 0.0
+        assert res.value == pytest.approx(np.mean(np.maximum(X @ res.theta, 0.0)), rel=1e-14)
+
+        monkeypatch.setattr(greedy, "_searches_both_signs", lambda act, cache: False)
+        res = inner_maximize(R, X, inner_config(), rng)
+        assert res.sign == 1 and res.value == 0.0
         np.testing.assert_array_equal(res.theta, np.zeros(2))
 
     def test_collinear_cover_unit_recovered(self, rng):
@@ -270,22 +277,32 @@ class TestInnerMaximize:
         cfg = inner_config(strategy="projected-gradient", restarts=restarts)
         cache = greedy._cover_cache_for(X, Activation("ramp"), cfg)
         scores = greedy._score_cover(R, cache)
-        inits, values = [], []
+        inits, signs, values = [], [], []
         ascend = greedy._ascend_batch
 
-        def recording(R, X, act, theta0, lam, step0):
+        def recording(R, X, act, theta0, sign, lam, step0):
             inits.append(theta0.copy())
-            result = ascend(R, X, act, theta0, lam, step0)
+            signs.append(sign.copy())
+            result = ascend(R, X, act, theta0, sign, lam, step0)
             values.append(result[0])
             return result
 
         monkeypatch.setattr(greedy, "_ascend_batch", recording)
         inner_maximize(R, X, cfg, rng, cover_cache=cache)
-        top = np.argsort(-scores, kind="stable")[:restarts]
-        np.testing.assert_array_equal(np.concatenate(inits), cache.thetas[top])
-        assert sum(len(b) for b in inits) == min(restarts, len(cache.thetas))
-        # The first ascent starts at the cover argmax and never loses ground.
-        assert values[0][0] >= scores.max()
+        # The ramp searches both signs: the top points of +R, then of -R.
+        count = min(restarts, len(cache.thetas))
+        top = np.argsort(-scores, kind="stable")[:count]
+        bottom = np.argsort(scores, kind="stable")[:count]
+        np.testing.assert_array_equal(
+            np.concatenate(inits), cache.thetas[np.concatenate([top, bottom])]
+        )
+        assert len(signs) == 1  # one batch holds both signs
+        np.testing.assert_array_equal(signs[0], np.repeat([1.0, -1.0], count))
+        # The first ascent of each sign starts at its cover argmax and never
+        # loses ground.
+        values = np.concatenate(values)
+        assert values[0] >= scores.max()
+        assert values[count] >= -scores.min()
 
     def test_cover_seeding_ignores_rng(self, rng):
         X = np.hstack([rng.uniform(-1, 1, size=(60, 2)), np.ones((60, 1))])
@@ -315,116 +332,133 @@ class TestInnerMaximize:
         assert res.value >= 0.0
 
 
-class TestBatchedAscent:
-    """The restarts run as one blocked batch that matches the serial ascents."""
-
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(["ramp", "sine", "tanh"]),
-        restarts=st.integers(1, 8),
-        cover=st.booleans(),
+def signed_search_case(seed, kind, restarts, cover):
+    """A random lifted design, residual and projected-gradient config, and the
+    cover cache and searched signs ``inner_maximize`` uses for them."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(8, 60)), int(rng.integers(1, 4))
+    X = np.hstack([rng.uniform(-1, 1, size=(n, d)), np.ones((n, 1))])
+    R = rng.normal(size=n)
+    act = Activation(kind)
+    cfg = inner_config(
+        activation=kind, strategy="projected-gradient", restarts=restarts, c_report=cover
     )
+    cache = greedy._cover_cache_for(X, act, cfg)
+    signs = (1, -1) if greedy._searches_both_signs(act, cache) else (1,)
+    # 1e-12 relative to mean|R| lam max|x|, which bounds every |value|
+    # since phi is 1-Lipschitz with phi(0) = 0.
+    tol = 1e-12 * np.abs(R).mean() * cfg.lam * np.abs(X).max()
+    return X, R, act, cfg, cache, signs, tol
+
+
+SIGNED_SEARCH_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["ramp", "sine", "tanh"]),
+    restarts=st.integers(1, 8),
+    cover=st.booleans(),
+)
+
+
+class TestBatchedAscent:
+    """The restarts of both signs run as one blocked batch that matches the
+    serial ascents, and one call matches one serial search per sign."""
+
+    @given(**SIGNED_SEARCH_CASES)
     def test_matches_serial_oracle(self, seed, kind, restarts, cover):
-        rng = np.random.default_rng(seed)
-        n, d = int(rng.integers(8, 60)), int(rng.integers(1, 4))
-        X = np.hstack([rng.uniform(-1, 1, size=(n, d)), np.ones((n, 1))])
-        R = rng.normal(size=n)
-        act = Activation(kind)
-        cfg = inner_config(
-            activation=kind, strategy="projected-gradient", restarts=restarts, c_report=cover
-        )
-        cache = greedy._cover_cache_for(X, act, cfg)
+        X, R, act, cfg, cache, signs, tol = signed_search_case(seed, kind, restarts, cover)
         with mock.patch.object(greedy, "_ascend_batch", wraps=greedy._ascend_batch) as batch:
-            res = inner_maximize(R, X, cfg, np.random.default_rng(seed + 1), cover_cache=cache)
-        (_, _, _, batch_inits, _, step0), _ = batch.call_args
+            inner_maximize(R, X, cfg, np.random.default_rng(seed + 1), cover_cache=cache)
+        (_, _, _, batch_inits, batch_signs, _, step0), _ = batch.call_args
 
-        # The serial search: the same inits, one ascent each, then the best
-        # of the cover argmax and the ascents in init order.
-        best_value, best_theta = 0.0, np.zeros(d + 1)
-        n_candidates = 1 + restarts
-        if cover:
-            scores = greedy._score_cover(R, cache)
-            j = int(np.argmax(scores))
-            if scores[j] > best_value:
-                best_value, best_theta = float(scores[j]), cache.thetas[j]
-            inits = cache.thetas[np.argsort(-scores, kind="stable")[:restarts]]
-            n_candidates += len(scores)
-        else:
-            rgen = np.random.default_rng(seed + 1)
-            inits = np.array(ascent_oracle.random_inits(rgen, restarts, d + 1, cfg.lam))
-        np.testing.assert_array_equal(batch_inits, inits)
+        # The serial searches: the same inits and signs, one ascent each.
+        pairs = ascent_oracle.signed_inits(
+            R, X, cfg, np.random.default_rng(seed + 1), cache, signs
+        )
+        np.testing.assert_array_equal(batch_inits, np.array([theta0 for _, theta0 in pairs]))
+        np.testing.assert_array_equal(batch_signs, [sign for sign, _ in pairs])
         assert step0 == ascent_oracle.step0(R, X)
-        score = ascent_oracle.score(R, X, act)
-        serial = [
-            ascent_oracle._ascend_projected(score, act, R, X, theta0, cfg, step0)
-            for theta0 in inits
-        ]
-
-        # 1e-12 relative to mean|R| lam max|x|, which bounds every |value|
-        # since phi is 1-Lipschitz with phi(0) = 0.
-        tol = 1e-12 * np.abs(R).mean() * cfg.lam * np.abs(X).max()
-        values, _ = greedy._ascend_batch(R, X, act, inits, cfg.lam, step0)
-        for (value, theta), batched in zip(serial, values):
+        values, _ = greedy._ascend_batch(R, X, act, batch_inits, batch_signs, cfg.lam, step0)
+        for (sign, theta0), batched in zip(pairs, values):
+            score = ascent_oracle.score(sign * R, X, act)
+            value, _ = ascent_oracle._ascend_projected(
+                score, act, sign * R, X, theta0, cfg, step0
+            )
             assert abs(batched - value) <= tol
-            if value > best_value:
-                best_value, best_theta = value, theta
-        assert abs(res.value - best_value) <= tol
-        np.testing.assert_allclose(res.theta, best_theta, rtol=0, atol=1e-6)
-        assert res.diagnostics["n_candidates"] == n_candidates
 
-        # Blocks of two columns: more restarts than one block changes nothing.
-        with mock.patch.object(greedy, "_BLOCK_CELLS", 2 * n):
-            blocked = inner_maximize(R, X, cfg, np.random.default_rng(seed + 1), cover_cache=cache)
-        assert abs(blocked.value - res.value) <= tol
-        np.testing.assert_allclose(blocked.theta, res.theta, rtol=0, atol=1e-6)
-        assert blocked.diagnostics == res.diagnostics
+    @given(**SIGNED_SEARCH_CASES)
+    def test_signed_search_matches_two_sign_oracle(self, seed, kind, restarts, cover):
+        X, R, act, cfg, cache, signs, tol = signed_search_case(seed, kind, restarts, cover)
+        sign, value, theta, n_candidates = ascent_oracle.two_sign_search(
+            R, X, cfg, np.random.default_rng(seed + 1), cache, signs
+        )
+        # One block, then blocks of two rows: with an odd restart count a
+        # block holds the last +R row and the first -R row.
+        for cells in (greedy._BLOCK_CELLS, 2 * X.shape[0]):
+            with mock.patch.object(greedy, "_BLOCK_CELLS", cells):
+                res = inner_maximize(R, X, cfg, np.random.default_rng(seed + 1), cover_cache=cache)
+            # sign * phi(theta . x) is phi(sign * theta . x) for sine and tanh,
+            # so there a tie between mirrored restarts may land on either sign.
+            assert res.sign == sign or kind != "ramp"
+            assert abs(res.value - value) <= tol
+            np.testing.assert_allclose(res.sign * res.theta, sign * theta, rtol=0, atol=1e-6)
+            assert res.diagnostics["n_candidates"] == n_candidates
 
     def test_blocks_bound_the_batch_width(self, monkeypatch):
         # restarts has no upper bound, so the batch is cut into blocks of at
-        # most _BLOCK_CELLS // n columns.
+        # most _BLOCK_CELLS // n rows; the ramp without a cover runs the 10
+        # +R rows and then the 10 -R rows, and one block holds both signs.
         rng = np.random.default_rng(2)
         n = 40
         X = np.hstack([rng.uniform(-1, 1, size=(n, 2)), np.ones((n, 1))])
         R = rng.normal(size=n)
         monkeypatch.setattr(greedy, "_BLOCK_CELLS", 3 * n)
-        widths = []
+        signs = []
         ascend = greedy._ascend_batch
 
-        def recording(R, X, act, inits, lam, step0):
-            widths.append(inits.shape[0])
-            return ascend(R, X, act, inits, lam, step0)
+        def recording(R, X, act, inits, sign, lam, step0):
+            signs.append(sign.tolist())
+            return ascend(R, X, act, inits, sign, lam, step0)
 
         monkeypatch.setattr(greedy, "_ascend_batch", recording)
         cfg = inner_config(strategy="projected-gradient", restarts=10, c_report=False)
         res = inner_maximize(R, X, cfg, np.random.default_rng(0))
-        assert widths == [3, 3, 3, 1]
-        assert res.diagnostics["n_candidates"] == 1 + 10
+        assert [len(b) for b in signs] == [3, 3, 3, 3, 3, 3, 2]
+        assert signs[3] == [1.0, -1.0, -1.0]
+        assert sum(signs, []) == [1.0] * 10 + [-1.0] * 10
+        assert res.diagnostics["n_candidates"] == 1 + 20
+
+    def test_init_memory_does_not_grow_with_restarts(self, monkeypatch):
+        # Without a cover the random inits are drawn block by block, so peak
+        # memory is set by the block, not by restarts.
+        rng = np.random.default_rng(4)
+        n, D = 16, 2000
+        X = rng.uniform(-1, 1, size=(n, D))
+        R = rng.normal(size=n)
+        monkeypatch.setattr(greedy, "_BLOCK_CELLS", 16 * n)
+        monkeypatch.setattr(
+            greedy,
+            "_ascend_batch",
+            lambda R, X, act, inits, sign, lam, step0: (np.zeros(inits.shape[0]), inits),
+        )
+
+        def peak(restarts):
+            cfg = inner_config(strategy="projected-gradient", restarts=restarts, c_report=False)
+            tracemalloc.start()
+            try:
+                res = inner_maximize(R, X, cfg, np.random.default_rng(0))
+                _, peak_bytes = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert res.diagnostics["n_candidates"] == 1 + 2 * restarts
+            return peak_bytes
+
+        small, large = peak(100), peak(5000)
+        # 5000 restarts at D = 2000 would take 80 MB as one (restarts, D) array.
+        assert large < 2 * small < 4 * 2**20
 
 
 class TestSharedCoverScores:
-    """fit_lpgp scores the cover once per step and hands -scores to the -R call."""
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(strategy="cover-exhaustive"),
-            dict(strategy="projected-gradient", restarts=4, c_report=True),
-        ],
-    )
-    def test_negated_scores_match_own_scoring(self, kwargs):
-        rng = np.random.default_rng(7)
-        X = np.hstack([rng.uniform(-1, 1, size=(60, 2)), np.ones((60, 1))])
-        R = rng.normal(size=60)
-        cfg = inner_config(**kwargs)
-        cache = greedy._cover_cache_for(X, Activation("ramp"), cfg)
-        scores = greedy._score_cover(R, cache)
-        own = inner_maximize(-R, X, cfg, np.random.default_rng(3), cover_cache=cache)
-        shared = inner_maximize(
-            -R, X, cfg, np.random.default_rng(3), cover_cache=cache, cover_scores=-scores
-        )
-        np.testing.assert_array_equal(shared.theta, own.theta)
-        assert shared.value == own.value
-        assert shared.diagnostics == own.diagnostics
+    """Each step scores the cover once; the -R scores are the negated +R ones."""
 
     @pytest.mark.parametrize("kind", ["ramp", "sine", "tanh"])
     def test_half_cache_scores_match_full_float64(self, kind):
@@ -719,31 +753,73 @@ class TestFitLpgp:
         ],
     )
     def test_odd_activation_with_cover_searches_one_sign(self, kind, kwargs, per_step, monkeypatch):
-        # For sine and tanh with a cover the -R search mirrors the +R one and
-        # never wins, so it is skipped; the path is byte-identical to the run
-        # that searches both signs.
+        # One search per step.  For sine and tanh with a cover the -R search
+        # mirrors the +R one and never wins, so its rows are skipped and each
+        # batch holds `restarts` rows, not 2 * restarts; the path is
+        # byte-identical to the run that searches both signs.  A batch row
+        # can move in the last bit with the batch height, so that run puts
+        # each sign in its own block, where the +R rows run as they do alone.
         rng = np.random.default_rng(21)
         X = rng.uniform(-1, 1, size=(120, 3))
         Y = np.sin(2.0 * X[:, 0] - X[:, 1]) + 0.3 * rng.normal(size=120)
         data = make_dataset(X, Y, seed=4)
         cfg = GreedyConfig(lam=2.0, m_max=6, activation=kind, **kwargs)
-        calls = []
-        search = greedy.inner_maximize
+        calls, rows = [], []
+        search, ascend = greedy.inner_maximize, greedy._ascend_batch
 
         def counting(*args, **kw):
             calls.append(1)
             return search(*args, **kw)
 
+        def recording(R, X, act, inits, sign, lam, step0):
+            rows.append(len(sign))
+            return ascend(R, X, act, inits, sign, lam, step0)
+
         monkeypatch.setattr(greedy, "inner_maximize", counting)
+        monkeypatch.setattr(greedy, "_ascend_batch", recording)
         one = io.StringIO()
         write_path_csv(fit_lpgp(data, cfg), one)
-        assert len(calls) == per_step * cfg.m_max
+        assert len(calls) == cfg.m_max
+        batches = cfg.m_max if cfg.strategy == "projected-gradient" else 0
+        assert rows == [per_step * cfg.restarts] * batches
 
         monkeypatch.setattr(greedy, "_searches_both_signs", lambda act, cache: True)
+        rows.clear()
         both = io.StringIO()
         write_path_csv(fit_lpgp(data, cfg), both)
-        assert len(calls) == (per_step + 2) * cfg.m_max
+        assert len(calls) == 2 * cfg.m_max
+        assert rows == [2 * cfg.restarts] * batches
+        if per_step == 1:
+            monkeypatch.setattr(greedy, "_BLOCK_CELLS", cfg.restarts * X.shape[0])
+            both = io.StringIO()
+            write_path_csv(fit_lpgp(data, cfg), both)
         assert one.getvalue() == both.getvalue()
+
+    @pytest.mark.parametrize(
+        "kind, kwargs, signs",
+        [
+            ("ramp", dict(strategy="cover-exhaustive"), 2),
+            ("ramp", dict(strategy="projected-gradient", restarts=4), 2),
+            ("sine", dict(strategy="projected-gradient", restarts=4), 1),
+        ],
+    )
+    def test_step_diagnostics_count_both_signs(self, kind, kwargs, signs):
+        # n_candidates counts the zero unit, every cover score and every
+        # restart of each searched sign; cover_value is the best signed
+        # cover score of the step's residual.
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-1, 1, size=(80, 2))
+        data = make_dataset(X, np.cos(3.0 * X[:, 0]) - X[:, 1], seed=2)
+        cfg = GreedyConfig(lam=2.0, m_max=4, activation=kind, **kwargs)
+        path = fit_lpgp(data, cfg)
+        X_lift = greedy.lift(X)
+        cache = greedy._cover_cache_for(X_lift, Activation(kind), cfg)
+        K = cache.thetas.shape[0]
+        restarts = min(cfg.restarts, K) if cfg.strategy == "projected-gradient" else 0
+        for m, rec in enumerate(path.records, start=1):
+            assert rec.diagnostics["n_candidates"] == 1 + signs * (K + restarts)
+            scores = greedy._score_cover(data.Y - path.model_at(m - 1)(X), cache)
+            assert rec.diagnostics["cover_value"] == pytest.approx(np.abs(scores).max(), rel=1e-12)
 
     def test_zero_steps_empty_path(self, rng):
         X = rng.uniform(-1, 1, size=(20, 2))
