@@ -25,7 +25,7 @@ from .dictionary import (
     CoverSizeError,
     FieldError,
     cover_count_log_bound,
-    enumerate_cover,
+    cover_counts,
 )
 from .greedy import (
     INNER_STRATEGIES,
@@ -488,12 +488,12 @@ def _cmd_cover_stats(config: RunConfig) -> int:
     d = config["d"]
     m_grid = config["cover_m_grid"]
     lam = config["lam"]
-    cover = enumerate_cover(d, m_grid, lam, cap=config["cover_cap"])
+    multisets, distinct = cover_counts(d, m_grid, lam, cap=config["cover_cap"])
     log_bound = cover_count_log_bound(2 * d + 1, m_grid)
     columns = ("d", "m_grid", "lam", "multisets", "distinct", "log_multisets", "log_bound")
-    row = (d, m_grid, format(lam, "g"), len(cover), cover.n_distinct, math.log(len(cover)), log_bound)
+    row = (d, m_grid, format(lam, "g"), multisets, distinct, math.log(multisets), log_bound)
     _write_out(config, "cover-stats", columns, [row])
-    if math.log(len(cover)) > log_bound:
+    if math.log(multisets) > log_bound:
         print("property failure: cover count exceeded its closed-form bound", file=sys.stderr)
         return 1
     return 0

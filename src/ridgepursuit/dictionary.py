@@ -23,6 +23,7 @@ __all__ = [
     "FieldError",
     "eval_unit",
     "enumerate_cover",
+    "cover_counts",
     "sparsify_theta",
     "cover_count_library",
     "cover_count_log_bound",
@@ -108,6 +109,15 @@ class RidgeUnit:
         """Deterministic sort key (activation, sign, coordinates)."""
         return (self.activation.kind, self.sign, tuple(self.theta))
 
+    def evaluate_lifted(self, X_lift: np.ndarray) -> np.ndarray:
+        """sign * phi(X_lift @ theta) on a batch that already has the bias column."""
+        if X_lift.shape[1] != self.theta.shape[0]:
+            raise ValueError(
+                f"dimension mismatch: x has {X_lift.shape[1] - 1} coordinates, "
+                f"theta expects {self.theta.shape[0] - 1}"
+            )
+        return self.sign * self.activation(X_lift @ self.theta)
+
 
 class CoverSizeError(ValueError):
     """Raised when full cover enumeration would exceed the configured cap."""
@@ -167,15 +177,34 @@ def lift(X: np.ndarray) -> np.ndarray:
 def eval_unit(unit: RidgeUnit, x: np.ndarray) -> float | np.ndarray:
     """Evaluate sign * phi(theta . (x, 1)) at a point (d,) or batch (n, d)."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = lift(x)
-    if X.shape[1] != unit.theta.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: x has {X.shape[1] - 1} coordinates, "
-            f"theta expects {unit.theta.shape[0] - 1}"
+    values = unit.evaluate_lifted(lift(x))
+    return float(values[0]) if x.ndim == 1 else values
+
+
+def cover_counts(d: int, m_grid: int, lam: float, cap: int = 10**6) -> tuple[int, int]:
+    """The multiset count and the distinct-vector count of ``enumerate_cover``.
+
+    The multisets of m_grid symbols from {+-e_j, 0} number C(2d + m_grid,
+    m_grid).  A distinct vector with k nonzero coordinates picks them in
+    C(d, k) ways, their signs in 2^k, and their magnitudes, positive
+    integers summing to at most m_grid, in C(m_grid, k), so there are
+    sum_k 2^k C(d, k) C(m_grid, k).  Nothing is enumerated; the checks and
+    the ``cap`` on the multiset count are those of ``enumerate_cover``.
+    """
+    if d < 1 or m_grid < 1:
+        raise ValueError(f"need d >= 1 and m_grid >= 1, got d={d}, m_grid={m_grid}")
+    if lam <= 0:
+        raise ValueError(f"need lam > 0, got {lam}")
+    size = math.comb(2 * d + m_grid, m_grid)
+    if size > cap:
+        raise CoverSizeError(
+            f"cover has C({2 * d + m_grid},{m_grid}) = {size} elements, above the "
+            f"cap {cap}; use sampled covers (sparsify_theta) instead"
         )
-    values = unit.sign * unit.activation(X @ unit.theta)
-    return float(values[0]) if single else values
+    distinct = sum(
+        2**k * math.comb(d, k) * math.comb(m_grid, k) for k in range(min(d, m_grid) + 1)
+    )
+    return size, distinct
 
 
 def enumerate_cover(
@@ -189,16 +218,7 @@ def enumerate_cover(
     is C(2d + m_grid, m_grid); enumeration refuses to run past ``cap``
     multisets.
     """
-    if d < 1 or m_grid < 1:
-        raise ValueError(f"need d >= 1 and m_grid >= 1, got d={d}, m_grid={m_grid}")
-    if lam <= 0:
-        raise ValueError(f"need lam > 0, got {lam}")
-    size = math.comb(2 * d + m_grid, m_grid)
-    if size > cap:
-        raise CoverSizeError(
-            f"cover has C({2 * d + m_grid},{m_grid}) = {size} elements, above the "
-            f"cap {cap}; use sampled covers (sparsify_theta) instead"
-        )
+    size, _ = cover_counts(d, m_grid, lam, cap)
     dtype = np.min_scalar_type(-m_grid)
 
     def prepend(v: int, tail: np.ndarray) -> np.ndarray:

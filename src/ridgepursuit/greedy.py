@@ -23,14 +23,18 @@ enumerated cover of the l1 ball or by projected-gradient ascent restarted from
 the best cover points of each sign.  The restarts of both signs run as one
 batch (in blocks of rows under a fixed cell budget, so a block may hold rows
 of both signs), with one product per gradient and per value and one row-wise
-l1 projection per iteration.  Each step costs one n x K/2 product for the K
-cover scores (the cover is symmetric, so one row of each pair theta, -theta
-is evaluated; the scores of -R are the negated scores of +R), one evaluation
-of the new unit, and a line search that reads only six inner products of the
-residual R = Y - f_{m-1}(X), the fitted values and the new unit's values.
-For the odd activations (sine, tanh) with a cover, the -R search mirrors the
-+R one, so only +R is searched.  The line search is exact and in closed form
-for every kind of w.
+l1 projection per iteration.  Each step costs one float32 n x K/2 product
+for approximate scores of the K cover units (the cover is symmetric, so one
+row of each pair theta, -theta is cached; the scores of -R are the negated
+scores of +R), a float64 re-score of the few units a certified rounding bound
+cannot rule out of the decisions, one evaluation of the new unit, and a line
+search that reads only six inner products of the residual
+R = Y - f_{m-1}(X), the fitted values and the new unit's values.  Every
+decision taken from the cover scores (the exhaustive argmax, the
+``cover_value`` diagnostic and the restart seeds) is therefore the one a
+float64 score of every unit gives.  For the odd activations (sine, tanh)
+with a cover, the -R search mirrors the +R one, so only +R is searched.  The
+line search is exact and in closed form for every kind of w.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .dictionary import (
     FieldError,
     RidgeUnit,
     enumerate_cover,
-    eval_unit,
     lift,
 )
 from .model import RidgeModel
@@ -283,33 +286,69 @@ class _CoverCache:
     """Precomputed cover grid: parameter rows and half of their unit values.
 
     The cover rows are in lexicographic order, so row K-1-k is -(row k) and
-    the middle row is 0; only the first K//2 rows are evaluated, in float64.
-    ``_score_cover`` derives the scores of the other rows from them.
+    the middle row is 0; only the first K//2 rows are evaluated, in float32.
+    ``_score_cover`` derives approximate scores of every row from them, with
+    the bound ``unit_error * ||R||_1 / n`` on their error against the
+    float64 scores of ``_rescore_cover``.
     """
 
-    thetas: np.ndarray  # (K, D), all cover rows
-    values: np.ndarray  # (n, K//2) = phi(X @ thetas[:K//2].T)
-    X: np.ndarray  # (n, D), the design the values were taken on
+    thetas: np.ndarray  # (K, D) float64, all cover rows
+    values: np.ndarray  # (n, K//2) float32 = phi(X @ thetas[:K//2].T)
+    XT: np.ndarray  # (D, n) float64, contiguous: the design the values were taken on
     activation: Activation
+    unit_error: float  # the certified score error per unit of ||R||_1 / n
 
 
 # Cells per block of the cache build: small enough that the activation runs
 # on a block still in cache, large enough that each product stays efficient.
 _BLOCK_CELLS = 2**20
 
+# Rows per float32 partial sum of the cover scores; the partial sums are
+# added in float64, so the float32 rounding grows with this count, not with n.
+_SCORE_ROWS = 1024
+
+# Allowance, in units of the float32 spacing at 1, for the rounding of
+# numpy's sine and tanh (measured within 1.5 ulp); the float64 ones get the
+# same allowance in units of the float64 spacing at 1.
+_ACT_ULPS = 4
+
+
+def _gamma(k: int, u: float) -> float:
+    """gamma_k = k u / (1 - k u), the relative error bound of k roundings."""
+    return k * u / (1.0 - k * u)
+
+
+def _unit_error(n: int, D: int, lam: float, xmax: float, activation: Activation) -> float:
+    """The bound e of ``_score_cover`` divided by ||R||_1 / n; see there."""
+    u, u64 = 2.0**-24, 2.0**-53
+    reach = lam * xmax  # >= |x . theta| for every row x and cover row theta
+    if activation.kind == "ramp":
+        bound, value_error = reach, _gamma(D + 2, u) * reach
+    else:
+        bound = 1.0
+        value_error = min(_gamma(D + 2, u) * reach + _ACT_ULPS * 2.0**-23, 2.0)
+    dot_error = _gamma(min(n, _SCORE_ROWS) + 1, u) * (1.0 + _gamma(D + 2, u)) * bound
+    rounding32 = value_error + dot_error
+    rounding64 = 4.0 * _gamma(n + 2 * D + 16, u64) * (reach + bound) + 2.0 * _ACT_ULPS * 2.0**-52
+    return (rounding32 + rounding64) * (1.0 + 2.0**-20)
+
 
 def _build_cover_cache(
     X: np.ndarray, activation: Activation, m_grid: int, lam: float, cap: int
 ) -> _CoverCache:
     cover = enumerate_cover(X.shape[1], m_grid, lam, cap=cap)
-    half = cover.thetas[: cover.thetas.shape[0] // 2]
-    values = np.empty((X.shape[0], half.shape[0]))
+    half = cover.thetas[: cover.thetas.shape[0] // 2].astype(np.float32)
+    values = np.empty((X.shape[0], half.shape[0]), dtype=np.float32)
     block = max(1, _BLOCK_CELLS // half.shape[0])
-    for start in range(0, X.shape[0], block):
-        out = values[start : start + block]
-        np.matmul(X[start : start + block], half.T, out=out)
-        activation(out, out=out)
-    return _CoverCache(thetas=cover.thetas, values=values, X=X, activation=activation)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X32 = X.astype(np.float32)
+        for start in range(0, X.shape[0], block):
+            out = values[start : start + block]
+            np.matmul(X32[start : start + block], half.T, out=out)
+            activation(out, out=out)
+    xmax = float(np.abs(X).max(initial=0.0))
+    unit_error = _unit_error(X.shape[0], X.shape[1], lam, xmax, activation)
+    return _CoverCache(cover.thetas, values, np.ascontiguousarray(X.T), activation, unit_error)
 
 
 def _cover_cache_for(
@@ -333,22 +372,107 @@ def _cover_cache_for(
         return None
 
 
-def _score_cover(R: np.ndarray, cover_cache: _CoverCache) -> np.ndarray:
-    """(1/n) sum_i R_i h_k(X_i) for every cover unit k, in cover order.
+def _score_cover(R: np.ndarray, cover_cache: _CoverCache) -> tuple[np.ndarray, float]:
+    """Approximate (1/n) sum_i R_i h_k(X_i) for every cover unit k, in cover
+    order, and a bound e on the error of each against ``_rescore_cover``.
 
-    One n x K/2 product scores the first half.  Row K-1-k is -(row k): it
-    scores -s_k for the odd activations (sine, tanh) and, since
-    ramp(-u) = ramp(u) - u, s_k - (row k) . (X^T R) / n for the ramp.  The
-    middle row is 0 and scores 0.
+    float32 products of R against the cached half score the first K/2 rows,
+    _SCORE_ROWS rows at a time, and the partial sums are added in float64.
+    Row K-1-k is -(row k): it scores -s_k for the odd activations (sine,
+    tanh) and, since ramp(-u) = ramp(u) - u, s_k - (row k) . (X^T R) / n for
+    the ramp, that term in float64.  The middle row is 0 and scores 0.
+
+    The bound (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).
+    Let u = 2^-24, gamma_k = k u / (1 - k u), D the columns of X, c the rows
+    per partial sum (n if fewer), xmax = max |X_ij|, lam >= ||theta_k||_1
+    and M >= |phi(X_i . theta_k)|: lam xmax for the ramp, 1 for sine and
+    tanh.  Each cached value is phi of a float32 product of X and theta_k,
+    both rounded to float32: two roundings of the inputs and D of the
+    product put it within gamma_{D+2} sum_j |X_ij theta_kj| <=
+    gamma_{D+2} lam xmax of X_i . theta_k, and phi is 1-Lipschitz.  The
+    float32 ramp max(., 0) is exact; the float32 sine and tanh add at most
+    _ACT_ULPS float32 spacings at 1, and their values stay in [-1, 1], so
+    the value error is at most 2 there.  Rounding R to float32 and a float32
+    dot product over c rows add gamma_{c+1} sum_i |R_i| |v_ik|, and
+    sum_i |R_i| |v_ik| <= ||R||_1 M (1 + gamma_{D+2}).  So
+
+        |approx - exact| <= ||R||_1 / n * (gamma_{D+2} lam xmax + a_phi
+                            + gamma_{c+1} (1 + gamma_{D+2}) M)
+
+    with a_phi = 0 for the ramp, _ACT_ULPS 2^-23 for sine and tanh (and the
+    first two terms capped at 2 there).  The float64 steps, on both sides (the
+    direct scores of ``_rescore_cover``, the float64 sum of the partial sums
+    and the ramp's linear term), add 4 gamma'_{n+2D+16} (lam xmax + M) plus
+    2 _ACT_ULPS 2^-52 per unit of ||R||_1 / n, with gamma' taken at
+    u' = 2^-53; e, computed in float64, is inflated by 1 + 2^-20 to cover
+    its own rounding and that of the re-score thresholds.  A score or e that
+    is not finite certifies nothing; ``_rescore_set`` then keeps every unit.
     """
     values = cover_cache.values
     n, half = values.shape
-    first = R @ values / n
-    if cover_cache.activation.kind == "ramp":
-        mirror = first - cover_cache.thetas[:half] @ (R @ cover_cache.X / n)
-    else:
-        mirror = -first
-    return np.concatenate([first, [0.0], mirror[::-1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        R32 = R.astype(np.float32)
+        if n <= _SCORE_ROWS:
+            first = np.divide(R32 @ values, n, dtype=np.float64)
+        else:
+            full = n - n % _SCORE_ROWS
+            parts = np.matmul(
+                R32[:full].reshape(-1, 1, _SCORE_ROWS),
+                values[:full].reshape(-1, _SCORE_ROWS, half),
+            )
+            first = parts.sum(axis=(0, 1), dtype=np.float64)
+            if full < n:
+                first += R32[full:] @ values[full:]
+            first /= n
+        if cover_cache.activation.kind == "ramp":
+            mirror = first - cover_cache.thetas[:half] @ (cover_cache.XT @ R / n)
+        else:
+            mirror = -first
+        scores = np.concatenate([first, [0.0], mirror[::-1]])
+    return scores, cover_cache.unit_error * float(np.abs(R).sum()) / n
+
+
+def _rescore_set(scores: np.ndarray, err: float, top: int, both: bool) -> np.ndarray:
+    """The cover units whose exact score may rank in the ``top`` of a sign.
+
+    A unit is kept if its approximate score is within 2 err of the top-th
+    largest approximate score of +R or, when ``both``, of -R.  Every score
+    is within err of its exact value, so a unit left out scores strictly
+    below ``top`` kept units of each sign, exactly: the exact argmax and
+    stable top set of each sign lie in the kept set, in the same order.
+    Returns ascending indices; all of them when a score or err is not
+    finite.
+    """
+    K = scores.shape[0]
+    lo, hi = float(scores.min()), float(scores.max())  # nan if any score is nan
+    if not (math.isfinite(err) and math.isfinite(lo) and math.isfinite(hi)):
+        return np.arange(K)
+    if top > 1:
+        part = np.partition(scores, (top - 1, K - top))
+        lo, hi = float(part[top - 1]), float(part[K - top])
+    keep = scores >= hi - 2.0 * err
+    if both:
+        keep |= scores <= lo + 2.0 * err
+    return keep.nonzero()[0]
+
+
+def _rescore_cover(R: np.ndarray, cover_cache: _CoverCache, idx: np.ndarray) -> np.ndarray:
+    """(1/n) sum_i R_i h_k(X_i) in float64 for the cover units ``idx``.
+
+    Each unit is evaluated directly, phi(theta_k . X_i) for every row and
+    then its dot product with R, in blocks of at most _BLOCK_CELLS // n
+    units.  Both products run one unit at a time (the rows of one product,
+    then a stack of one dot product per row), so a unit's score does not
+    depend on which other units share its call: every re-scored set sees the
+    same values.
+    """
+    n = R.shape[0]
+    block = max(1, _BLOCK_CELLS // n)
+    if idx.shape[0] > block:
+        parts = [idx[start : start + block] for start in range(0, idx.shape[0], block)]
+        return np.concatenate([_rescore_cover(R, cover_cache, part) for part in parts])
+    Z = cover_cache.thetas[idx] @ cover_cache.XT
+    return (cover_cache.activation(Z, out=Z)[:, None, :] @ R)[:, 0] / n
 
 
 def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
@@ -415,6 +539,16 @@ def inner_maximize(
     when projected gradient runs without a cover, for the +R inits and then
     the -R ones.
 
+    The cover scores are approximate, each within a certified e of its
+    float64 value (``_score_cover``).  With t = 1 for exhaustive search and
+    t = min(restarts, K) for projected gradient, every unit whose signed
+    approximate score is within 2e of its sign's t-th largest is re-scored
+    in float64 (``_rescore_set``, ``_rescore_cover``); no other unit can
+    reach a sign's top t.  Each sign's cover argmax (the first strict
+    maximum) and restart seeds (the stable top t) are taken from those
+    float64 scores, and ``cover_value`` is the best of them.  These are the
+    decisions a float64 score of every cover unit gives.
+
     Projected gradient runs the +R restarts and then the -R restarts as one
     batch (``_ascend_batch``, one sign per row), in blocks of at most
     ``_BLOCK_CELLS // n`` rows, so a block may straddle the two signs.  A
@@ -431,7 +565,7 @@ def inner_maximize(
     act = Activation(config.activation)
     diagnostics: dict = {"strategy": config.strategy, "cover_value": math.nan, "n_candidates": 1}
 
-    if not np.any(R):
+    if not R.any():
         diagnostics["cover_value"] = 0.0
         return InnerResult(np.zeros(D), 0.0, 1, diagnostics)
 
@@ -441,19 +575,25 @@ def inner_maximize(
     heads: list = [[] for _ in signs]  # per sign, the cover argmax
     count, rows = 0, iter(())  # per sign, the restarts
     if cover_cache is not None:
-        scores = _score_cover(R, cover_cache)
-        signed = [scores if sign == 1 else -scores for sign in signs]
+        K = cover_cache.thetas.shape[0]
+        top = 1 if config.strategy == "cover-exhaustive" else min(config.restarts, K)
+        scores, err = _score_cover(R, cover_cache)
+        idx = _rescore_set(scores, err, top, len(signs) == 2)
+        exact = _rescore_cover(R, cover_cache, idx)
+        signed = [exact if sign == 1 else -exact for sign in signs]
         for head, score in zip(heads, signed):
-            j = int(np.argmax(score))
-            head.append((float(score[j]), cover_cache.thetas[j]))
+            j = int(score.argmax())
+            head.append((float(score[j]), cover_cache.thetas[idx[j]]))
         diagnostics["cover_value"] = max(value for head in heads for value, _ in head)
-        diagnostics["n_candidates"] += len(signs) * scores.shape[0]
+        diagnostics["n_candidates"] += len(signs) * K
 
     if config.strategy == "projected-gradient":
         count, order = config.restarts, None
         if cover_cache is not None:
-            count = min(count, cover_cache.thetas.shape[0])
-            order = np.concatenate([np.argsort(-score, kind="stable")[:count] for score in signed])
+            count = top
+            order = np.concatenate(
+                [idx[np.argsort(-score, kind="stable")[:count]] for score in signed]
+            )
         total = len(signs) * count
         step0 = 1.0 / (float(np.abs(R) @ np.einsum("ij,ij->i", X, X)) / n + 1e-12)
         block = max(1, _BLOCK_CELLS // n)
@@ -677,12 +817,13 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
 
     model = RidgeModel()
     fitted = np.zeros(n)
+    resid = Y - fitted
     v_prev = 0.0
     records: list[GreedyStep] = []
     for m in range(1, config.m_max + 1):
-        found = inner_maximize(Y - fitted, X_lift, config, rng, cover_cache=cover_cache)
+        found = inner_maximize(resid, X_lift, config, rng, cover_cache=cover_cache)
         unit = RidgeUnit(activation=act, theta=found.theta, sign=found.sign)
-        H = np.asarray(eval_unit(unit, X), dtype=float)
+        H = unit.evaluate_lifted(X_lift)
         alpha, beta, _ = line_search(fitted, H, Y, v_prev, config.w)
 
         terms = [((1.0 - alpha) * b, u) for b, u in model.terms] + [(beta, unit)]
@@ -691,7 +832,7 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
         v_m = (1.0 - alpha) * v_prev + beta
         v_prev = v_m
 
-        resid_after = Y - fitted
+        resid = Y - fitted
         records.append(
             GreedyStep(
                 m=m,
@@ -700,7 +841,7 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
                 alpha=alpha,
                 beta=beta,
                 inner_value=found.value,
-                train_mse=float(resid_after @ resid_after) / n,
+                train_mse=float(resid @ resid) / n,
                 penalty=float(config.w(v_m)),
                 diagnostics=dict(found.diagnostics),
             )

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionary import RidgeUnit, eval_unit
+from .dictionary import RidgeUnit, lift
 
 __all__ = ["RidgeModel"]
 
@@ -54,7 +54,8 @@ class RidgeModel:
         out = np.full(X.shape[0], self.intercept, dtype=float)
         if self.slope is not None:
             out += X @ self.slope
+        X_lift = lift(X)
         for beta, unit in self.terms:
             if beta != 0.0:
-                out += beta * eval_unit(unit, X)
+                out += beta * unit.evaluate_lifted(X_lift)
         return float(out[0]) if single else out

@@ -7,12 +7,19 @@ one l1 projection per iteration.  ``score``, ``step0`` and ``random_inits``
 rebuild what the serial ``inner_maximize`` passed it.  ``two_sign_search``
 rebuilds the search of the signed dictionary as two serial searches, one per
 sign of the residual, with ``signed_inits`` giving their starting points.
+Cover scores come from ``exact_scores``, the float64 re-scorer applied to
+every cover unit.
 """
 
 import numpy as np
 
 from ridgepursuit import Activation, GreedyConfig
-from ridgepursuit.greedy import _PG_STEPS, _score_cover, project_l1
+from ridgepursuit.greedy import _PG_STEPS, _rescore_cover, project_l1
+
+
+def exact_scores(R: np.ndarray, cover_cache) -> np.ndarray:
+    """The float64 score of every cover unit against R, in cover order."""
+    return _rescore_cover(R, cover_cache, np.arange(cover_cache.thetas.shape[0]))
 
 
 def score(R: np.ndarray, X: np.ndarray, act: Activation):
@@ -86,7 +93,7 @@ def signed_inits(R, X, config: GreedyConfig, rng, cover_cache, signs) -> list:
         if cover_cache is None:
             inits = random_inits(rng, config.restarts, X.shape[1], config.lam)
         else:
-            scores = _score_cover(sign * R, cover_cache)
+            scores = exact_scores(sign * R, cover_cache)
             inits = cover_cache.thetas[np.argsort(-scores, kind="stable")[: config.restarts]]
         pairs += [(sign, theta0) for theta0 in inits]
     return pairs
@@ -110,7 +117,7 @@ def two_sign_search(R, X, config: GreedyConfig, rng, cover_cache, signs=(1, -1))
         signed_R = sign * R
         value, theta = 0.0, np.zeros(X.shape[1])
         if cover_cache is not None:
-            scores = _score_cover(signed_R, cover_cache)
+            scores = exact_scores(signed_R, cover_cache)
             n_candidates += scores.shape[0]
             j = int(np.argmax(scores))
             if scores[j] > value:

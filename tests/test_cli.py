@@ -333,6 +333,20 @@ class TestCoverStats:
         _, _, data = read_csv_with_comments(out)
         assert int(data[0][4]) == 321
 
+    def test_large_d_enumerates_nothing(self, tmp_path, monkeypatch):
+        # The counts come from closed forms: d = 1024, m_grid = 2 has 2.1M
+        # multisets, whose dense cover alone would take 16 GiB.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cover-stats enumerated the cover")
+
+        monkeypatch.setattr(ridgepursuit.dictionary, "enumerate_cover", forbidden)
+        out = tmp_path / "big.csv"
+        argv = ["cover-stats", "--set", "d=1024", "--set", "cover_m_grid=2"]
+        assert main(argv + ["--set", "cover_cap=10000000", "--out", str(out)]) == 0
+        _, _, data = read_csv_with_comments(out)
+        assert int(data[0][3]) == math.comb(2050, 2)
+        assert int(data[0][4]) == 1 + 2 * 1024 * 2 + 4 * math.comb(1024, 2)
+
 
 class TestPenaltyTable:
     def test_overflowing_penalty_is_not_valid(self, tmp_path, capsys):
@@ -402,6 +416,24 @@ class TestFit:
         assert [int(r[0]) for r in data] == [1, 2, 3]
         objectives = [float(r[7]) for r in data]
         assert all(a >= b - 1e-9 for a, b in zip(objectives, objectives[1:]))
+
+    @pytest.mark.parametrize("kind", ["ramp", "sine", "tanh"])
+    def test_huge_lam_fit_under_warnings_as_errors(self, kind, tmp_path):
+        # The cover is scored in float32; at lam = 1e12 no overflow or
+        # invalid-value warning may escape a run that treats warnings as
+        # errors.
+        src = str(Path(ridgepursuit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-W", "error", "-m", "ridgepursuit.cli", "fit"]
+        for kv in ("lam=1e12", "d=4", "freqs=1,-1,0.5,0.5", f"activation={kind}"):
+            argv += ["--set", kv]
+        out = subprocess.run(
+            argv + ["--out", str(tmp_path / "fit.csv")], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+        _, _, data = read_csv_with_comments(tmp_path / "fit.csv")
+        assert len(data) == 8
 
     def test_detects_objective_regression(self, tmp_path, monkeypatch, capsys):
         class FakeRec:

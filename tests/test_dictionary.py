@@ -12,15 +12,18 @@ from hypothesis import strategies as st
 from ridgepursuit import (
     Activation,
     CoverSizeError,
+    RidgeModel,
     RidgeUnit,
     SparseCover,
     cover_count_library,
     cover_count_log_bound,
+    cover_counts,
     enumerate_cover,
     eval_unit,
     lift,
     sparsify_theta,
 )
+from ridgepursuit import model as model_module
 
 from conftest import three_se
 
@@ -128,6 +131,32 @@ class TestEvalUnit:
         with pytest.raises(ValueError):
             RidgeUnit(Activation("ramp"), np.array([1.0, 0.0]), sign=2)
 
+    def test_evaluate_lifted_matches_eval_unit(self, rng):
+        unit = RidgeUnit(Activation("sine"), np.array([0.7, -0.4, 0.5]), sign=-1)
+        X = rng.uniform(-1, 1, size=(20, 2))
+        np.testing.assert_array_equal(unit.evaluate_lifted(lift(X)), eval_unit(unit, X))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            unit.evaluate_lifted(X)
+
+    def test_model_lifts_once_and_keeps_per_term_sums(self, rng, monkeypatch):
+        # One lift per evaluate call, whatever the number of terms, and the
+        # same per-term products, so the values are bit-identical to a sum
+        # of eval_unit calls.
+        X = rng.uniform(-1, 1, size=(30, 3))
+        terms = [
+            (float(rng.uniform(0.1, 1.0)), RidgeUnit(Activation(kind), rng.normal(size=4), sign=s))
+            for kind, s in [("ramp", 1), ("sine", -1), ("tanh", 1), ("ramp", -1)]
+        ]
+        model = RidgeModel(terms=terms, intercept=0.25, slope=np.array([0.5, -1.0, 0.0]))
+        expected = np.full(30, 0.25) + X @ model.slope
+        for beta, unit in terms:
+            expected += beta * eval_unit(unit, X)
+        calls = []
+        lift_once = model_module.lift
+        monkeypatch.setattr(model_module, "lift", lambda X: calls.append(1) or lift_once(X))
+        np.testing.assert_array_equal(model.evaluate(X), expected)
+        assert len(calls) == 1
+
     def test_lift_appends_ones(self, rng):
         X = rng.uniform(-1, 1, size=(7, 3))
         L = lift(X)
@@ -210,6 +239,20 @@ class TestEnumerateCover:
         if m <= 3:
             ref = self.multiset_reference(d, m, lam)
             assert cover.thetas.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_counts_without_enumerating(self, d, m):
+        cover = enumerate_cover(d, m, 0.7)
+        assert cover_counts(d, m, 0.7) == (len(cover), cover.n_distinct)
+
+    def test_counts_share_the_cap_and_checks(self):
+        with pytest.raises(CoverSizeError):
+            cover_counts(40, 2, 2.0, cap=10)
+        with pytest.raises(ValueError):
+            cover_counts(0, 2, 2.0)
+        with pytest.raises(ValueError):
+            cover_counts(2, 2, 0.0)
 
     def test_cap_exceeded_raises(self):
         with pytest.raises(CoverSizeError):

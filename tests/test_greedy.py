@@ -6,6 +6,7 @@ import io
 import math
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -276,7 +277,7 @@ class TestInnerMaximize:
         R = rng.normal(size=60)
         cfg = inner_config(strategy="projected-gradient", restarts=restarts)
         cache = greedy._cover_cache_for(X, Activation("ramp"), cfg)
-        scores = greedy._score_cover(R, cache)
+        scores = ascent_oracle.exact_scores(R, cache)
         inits, signs, values = [], [], []
         ascend = greedy._ascend_batch
 
@@ -457,13 +458,62 @@ class TestBatchedAscent:
         assert large < 2 * small < 4 * 2**20
 
 
+def direct_decisions(R, cache, signs, restarts):
+    """The decisions of a step taken from the float64 score of every cover
+    unit: the exhaustive (value, sign, index) over the zero unit and each
+    sign's first strict argmax, the best signed cover score, and the
+    projected-gradient seeds, each sign's stable top ``restarts``."""
+    exact = ascent_oracle.exact_scores(R, cache)
+    best, cover_value, seeds = (0.0, 1, None), -math.inf, []
+    for sign in signs:
+        score = sign * exact
+        j = int(np.argmax(score))
+        cover_value = max(cover_value, float(score[j]))
+        if score[j] > best[0]:
+            best = (float(score[j]), sign, j)
+        seeds.append(np.argsort(-score, kind="stable")[:restarts])
+    return best, cover_value, np.concatenate(seeds)
+
+
+def assert_exact_decisions(R, X, cache, kind, lam, restarts_grid):
+    """inner_maximize takes every decision as a direct float64 search does."""
+    act = Activation(kind)
+    signs = (1, -1) if greedy._searches_both_signs(act, cache) else (1,)
+    K = cache.thetas.shape[0]
+    tol = 1e-12 * np.abs(R).mean() * max(1.0, lam * np.abs(X).max())
+    (value, sign, j), cover_value, _ = direct_decisions(R, cache, signs, 1)
+    cfg = inner_config(activation=kind, lam=lam, strategy="cover-exhaustive")
+    res = inner_maximize(R, X, cfg, np.random.default_rng(0), cover_cache=cache)
+    assert res.value == pytest.approx(value, rel=0, abs=tol)
+    assert res.diagnostics["cover_value"] == pytest.approx(cover_value, rel=0, abs=tol)
+    assert res.sign == sign
+    np.testing.assert_array_equal(res.theta, 0.0 if j is None else cache.thetas[j])
+    for restarts in restarts_grid:
+        count = min(restarts, K)
+        *_, seeds = direct_decisions(R, cache, signs, count)
+        inits = []
+
+        def recording(R, X, act, theta0, sign, lam, step0):
+            inits.append(theta0.copy())
+            return np.zeros(theta0.shape[0]), theta0
+
+        cfg = inner_config(
+            activation=kind, lam=lam, strategy="projected-gradient", restarts=restarts
+        )
+        with mock.patch.object(greedy, "_ascend_batch", recording):
+            inner_maximize(R, X, cfg, np.random.default_rng(0), cover_cache=cache)
+        np.testing.assert_array_equal(np.concatenate(inits), cache.thetas[seeds])
+
+
 class TestSharedCoverScores:
-    """Each step scores the cover once; the -R scores are the negated +R ones."""
+    """Each step scores the cover once, approximately, from the float32 half
+    cache; the -R scores are the negated +R ones, and the float64 re-scores
+    of the units the error bound cannot rule out take every decision."""
 
     @pytest.mark.parametrize("kind", ["ramp", "sine", "tanh"])
     def test_half_cache_scores_match_full_float64(self, kind):
-        # n K = 4096 * 8581 is past the size where the cache once dropped to
-        # float32; every cover unit is scored here directly in float64.
+        # The risk-c8 shape, n = 4096 and K = 8581; every cover unit is
+        # scored here directly in float64.
         rng = np.random.default_rng(11)
         n, d = 4096, 64
         X = np.hstack([rng.uniform(-1, 1, size=(n, d)), np.ones((n, 1))])
@@ -471,14 +521,14 @@ class TestSharedCoverScores:
         act = Activation(kind)
         cache = greedy._build_cover_cache(X, act, m_grid=2, lam=2.0, cap=10**6)
         K = cache.thetas.shape[0]
-        assert n * K > 30_000_000
-        assert cache.values.shape == (n, K // 2) and cache.values.dtype == np.float64
-        direct = np.concatenate(
-            [R @ act(X @ cache.thetas[s : s + 1024].T) / n for s in range(0, K, 1024)]
-        )
-        scores = greedy._score_cover(R, cache)
-        np.testing.assert_allclose(scores, direct, rtol=0, atol=1e-12)
-        assert int(np.argmax(scores)) == int(np.argmax(direct))
+        assert K == 8581
+        assert cache.values.shape == (n, K // 2) and cache.values.dtype == np.float32
+        assert cache.values.nbytes == n * (K // 2) * 4
+        direct = ascent_oracle.exact_scores(R, cache)
+        scores, err = greedy._score_cover(R, cache)
+        assert 0.0 < err < 1e-4 * np.abs(R).mean() * 2.0
+        assert np.abs(scores - direct).max() <= err
+        assert_exact_decisions(R, X, cache, kind, 2.0, [1, 32])
 
     def test_cover_scored_once_per_step(self, rng, monkeypatch):
         calls = []
@@ -489,6 +539,135 @@ class TestSharedCoverScores:
         data, _ = sine_cover_target(rng)
         fit_lpgp(data, GreedyConfig(lam=2.0, m_max=5))
         assert len(calls) == 5
+
+
+class TestCertifiedScores:
+    """The approximate scores stay within their certified bound, and the
+    re-scored set holds every unit a decision can need."""
+
+    @pytest.mark.parametrize("kind", ["ramp", "sine", "tanh"])
+    @pytest.mark.parametrize("design", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 1e6])
+    def test_small_designs(self, kind, design, lam, monkeypatch):
+        sizes = []
+        rescore = greedy._rescore_cover
+        monkeypatch.setattr(
+            greedy,
+            "_rescore_cover",
+            lambda R, cache, idx: sizes.append(idx.shape[0]) or rescore(R, cache, idx),
+        )
+        # Two designs fit one float32 partial sum; two take several, and a
+        # shorter last one.
+        for seed, n in enumerate((37, 700, 1324, 2053)):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(1, 4))
+            if design == "uniform":
+                draw = rng.uniform(-1, 1, size=(n, d))
+            else:
+                draw = rng.normal(size=(n, d))
+            X = np.hstack([draw, np.ones((n, 1))])
+            R = rng.normal(size=n)
+            cache = greedy._build_cover_cache(X, Activation(kind), m_grid=2, lam=lam, cap=10**6)
+            K = cache.thetas.shape[0]
+            scores, err = greedy._score_cover(R, cache)
+            assert np.abs(scores - ascent_oracle.exact_scores(R, cache)).max() <= err
+            sizes.clear()
+            assert_exact_decisions(R, X, cache, kind, lam, [1, 5, K, K + 7])
+            if kind != "ramp" and lam == 1e6:
+                # sin and tanh of arguments up to 1e6 * max|x|: the bound
+                # covers every score, so every unit is re-scored.
+                assert sizes[0] == K
+            assert sizes[-1] == K  # restarts >= K take every unit
+
+    def test_rescore_does_not_depend_on_the_set(self, monkeypatch):
+        # A unit's float64 score is bit-identical whichever units share its
+        # call or block, so every re-scored set takes the same decisions.
+        rng = np.random.default_rng(6)
+        n = 1000
+        X = np.hstack([rng.uniform(-1, 1, size=(n, 8)), np.ones((n, 1))])
+        R = rng.normal(size=n)
+        for kind in ("ramp", "sine"):
+            cache = greedy._build_cover_cache(X, Activation(kind), m_grid=2, lam=2.0, cap=10**6)
+            K = cache.thetas.shape[0]
+            full = ascent_oracle.exact_scores(R, cache)
+            for k in (1, 2, 3, 17, 150, K):
+                idx = np.sort(rng.choice(K, size=k, replace=False))
+                np.testing.assert_array_equal(greedy._rescore_cover(R, cache, idx), full[idx])
+                with monkeypatch.context() as m:
+                    m.setattr(greedy, "_BLOCK_CELLS", 7 * n)
+                    np.testing.assert_array_equal(greedy._rescore_cover(R, cache, idx), full[idx])
+
+    def test_nonfinite_approximation_rescores_everything(self, monkeypatch):
+        # 1e39 overflows float32: the cached values are not finite, so every
+        # unit is re-scored in float64, silently.
+        rng = np.random.default_rng(3)
+        n = 50
+        X = np.hstack([rng.uniform(-1, 1, size=(n, 2)), np.ones((n, 1))])
+        X[0, 0] = 1e39
+        R = rng.normal(size=n)
+        sizes = []
+        rescore = greedy._rescore_cover
+        monkeypatch.setattr(
+            greedy,
+            "_rescore_cover",
+            lambda R, cache, idx: sizes.append(idx.shape[0]) or rescore(R, cache, idx),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = greedy._build_cover_cache(X, Activation("ramp"), m_grid=2, lam=2.0, cap=10**6)
+            scores, err = greedy._score_cover(R, cache)
+            assert not np.isfinite(scores).all()
+            K = cache.thetas.shape[0]
+            np.testing.assert_array_equal(greedy._rescore_set(scores, err, 1, True), np.arange(K))
+            assert_exact_decisions(R, X, cache, "ramp", 2.0, [3])
+        assert sizes == [cache.thetas.shape[0]] * 2
+
+    @pytest.mark.parametrize("kind", ["sine", "tanh"])
+    def test_float32_activation_within_allowance(self, kind):
+        # The bound allows _ACT_ULPS float32 spacings at 1 for numpy's
+        # float32 sine and tanh, and values in [-1, 1].
+        rng = np.random.default_rng(9)
+        act = Activation(kind)
+        u = np.concatenate(
+            [rng.uniform(-s, s, size=100_000) for s in (1e-3, 1.0, 10.0, 1e3, 1e6, 1e12)]
+        ).astype(np.float32)
+        approx = act(u)
+        assert approx.dtype == np.float32 and np.abs(approx).max() <= 1.0
+        err = np.abs(approx.astype(np.float64) - act(u.astype(np.float64)))
+        assert err.max() <= greedy._ACT_ULPS * 2.0**-23
+
+    @pytest.mark.parametrize("kind", ["ramp", "sine", "tanh"])
+    def test_huge_lam_fit_matches_full_rescore(self, kind, monkeypatch):
+        # The CLI setup lam = 1e12, d = 4 (see test_cli's -W error run): the
+        # certified path chooses the units a float64 search of every cover
+        # unit chooses.  For sine and tanh the bound covers every score
+        # there; ramp scores scale with lam, and so does the bound.
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-1, 1, size=(200, 4))
+        data = make_dataset(X, np.cos(X @ np.array([1.0, -1.0, 0.5, 0.5])), seed=4)
+        cfg = GreedyConfig(lam=1e12, m_max=8, activation=kind)
+        sizes = []
+        rescore = greedy._rescore_cover
+        monkeypatch.setattr(
+            greedy,
+            "_rescore_cover",
+            lambda R, cache, idx: sizes.append(idx.shape[0]) or rescore(R, cache, idx),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = fit_lpgp(data, cfg)
+        if kind != "ramp":
+            assert sizes == [61] * cfg.m_max  # K for d + 1 = 5, m_grid = 2
+        with mock.patch.object(
+            greedy, "_rescore_set", lambda scores, err, top, both: np.arange(scores.shape[0])
+        ):
+            full = fit_lpgp(data, cfg)
+        for rec, ref in zip(path.records, full.records, strict=True):
+            (_, unit), (_, ref_unit) = rec.model.terms[-1], ref.model.terms[-1]
+            np.testing.assert_array_equal(unit.theta, ref_unit.theta)
+            assert unit.sign == ref_unit.sign
+            assert (rec.alpha, rec.beta, rec.train_mse) == (ref.alpha, ref.beta, ref.train_mse)
+            assert rec.inner_value == pytest.approx(ref.inner_value, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +830,7 @@ class TestLineSearchOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("line_search evaluated a model")
 
-        monkeypatch.setattr(greedy, "eval_unit", forbidden)
+        monkeypatch.setattr(RidgeUnit, "evaluate_lifted", forbidden)
         monkeypatch.setattr(RidgeModel, "evaluate", forbidden)
         F, H, Y = rng.normal(size=(3, 30))
         for w in ORACLE_PENALTIES:
@@ -818,7 +997,7 @@ class TestFitLpgp:
         restarts = min(cfg.restarts, K) if cfg.strategy == "projected-gradient" else 0
         for m, rec in enumerate(path.records, start=1):
             assert rec.diagnostics["n_candidates"] == 1 + signs * (K + restarts)
-            scores = greedy._score_cover(data.Y - path.model_at(m - 1)(X), cache)
+            scores = ascent_oracle.exact_scores(data.Y - path.model_at(m - 1)(X), cache)
             assert rec.diagnostics["cover_value"] == pytest.approx(np.abs(scores).max(), rel=1e-12)
 
     def test_zero_steps_empty_path(self, rng):
