@@ -288,8 +288,8 @@ class _CoverCache:
     The cover rows are in lexicographic order, so row K-1-k is -(row k) and
     the middle row is 0; only the first K//2 rows are evaluated, in float32.
     ``_score_cover`` derives approximate scores of every row from them, with
-    the bound ``unit_error * ||R||_1 / n`` on their error against the
-    float64 scores of ``_rescore_cover``.
+    the bound ``unit_error * ||R||_1 / n + floor_error`` on their error
+    against the float64 scores of ``_rescore_cover``.
     """
 
     thetas: np.ndarray  # (K, D) float64, all cover rows
@@ -297,6 +297,7 @@ class _CoverCache:
     XT: np.ndarray  # (D, n) float64, contiguous: the design the values were taken on
     activation: Activation
     unit_error: float  # the certified score error per unit of ||R||_1 / n
+    floor_error: float  # the certified score error from underflow, for any R
 
 
 # Cells per block of the cache build: small enough that the activation runs
@@ -318,19 +319,31 @@ def _gamma(k: int, u: float) -> float:
     return k * u / (1.0 - k * u)
 
 
-def _unit_error(n: int, D: int, lam: float, xmax: float, activation: Activation) -> float:
-    """The bound e of ``_score_cover`` divided by ||R||_1 / n; see there."""
+def _score_error(
+    n: int, D: int, lam: float, xmax: float, activation: Activation
+) -> tuple[float, float]:
+    """The bound e of ``_score_cover`` as (unit_error, floor_error): e is
+    unit_error * ||R||_1 / n + floor_error; see there."""
     u, u64 = 2.0**-24, 2.0**-53
+    eta, eta64 = 2.0**-126, 2.0**-1022  # the smallest normal float32, float64
+    c = min(n, _SCORE_ROWS)
     reach = lam * xmax  # >= |x . theta| for every row x and cover row theta
-    if activation.kind == "ramp":
-        bound, value_error = reach, _gamma(D + 2, u) * reach
-    else:
-        bound = 1.0
-        value_error = min(_gamma(D + 2, u) * reach + _ACT_ULPS * 2.0**-23, 2.0)
-    dot_error = _gamma(min(n, _SCORE_ROWS) + 1, u) * (1.0 + _gamma(D + 2, u)) * bound
-    rounding32 = value_error + dot_error
-    rounding64 = 4.0 * _gamma(n + 2 * D + 16, u64) * (reach + bound) + 2.0 * _ACT_ULPS * 2.0**-52
-    return (rounding32 + rounding64) * (1.0 + 2.0**-20)
+    bound = reach if activation.kind == "ramp" else 1.0
+    under = eta * (lam + D * xmax + 3 * D) * (1.0 + _gamma(D + 2, u))  # A
+    value_error = _gamma(D + 2, u) * reach + under
+    if activation.kind != "ramp":
+        value_error = min(value_error + _ACT_ULPS * 2.0**-23, 2.0)
+    top = (1.0 + _gamma(D + 2, u)) * bound + under  # M' >= every |cached value|
+    rounding32 = value_error + _gamma(c + 1, u) * top
+    rounding64 = (
+        4.0 * _gamma(n + 2 * D + 16, u64) * (reach + bound)
+        + 2.0 * _ACT_ULPS * 2.0**-52
+        + 2.0 * eta64 * (lam + D * xmax + 3 * D) * (1.0 + _gamma(D + 2, u64))
+    )
+    unit_error = (rounding32 + rounding64) * (1.0 + 2.0**-20)
+    floor32 = eta * (top + 2.0) * (1.0 + _gamma(c, u))
+    floor64 = eta64 * (4.0 * lam + 2 * D + 16 + unit_error)
+    return unit_error, (floor32 + floor64) * (1.0 + 2.0**-20)
 
 
 def _build_cover_cache(
@@ -347,8 +360,10 @@ def _build_cover_cache(
             np.matmul(X32[start : start + block], half.T, out=out)
             activation(out, out=out)
     xmax = float(np.abs(X).max(initial=0.0))
-    unit_error = _unit_error(X.shape[0], X.shape[1], lam, xmax, activation)
-    return _CoverCache(cover.thetas, values, np.ascontiguousarray(X.T), activation, unit_error)
+    unit_error, floor_error = _score_error(X.shape[0], X.shape[1], lam, xmax, activation)
+    return _CoverCache(
+        cover.thetas, values, np.ascontiguousarray(X.T), activation, unit_error, floor_error
+    )
 
 
 def _cover_cache_for(
@@ -382,54 +397,66 @@ def _score_cover(R: np.ndarray, cover_cache: _CoverCache) -> tuple[np.ndarray, f
     tanh) and, since ramp(-u) = ramp(u) - u, s_k - (row k) . (X^T R) / n for
     the ramp, that term in float64.  The middle row is 0 and scores 0.
 
-    The bound (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).
-    Let u = 2^-24, gamma_k = k u / (1 - k u), D the columns of X, c the rows
-    per partial sum (n if fewer), xmax = max |X_ij|, lam >= ||theta_k||_1
-    and M >= |phi(X_i . theta_k)|: lam xmax for the ramp, 1 for sine and
-    tanh.  Each cached value is phi of a float32 product of X and theta_k,
-    both rounded to float32: two roundings of the inputs and D of the
-    product put it within gamma_{D+2} sum_j |X_ij theta_kj| <=
-    gamma_{D+2} lam xmax of X_i . theta_k, and phi is 1-Lipschitz.  The
-    float32 ramp max(., 0) is exact; the float32 sine and tanh add at most
-    _ACT_ULPS float32 spacings at 1, and their values stay in [-1, 1], so
-    the value error is at most 2 there.  Rounding R to float32 and a float32
-    dot product over c rows add gamma_{c+1} sum_i |R_i| |v_ik|, and
-    sum_i |R_i| |v_ik| <= ||R||_1 M (1 + gamma_{D+2}).  So
+    The bound (Higham, Accuracy and Stability of Numerical Algorithms, 3.1
+    and 2.1 for underflow).  Let u = 2^-24, gamma_k = k u / (1 - k u), D the
+    columns of X, c the rows per partial sum (n if fewer), xmax = max |X_ij|,
+    lam >= ||theta_k||_1 and M >= |phi(X_i . theta_k)|: lam xmax for the
+    ramp, 1 for sine and tanh.  A float32 rounding or operation has relative
+    error at most u, plus an absolute error below eta = 2^-126 (the smallest
+    normal float32) when its result underflows, with gradual underflow or
+    with flush to zero.  Each cached value is phi of a float32 product of X
+    and theta_k, both rounded to float32: two roundings of the inputs and D
+    of the product put it within gamma_{D+2} sum_j |X_ij theta_kj| + A <=
+    gamma_{D+2} lam xmax + A of X_i . theta_k, where A = eta (lam + D xmax
+    + 3D) (1 + gamma_{D+2}) bounds the underflow of the two input roundings
+    (eta |theta_kj| and eta |X_ij| per term) and of the D products and D - 1
+    sums; phi is 1-Lipschitz.  The float32 ramp max(., 0) is exact; the
+    float32 sine and tanh add at most _ACT_ULPS float32 spacings at 1, and
+    their values stay in [-1, 1], so the value error is at most 2 there.
+    Every cached value is then at most M' = (1 + gamma_{D+2}) M + A in
+    magnitude.  Rounding R to float32 and a float32 dot product over c rows
+    add gamma_{c+1} sum_i |R_i| |v_ik| <= gamma_{c+1} ||R||_1 M', plus an
+    underflow of at most eta |v_ik| from rounding R_i and eta for each of its
+    product and sum, 2 + M' times eta (1 + gamma_c) per row.  So
 
-        |approx - exact| <= ||R||_1 / n * (gamma_{D+2} lam xmax + a_phi
-                            + gamma_{c+1} (1 + gamma_{D+2}) M)
+        |approx - exact| <= ||R||_1 / n * (gamma_{D+2} lam xmax + A + a_phi
+                            + gamma_{c+1} M')  +  eta (M' + 2) (1 + gamma_c)
 
     with a_phi = 0 for the ramp, _ACT_ULPS 2^-23 for sine and tanh (and the
-    first two terms capped at 2 there).  The float64 steps, on both sides (the
-    direct scores of ``_rescore_cover``, the float64 sum of the partial sums
-    and the ramp's linear term), add 4 gamma'_{n+2D+16} (lam xmax + M) plus
-    2 _ACT_ULPS 2^-52 per unit of ||R||_1 / n, with gamma' taken at
-    u' = 2^-53; e, computed in float64, is inflated by 1 + 2^-20 to cover
-    its own rounding and that of the re-score thresholds.  A score or e that
-    is not finite certifies nothing; ``_rescore_set`` then keeps every unit.
+    first three terms capped at 2 there).  The float64 steps, on both sides
+    (the direct scores of ``_rescore_cover``, the float64 sum of the partial
+    sums and the ramp's linear term), add 4 gamma'_{n+2D+16} (lam xmax + M),
+    2 _ACT_ULPS 2^-52 and A' = 2 eta' (lam + D xmax + 3D) (1 + gamma'_{D+2})
+    (the float64 A of both sides) per unit of ||R||_1 / n, with gamma' taken
+    at u' = 2^-53, and an underflow below eta' (4 lam + 2D + 16 + that unit
+    error), eta' = 2^-1022, which also covers the underflow of ||R||_1 and
+    of the re-score thresholds.  e, computed in float64, is inflated by
+    1 + 2^-20 to cover its own rounding and that of the thresholds; its
+    R-free part is ``floor_error``, so when R, theta or X is so small that
+    the scores sit near the underflow range, e covers them all and every
+    unit is re-scored.  A score or e that is not finite certifies nothing;
+    ``_rescore_set`` then keeps every unit.
     """
     values = cover_cache.values
     n, half = values.shape
     with np.errstate(over="ignore", invalid="ignore"):
         R32 = R.astype(np.float32)
-        if n <= _SCORE_ROWS:
-            first = np.divide(R32 @ values, n, dtype=np.float64)
-        else:
-            full = n - n % _SCORE_ROWS
-            parts = np.matmul(
-                R32[:full].reshape(-1, 1, _SCORE_ROWS),
-                values[:full].reshape(-1, _SCORE_ROWS, half),
-            )
-            first = parts.sum(axis=(0, 1), dtype=np.float64)
-            if full < n:
-                first += R32[full:] @ values[full:]
-            first /= n
+        full = n - n % _SCORE_ROWS
+        parts = np.matmul(
+            R32[:full].reshape(-1, 1, _SCORE_ROWS),
+            values[:full].reshape(-1, _SCORE_ROWS, half),
+        )
+        first = parts.sum(axis=(0, 1), dtype=np.float64)
+        if full < n:
+            first += R32[full:] @ values[full:]
+        first /= n
         if cover_cache.activation.kind == "ramp":
             mirror = first - cover_cache.thetas[:half] @ (cover_cache.XT @ R / n)
         else:
             mirror = -first
         scores = np.concatenate([first, [0.0], mirror[::-1]])
-    return scores, cover_cache.unit_error * float(np.abs(R).sum()) / n
+    err = cover_cache.unit_error * float(np.abs(R).sum()) / n + cover_cache.floor_error
+    return scores, err
 
 
 def _rescore_set(scores: np.ndarray, err: float, top: int, both: bool) -> np.ndarray:
@@ -565,7 +592,7 @@ def inner_maximize(
     act = Activation(config.activation)
     diagnostics: dict = {"strategy": config.strategy, "cover_value": math.nan, "n_candidates": 1}
 
-    if not R.any():
+    if not np.any(R):
         diagnostics["cover_value"] = 0.0
         return InnerResult(np.zeros(D), 0.0, 1, diagnostics)
 
@@ -582,7 +609,7 @@ def inner_maximize(
         exact = _rescore_cover(R, cover_cache, idx)
         signed = [exact if sign == 1 else -exact for sign in signs]
         for head, score in zip(heads, signed):
-            j = int(score.argmax())
+            j = int(np.argmax(score))
             head.append((float(score[j]), cover_cache.thetas[idx[j]]))
         diagnostics["cover_value"] = max(value for head in heads for value, _ in head)
         diagnostics["n_candidates"] += len(signs) * K

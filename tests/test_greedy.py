@@ -579,6 +579,31 @@ class TestCertifiedScores:
                 assert sizes[0] == K
             assert sizes[-1] == K  # restarts >= K take every unit
 
+    @pytest.mark.parametrize("kind", ["ramp", "sine", "tanh"])
+    @pytest.mark.parametrize("lam, r_scale", [(1e-40, 1.0), (2.0, 1e-44), (2.0, 1e-310)])
+    def test_underflow(self, kind, lam, r_scale, monkeypatch):
+        # lam = 1e-40 makes the float32 cover rows and values subnormal, and
+        # R of 1e-44 (1e-310) is subnormal in float32 (float64): rounding
+        # there has an absolute error that a relative bound misses.
+        sizes = []
+        rescore = greedy._rescore_cover
+        monkeypatch.setattr(
+            greedy,
+            "_rescore_cover",
+            lambda R, cache, idx: sizes.append(idx.shape[0]) or rescore(R, cache, idx),
+        )
+        for seed, n in enumerate((37, 700, 1324)):
+            rng = np.random.default_rng(seed)
+            X = np.hstack([rng.uniform(-1, 1, size=(n, 2)), np.ones((n, 1))])
+            R = rng.normal(size=n) * r_scale
+            cache = greedy._build_cover_cache(X, Activation(kind), m_grid=2, lam=lam, cap=10**6)
+            K = cache.thetas.shape[0]
+            scores, err = greedy._score_cover(R, cache)
+            assert np.abs(scores - ascent_oracle.exact_scores(R, cache)).max() <= err
+            sizes.clear()
+            assert_exact_decisions(R, X, cache, kind, lam, [1, 5])
+            assert sizes[0] == K  # the scores sit below the underflow floor
+
     def test_rescore_does_not_depend_on_the_set(self, monkeypatch):
         # A unit's float64 score is bit-identical whichever units share its
         # call or block, so every re-scored set takes the same decisions.
