@@ -55,7 +55,7 @@ from .targets import (
     Noise,
     SpectralTarget,
     gen_dataset,
-    mc_l2_sq_distance,
+    mc_l2_sq_distance_to,
     sample_ramp_model,
     spectral_norm,
     write_csv,
@@ -452,13 +452,15 @@ def _cmd_approx_rate(config: RunConfig) -> int:
     d = config["d"]
     v2 = spectral_norm(target, 2.0)
     m_grid = config["ar_m_grid"] or (8, 16, 32, 64)
+    # One Monte Carlo design and one evaluation of the target for every draw.
+    distance = mc_l2_sq_distance_to(
+        target, d, n_points=config["mc_points"], seed=config["seed"] + 7919
+    )
     rows = []
     for m in m_grid:
         result = best_of(
             lambda rng, m=m: sample_ramp_model(target, m, rng),
-            lambda model: mc_l2_sq_distance(
-                model, target, d, n_points=config["mc_points"], seed=config["seed"] + 7919
-            ),
+            distance,
             k=config["draws"],
             seed=config["seed"],
         )

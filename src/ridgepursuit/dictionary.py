@@ -70,9 +70,14 @@ class Activation:
         return _BOUNDS[self.kind]
 
     def derivative(self, u: np.ndarray | float) -> np.ndarray | float:
-        """Pointwise derivative (subgradient 0 at the ramp kink)."""
+        """Pointwise derivative (subgradient 0 at the ramp kink).
+
+        An array gives a float64 array; a scalar (or 0-d array) gives a numpy
+        float64 scalar, for every kind.  The ramp's derivative is the 0/1 cast
+        of u > 0, so nan maps to 0.0 and both signed zeros to +0.0.
+        """
         if self.kind == "ramp":
-            return np.where(np.asarray(u) > 0.0, 1.0, 0.0)
+            return (np.asarray(u) > 0.0).astype(float)
         if self.kind == "sine":
             return np.cos(u)
         t = np.tanh(u)

@@ -507,22 +507,37 @@ def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
 
     ``v`` is one vector or a (k, D) stack whose rows are projected one by
     one (Duchi et al. 2008); rows already inside the ball are copied as is.
+    A stack with every row outside (the usual case in the ascent) is shrunk
+    directly, one with none outside is copied without a sort, and only a
+    mixed stack gathers its outside rows and scatters them back.  Each row's
+    arithmetic is the same on every path, so the result is too, bit for bit.
     """
     v = np.asarray(v, dtype=float)
     rows = np.atleast_2d(v)
-    out = rows.copy()
     mag = np.abs(rows)
     outside = mag.sum(axis=1) > radius
-    if outside.any():
-        mag = mag[outside]
-        u = np.sort(mag, axis=1)[:, ::-1]
-        css = np.cumsum(u, axis=1)
-        idx = np.arange(1, u.shape[1] + 1)
-        # The last index where u_j j > css_j - radius; index 0 always qualifies.
-        rho = u.shape[1] - 1 - np.argmax((u * idx > css - radius)[:, ::-1], axis=1)
-        tau = (css[np.arange(rho.shape[0]), rho] - radius) / (rho + 1.0)
-        out[outside] = np.sign(rows[outside]) * np.maximum(mag - tau[:, None], 0.0)
+    if not outside.any():
+        out = rows.copy()
+    elif outside.all():
+        out = _shrink_l1(rows, mag, radius)
+    else:
+        out = rows.copy()
+        out[outside] = _shrink_l1(rows[outside], mag[outside], radius)
     return out if v.ndim > 1 else out[0]
+
+
+def _shrink_l1(rows: np.ndarray, mag: np.ndarray, radius: float) -> np.ndarray:
+    """Soft-threshold each row of a non-empty stack onto the l1 sphere.
+
+    ``mag`` is ``abs(rows)`` and every row's l1 norm exceeds ``radius``.
+    """
+    u = np.sort(mag, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    idx = np.arange(1, u.shape[1] + 1)
+    # The last index where u_j j > css_j - radius; index 0 always qualifies.
+    rho = u.shape[1] - 1 - np.argmax((u * idx > css - radius)[:, ::-1], axis=1)
+    tau = (css[np.arange(rho.shape[0]), rho] - radius) / (rho + 1.0)
+    return np.sign(rows) * np.maximum(mag - tau[:, None], 0.0)
 
 
 def _searches_both_signs(act: Activation, cover_cache: _CoverCache | None) -> bool:
@@ -666,10 +681,14 @@ def _ascend_batch(
     applied after each product (negation is exact), and ascends on its own:
     a candidate is accepted only if it raises that row's value, otherwise
     the row's step halves, and the row stops (and is frozen) once its step
-    falls below 1e-14 step0 or after ``_PG_STEPS`` iterations.  Per iteration the live rows share one
-    gradient product, one row-wise projection and one product for the
+    falls below 1e-14 step0 or after ``_PG_STEPS`` iterations.  Per
+    iteration the live rows share one gradient product, one row-wise
+    projection (usually of a stack with every row outside the ball, which
+    ``project_l1`` shrinks without a gather) and one product for the
     candidates' values, whose Z = Theta X^T is kept for the next gradient.
-    Returns the accepted values (k,) and parameters (k, D).
+    The candidate arrays become the current ones; only rejected rows are
+    copied back from the old ones, and an iteration that accepts every row
+    copies nothing.  Returns the accepted values (k,) and parameters (k, D).
     """
     n = X.shape[0]
     XT = np.ascontiguousarray(X.T)
@@ -681,16 +700,20 @@ def _ascend_batch(
     current = sign * (act(Z) @ R) / n
     step = np.full(live.shape[0], step0)
     for _ in range(_PG_STEPS):
-        grad = sign[:, None] * ((act.derivative(Z) * R) @ X) / n
+        slope = act.derivative(Z)
+        slope *= R
+        grad = sign[:, None] * (slope @ X) / n
         cand = project_l1(theta + step[:, None] * grad, lam)
         Z_cand = cand @ XT
         value = sign * (act(Z_cand) @ R) / n
-        up = value > current
-        np.copyto(theta, cand, where=up[:, None])
-        np.copyto(Z, Z_cand, where=up[:, None])
-        np.copyto(current, value, where=up)
-        step[~up] *= 0.5
-        stop = ~up & (step < 1e-14 * step0)
+        down = ~(value > current)
+        stop = down
+        if down.any():
+            # A rejected row keeps its point, Z and value, and halves its step.
+            cand[down], Z_cand[down], value[down] = theta[down], Z[down], current[down]
+            step[down] *= 0.5
+            stop = down & (step < 1e-14 * step0)
+        theta, Z, current = cand, Z_cand, value
         if stop.any():
             values[live[stop]], thetas[live[stop]] = current[stop], theta[stop]
             keep = ~stop

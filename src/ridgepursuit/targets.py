@@ -30,6 +30,7 @@ __all__ = [
     "ramp_sampler_normalizer",
     "gen_dataset",
     "mc_l2_sq_distance",
+    "mc_l2_sq_distance_to",
     "write_csv",
     "write_dataset_csv",
     "read_dataset_csv",
@@ -346,10 +347,28 @@ def mc_l2_sq_distance(
 
     P is the design law on [-1,1]^d; both arguments take batches (n, d).
     """
+    return mc_l2_sq_distance_to(g, d, n_points, seed, design)(f)
+
+
+def mc_l2_sq_distance_to(
+    g, d: int, n_points: int = 10**5, seed: int = 20_000, design: str = "uniform"
+) -> Callable[[Callable], float]:
+    """f -> ``mc_l2_sq_distance(f, g, ...)``, drawing the design and g's values once.
+
+    Scoring many callables against one g then costs one evaluation of each.
+    The design and g's values are read-only, so threads may share the scorer.
+    """
     rng = np.random.default_rng(seed)
     X = _draw_design(n_points, d, rng, design)
-    diff = np.asarray(f(X), dtype=float) - np.asarray(g(X), dtype=float)
-    return float(np.mean(diff**2))
+    X.setflags(write=False)
+    g_values = np.array(g(X), dtype=float)
+    g_values.setflags(write=False)
+
+    def distance(f) -> float:
+        diff = np.asarray(f(X), dtype=float) - g_values
+        return float(np.mean(diff**2))
+
+    return distance
 
 
 # ----------------------------------------------------------------------------

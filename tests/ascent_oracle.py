@@ -1,7 +1,16 @@
-"""The serial projected-gradient ascent the batched one in
-``ridgepursuit.greedy`` replaced, kept as a test oracle.
+"""Earlier projected-gradient ascents and l1 projection of
+``ridgepursuit.greedy``, kept as test oracles.
 
-``_ascend_projected`` below is the earlier implementation unchanged: one
+``project_l1`` and ``_ascend_batch`` below are the batched projection and
+ascent before their per-iteration overhead was cut, copied unchanged: the
+projection gathers the rows outside the ball and scatters them back on every
+call, and the ascent merges accepted rows with masked copies.  The current
+kernels must match them bit for bit.  The ascent takes phi' from
+``Activation.derivative``, whose ramp branch ``test_dictionary`` pins to the
+earlier ``np.where(u > 0, 1.0, 0.0)``.
+
+``_ascend_projected`` is the serial implementation the batched ascent
+replaced, unchanged apart from using the projection above: one
 restart at a time, one matrix-vector product per gradient and per value, and
 one l1 projection per iteration.  ``score``, ``step0`` and ``random_inits``
 rebuild what the serial ``inner_maximize`` passed it.  ``two_sign_search``
@@ -14,7 +23,81 @@ every cover unit.
 import numpy as np
 
 from ridgepursuit import Activation, GreedyConfig
-from ridgepursuit.greedy import _PG_STEPS, _rescore_cover, project_l1
+from ridgepursuit.greedy import _PG_STEPS, _rescore_cover
+
+
+def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection onto the l1 ball of the given radius (sort-based).
+
+    ``v`` is one vector or a (k, D) stack whose rows are projected one by
+    one (Duchi et al. 2008); rows already inside the ball are copied as is.
+    """
+    v = np.asarray(v, dtype=float)
+    rows = np.atleast_2d(v)
+    out = rows.copy()
+    mag = np.abs(rows)
+    outside = mag.sum(axis=1) > radius
+    if outside.any():
+        mag = mag[outside]
+        u = np.sort(mag, axis=1)[:, ::-1]
+        css = np.cumsum(u, axis=1)
+        idx = np.arange(1, u.shape[1] + 1)
+        # The last index where u_j j > css_j - radius; index 0 always qualifies.
+        rho = u.shape[1] - 1 - np.argmax((u * idx > css - radius)[:, ::-1], axis=1)
+        tau = (css[np.arange(rho.shape[0]), rho] - radius) / (rho + 1.0)
+        out[outside] = np.sign(rows[outside]) * np.maximum(mag - tau[:, None], 0.0)
+    return out if v.ndim > 1 else out[0]
+
+
+def _ascend_batch(
+    R: np.ndarray,
+    X: np.ndarray,
+    act: Activation,
+    inits: np.ndarray,
+    sign: np.ndarray,
+    lam: float,
+    step0: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradient ascent from every row of ``inits`` at once.
+
+    Row i maximizes (1/n) sum_j sign_i R_j phi(theta . X_j), sign_i = +-1
+    applied after each product (negation is exact), and ascends on its own:
+    a candidate is accepted only if it raises that row's value, otherwise
+    the row's step halves, and the row stops (and is frozen) once its step
+    falls below 1e-14 step0 or after ``_PG_STEPS`` iterations.  Per iteration the live rows share one
+    gradient product, one row-wise projection and one product for the
+    candidates' values, whose Z = Theta X^T is kept for the next gradient.
+    Returns the accepted values (k,) and parameters (k, D).
+    """
+    n = X.shape[0]
+    XT = np.ascontiguousarray(X.T)
+    values = np.empty(inits.shape[0])
+    thetas = np.empty(inits.shape)
+    live = np.arange(inits.shape[0])
+    theta = project_l1(inits, lam)
+    Z = theta @ XT
+    current = sign * (act(Z) @ R) / n
+    step = np.full(live.shape[0], step0)
+    for _ in range(_PG_STEPS):
+        grad = sign[:, None] * ((act.derivative(Z) * R) @ X) / n
+        cand = project_l1(theta + step[:, None] * grad, lam)
+        Z_cand = cand @ XT
+        value = sign * (act(Z_cand) @ R) / n
+        up = value > current
+        np.copyto(theta, cand, where=up[:, None])
+        np.copyto(Z, Z_cand, where=up[:, None])
+        np.copyto(current, value, where=up)
+        step[~up] *= 0.5
+        stop = ~up & (step < 1e-14 * step0)
+        if stop.any():
+            values[live[stop]], thetas[live[stop]] = current[stop], theta[stop]
+            keep = ~stop
+            live, theta, Z = live[keep], theta[keep], Z[keep]
+            current, step, sign = current[keep], step[keep], sign[keep]
+            if not live.shape[0]:
+                break
+    values[live], thetas[live] = current, theta
+    return values, thetas
 
 
 def exact_scores(R: np.ndarray, cover_cache) -> np.ndarray:

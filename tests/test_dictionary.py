@@ -79,6 +79,28 @@ class TestActivation:
     def test_derivative_subgradient_at_kink(self):
         assert Activation("ramp").derivative(np.array([0.0]))[0] == 0.0
 
+    def test_ramp_derivative_is_the_where_form_bit_for_bit(self):
+        tiny = np.finfo(float).smallest_subnormal
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-300, -1e-300, 0.5, -2.0]
+        for u in (np.array(special), np.array(special[:10]).reshape(2, 5)):
+            got = Activation("ramp").derivative(u)
+            want = np.where(u > 0, 1.0, 0.0)
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.shape == u.shape
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("u", [0.5, -0.5, 0.0, -0.0, np.float64(2.0), np.array(0.25)])
+    def test_derivative_of_a_scalar_is_a_float64_scalar(self, u):
+        # Every kind returns a numpy float64 scalar (not a 0-d array) for a
+        # scalar or 0-d input; the ramp's value is the where form's.
+        for kind in ("ramp", "sine", "tanh"):
+            got = Activation(kind).derivative(u)
+            assert type(got) is np.float64
+        got = Activation("ramp").derivative(u)
+        assert got == np.where(np.asarray(u) > 0, 1.0, 0.0)
+        assert not np.signbit(got)
+
 
 # ---------------------------------------------------------------------------
 # Units and evaluation

@@ -182,6 +182,36 @@ class TestProjectL1:
             np.testing.assert_array_equal(projected, project_l1(row, radius))
         np.testing.assert_array_equal(out[:3], V[:3])
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 19),
+        D=st.integers(1, 29),
+        radius=st.floats(0.1, 10.0, allow_nan=False),
+        layout=st.sampled_from(["outside", "inside", "mixed"]),
+    )
+    def test_matches_oracle_bit_for_bit(self, seed, k, D, radius, layout):
+        # Stacks with every row outside the ball, with none, and with both
+        # reach the three paths of project_l1; each must give the earlier
+        # projection's bits, signed zeros included.
+        rng = np.random.default_rng(seed)
+        k = max(k, 2) if layout == "mixed" else k
+        V = rng.normal(scale=rng.uniform(0.01, 5.0), size=(k, D))
+        V[rng.random(V.shape) < 0.2] = -0.0
+        V[:, 0] = rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.1, 1.0, size=k)
+        inside = {"outside": np.zeros(k, bool), "inside": np.ones(k, bool)}.get(
+            layout, np.arange(k) % 2 == 1
+        )
+        scale = np.where(inside, rng.uniform(0.0, 0.99, size=k), rng.uniform(1.01, 5.0, size=k))
+        V *= (scale * radius / np.abs(V).sum(axis=1))[:, None]
+        outside = np.abs(V).sum(axis=1) > radius
+        assert np.array_equal(outside, ~inside)
+        for stack in (V, V[0]):
+            got, want = project_l1(stack, radius), ascent_oracle.project_l1(stack, radius)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert got is not stack and not np.shares_memory(got, stack)
+
 
 # ---------------------------------------------------------------------------
 # Inner maximization
@@ -385,6 +415,36 @@ class TestBatchedAscent:
                 score, act, sign * R, X, theta0, cfg, step0
             )
             assert abs(batched - value) <= tol
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["ramp", "sine", "tanh"]),
+        rows=st.integers(1, 40),
+        lam=st.floats(0.1, 10.0, allow_nan=False),
+    )
+    def test_matches_batched_oracle_bit_for_bit(self, seed, kind, rows, lam):
+        # The earlier batched ascent, copied unchanged into the oracle, gives
+        # the same bits: values, parameters and the signs of their zeros.
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(8, 60)), int(rng.integers(1, 5))
+        X = np.hstack([rng.uniform(-1, 1, size=(n, d)), np.ones((n, 1))])
+        R = rng.normal(size=n)
+        act = Activation(kind)
+        inits = rng.normal(scale=rng.uniform(0.01, 3.0), size=(rows, d + 1))
+        inits[rng.random(inits.shape) < 0.2] = -0.0
+        sign = rng.choice([-1.0, 1.0], size=rows)
+        if rows > 1:
+            sign[0] = -sign[-1]  # both signs in one batch
+        step0 = ascent_oracle.step0(R, X)
+        args = (R, X, act, inits, sign, lam, step0)
+        frozen = [a.copy() for a in (R, X, inits, sign)]
+        values, thetas = greedy._ascend_batch(*args)
+        want_values, want_thetas = ascent_oracle._ascend_batch(*args)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(thetas, want_thetas)
+        assert np.array_equal(np.signbit(thetas), np.signbit(want_thetas))
+        for before, after in zip(frozen, (R, X, inits, sign)):
+            assert np.array_equal(before, after)
 
     @given(**SIGNED_SEARCH_CASES)
     def test_signed_search_matches_two_sign_oracle(self, seed, kind, restarts, cover):

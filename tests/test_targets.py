@@ -17,6 +17,7 @@ from ridgepursuit import (
     eval_target,
     gen_dataset,
     mc_l2_sq_distance,
+    mc_l2_sq_distance_to,
     ramp_sampler_normalizer,
     read_dataset_csv,
     sample_ramp_model,
@@ -25,7 +26,7 @@ from ridgepursuit import (
     write_csv,
     write_dataset_csv,
 )
-from ridgepursuit.targets import _abs_cos_integral
+from ridgepursuit.targets import _abs_cos_integral, _draw_design
 
 from conftest import three_se
 
@@ -415,6 +416,20 @@ class TestMcDistance:
         a = mc_l2_sq_distance(t, zero, d=2, n_points=2000, seed=5)
         b = mc_l2_sq_distance(t, zero, d=2, n_points=2000, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("design", ["uniform", "rademacher"])
+    def test_shared_design_scores_every_model_bit_for_bit(self, design):
+        # One scorer draws the design and the target's values once; each
+        # model's score equals a fresh draw computed the original way.
+        t = one_atom_target()
+        distance = mc_l2_sq_distance_to(t, 2, n_points=3000, seed=11, design=design)
+        rng = np.random.default_rng(4)
+        for m in (1, 3, 8):
+            model = sample_ramp_model(t, m, rng)
+            X = _draw_design(3000, 2, np.random.default_rng(11), design)
+            diff = np.asarray(model(X), dtype=float) - np.asarray(t(X), dtype=float)
+            assert distance(model) == float(np.mean(diff**2))
+            assert distance(model) == mc_l2_sq_distance(model, t, 2, 3000, 11, design)
 
 
 class TestWriteCsv:
