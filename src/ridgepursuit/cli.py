@@ -93,15 +93,6 @@ def _float(raw: str) -> float:
     return val
 
 
-def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected true/false, got {raw!r}")
-
-
 def _str(raw: str) -> str:
     return raw.strip()
 
@@ -213,7 +204,6 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     "w_rate": (_float, "0.0"),
     "cover_m_grid": (_at_least(_int, 1), "2"),
     "cover_cap": (_int, "1000000"),
-    "c_report": (_bool, "true"),
     # penalty
     "B": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
     "B_n": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
@@ -257,8 +247,6 @@ class RunConfig:
 
 
 def _render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         if value and isinstance(value[0], tuple):
             return ";".join(",".join(format(x, "g") for x in row) for row in value)
@@ -402,7 +390,6 @@ def _build_greedy_config(config: RunConfig) -> GreedyConfig:
             w=w,
             strategy=config["strategy"],
             restarts=config["restarts"],
-            c_report=config["c_report"],
             cover_m_grid=config["cover_m_grid"],
             cover_cap=config["cover_cap"],
         )

@@ -221,24 +221,30 @@ def enumerate_cover(
     ||c||_1 <= m_grid, built directly in lexicographic order, so row K-1-k
     is the negation of row k and the middle row is zero.  The multiset count
     is C(2d + m_grid, m_grid); enumeration refuses to run past ``cap``
-    multisets.
+    multisets.  For m_grid = 1 the rows are the vertices and zero,
+    lam * (-e_0, ..., -e_{d-1}, 0, e_{d-1}, ..., e_0), built in closed form.
     """
     size, _ = cover_counts(d, m_grid, lam, cap)
     dtype = np.min_scalar_type(-m_grid)
+    if m_grid == 1:
+        eye = np.eye(d, dtype=dtype)
+        ints = np.concatenate([-eye, np.zeros((1, d), dtype=dtype), eye[::-1]])
+    else:
 
-    def prepend(v: int, tail: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.full((tail.shape[0], 1), v, dtype=dtype), tail], axis=1)
+        def prepend(v: int, tail: np.ndarray) -> np.ndarray:
+            return np.concatenate([np.full((tail.shape[0], 1), v, dtype=dtype), tail], axis=1)
 
-    # After t passes, tails[r] holds the integer vectors in Z^t with l1 norm
-    # <= r in lexicographic order; a pass prepends each leading value v in
-    # increasing order, followed by the vectors of budget r - |v|.
-    tails = [np.zeros((1, 0), dtype=dtype)] * (m_grid + 1)
-    for _ in range(d):
-        tails = [
-            np.vstack([prepend(v, tails[r - abs(v)]) for v in range(-r, r + 1)])
-            for r in range(m_grid + 1)
-        ]
-    thetas = np.multiply(tails[m_grid], lam / m_grid, dtype=np.float64)
+        # After t passes, tails[r] holds the integer vectors in Z^t with l1
+        # norm <= r in lexicographic order; a pass prepends each leading value
+        # v in increasing order, followed by the vectors of budget r - |v|.
+        tails = [np.zeros((1, 0), dtype=dtype)] * (m_grid + 1)
+        for _ in range(d):
+            tails = [
+                np.vstack([prepend(v, tails[r - abs(v)]) for v in range(-r, r + 1)])
+                for r in range(m_grid + 1)
+            ]
+        ints = tails[m_grid]
+    thetas = np.multiply(ints, lam / m_grid, dtype=np.float64)
     thetas.setflags(write=False)
     return SparseCover(d=d, m_grid=m_grid, lam=float(lam), thetas=thetas, size=size)
 

@@ -20,7 +20,10 @@ provided every dictionary unit has norm at most 1.
 The inner maximizer searches the signed dictionary {+-phi(theta . x)}: one
 call returns the best unit and its sign, by exhaustive search over an
 enumerated cover of the l1 ball or by projected-gradient ascent restarted from
-the best cover points of each sign.  The restarts of both signs run as one
+the best cover points of each sign.  Every search has a cover: the configured
+one or, when projected gradient's is over the cap, the vertex cover
+{+-lam e_j, 0}.  No random number is drawn, so a fit depends on its data and
+configuration alone.  The restarts of both signs run as one
 batch (in blocks of rows under a fixed cell budget, so a block may hold rows
 of both signs), with one product per gradient and per value and one row-wise
 l1 projection per iteration.  Each step costs one float32 n x K/2 product
@@ -33,8 +36,8 @@ R = Y - f_{m-1}(X), the fitted values and the new unit's values.  Every
 decision taken from the cover scores (the exhaustive argmax, the
 ``cover_value`` diagnostic and the restart seeds) is therefore the one a
 float64 score of every unit gives.  For the odd activations (sine, tanh)
-with a cover, the -R search mirrors the +R one, so only +R is searched.  The
-line search is exact and in closed form for every kind of w.
+the -R search mirrors the +R one, so only +R is searched.  The line search is
+exact and in closed form for every kind of w.
 """
 
 from __future__ import annotations
@@ -168,15 +171,17 @@ class GreedyConfig:
     ``lam`` is the l1 radius of the internal parameter; ``strategy`` selects
     the inner maximizer; ``restarts`` is the number of projected-gradient
     ascents per search, started from the ``restarts`` best-scoring cover
-    points (all of them if the cover is smaller), or from random vertices
-    +-lam e_j when there is no cover, per sign of the residual; the restarts
-    of both signs run as one batch in blocks of at most ``_BLOCK_CELLS // n``
-    rows.  ``c_report`` builds and scores the cover for projected gradient
-    too (exhaustive search always does); ``cover_m_grid`` sets the cover
-    resolution used for exhaustive search, the restart inits, and the
-    ``cover_value`` diagnostic.  Each step searches both signs of the
-    residual, except for the odd activations (sine, tanh) with a cover,
-    where the -R search is the +R one mirrored and only +R is searched.
+    points (all of them if the cover is smaller) per sign of the residual;
+    the restarts of both signs run as one batch in blocks of at most
+    ``_BLOCK_CELLS // n`` rows.  ``cover_m_grid`` sets the cover resolution
+    used for exhaustive search, the restart inits, and the ``cover_value``
+    diagnostic; ``cover_cap`` bounds its multiset count.  Over the cap,
+    exhaustive search raises CoverSizeError and projected gradient seeds
+    from the vertex cover (m_grid = 1, 2D + 1 rows, built without the cap).
+    Each step searches both signs of the residual, except for the odd
+    activations (sine, tanh), where the -R search is the +R one mirrored and
+    only +R is searched.  ``c_report`` is inert: no code reads it, and every
+    strategy builds and scores a cover.
     """
 
     lam: float
@@ -246,11 +251,12 @@ class GreedyPath:
     def measured_c(self) -> float:
         """Largest observed ratio (best cover-grid value) / (achieved value), >= 1.
 
-        This is 1.0 by construction for every strategy: the cover scores are
-        themselves candidates, so the achieved value never falls below the
-        best cover value.  It says nothing about the relaxation factor
-        against the whole l1 ball; ROADMAP item 2 replaces it with certified
-        bounds.
+        This is 1.0 by construction for every strategy: every step scores a
+        cover (the vertex cover when the configured one is over the cap),
+        and the cover scores are themselves candidates, so the achieved
+        value never falls below the best cover value.  It says nothing about
+        the relaxation factor against the whole l1 ball; ROADMAP item 2
+        replaces it with certified bounds.
         """
         worst = 1.0
         for rec in self.records:
@@ -272,7 +278,8 @@ class InnerResult:
     The best unit is sign * phi(theta . x), with correlation ``value`` >= 0
     against the residual.  ``diagnostics["n_candidates"]`` counts every
     candidate scored, over both signs; ``diagnostics["cover_value"]`` is the
-    best signed cover score (nan without a cover).
+    best signed cover score, always finite, since every search scores a
+    cover (0 when the residual is zero).
     """
 
     theta: np.ndarray
@@ -366,17 +373,16 @@ def _build_cover_cache(
     )
 
 
-def _cover_cache_for(
-    X: np.ndarray, activation: Activation, config: GreedyConfig
-) -> _CoverCache | None:
-    """The cover cache the configured strategy needs, or None if it needs none.
+def _cover_cache_for(X: np.ndarray, activation: Activation, config: GreedyConfig) -> _CoverCache:
+    """The cover cache of a search: the one place that picks its cover.
 
-    Exhaustive search cannot run without the cover, so an over-cap cover
-    raises CoverSizeError there; projected gradient uses the cover only for
-    restart inits and the c diagnostic, and runs without it.
+    That is the configured cover (``cover_m_grid``, capped at ``cover_cap``
+    multisets).  Exhaustive search cannot run without it, so an over-cap
+    cover raises CoverSizeError there; projected gradient, which uses the
+    cover for its restart seeds and the c diagnostic, falls back to the
+    vertex cover lam * {+-e_j, 0}, the m_grid = 1 cover, whose 2D + 1 rows
+    are built without the cap.
     """
-    if config.strategy != "cover-exhaustive" and not config.c_report:
-        return None
     try:
         return _build_cover_cache(
             X, activation, config.cover_m_grid, config.lam, config.cover_cap
@@ -384,7 +390,7 @@ def _cover_cache_for(
     except CoverSizeError:
         if config.strategy == "cover-exhaustive":
             raise
-        return None
+        return _build_cover_cache(X, activation, 1, config.lam, 2 * X.shape[1] + 1)
 
 
 def _score_cover(R: np.ndarray, cover_cache: _CoverCache) -> tuple[np.ndarray, float]:
@@ -540,34 +546,21 @@ def _shrink_l1(rows: np.ndarray, mag: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(rows) * np.maximum(mag - tau[:, None], 0.0)
 
 
-def _searches_both_signs(act: Activation, cover_cache: _CoverCache | None) -> bool:
+def _searches_both_signs(act: Activation) -> bool:
     """Whether a step must search -R as well as +R.
 
-    For an odd activation (sine, tanh) with a cover, the -R search is the
-    +R search mirrored: its cover scores are +R's reversed, so it starts
-    from the mirror rows -theta_0 and ends at -theta with the same value,
-    and never strictly beats +R.  The ramp is not odd, and without a cover
-    the -R search draws its own random inits, so both keep the second
-    search.
+    For an odd activation (sine, tanh) the -R search is the +R search
+    mirrored: its cover scores are +R's reversed, so it starts from the
+    mirror rows -theta_0 and ends at -theta with the same value, and never
+    strictly beats +R.  The ramp is not odd, so it keeps the second search.
     """
-    return act.kind == "ramp" or cover_cache is None
-
-
-def _random_vertices(rng: np.random.Generator, k: int, D: int, lam: float) -> np.ndarray:
-    """k random vertices lam * (+-e_j), each from its own child generator."""
-    inits = np.zeros((k, D))
-    for i, seed in enumerate(rng.integers(0, 2**63 - 1, size=k)):
-        rgen = np.random.default_rng(int(seed))
-        j = int(rgen.integers(D))
-        inits[i, j] = lam * (1.0 if rgen.random() < 0.5 else -1.0)
-    return inits
+    return act.kind == "ramp"
 
 
 def inner_maximize(
     R: np.ndarray,
     X: np.ndarray,
     config: GreedyConfig,
-    rng: np.random.Generator,
     cover_cache: _CoverCache | None = None,
 ) -> InnerResult:
     """Maximize (1/n) sum_i s R_i phi(theta . X_i) over s = +-1, ||theta||_1 <= lam.
@@ -577,9 +570,9 @@ def inner_maximize(
     dominates every candidate examined and is always >= 0 because theta = 0
     (the zero function) is a candidate.  -R is searched too unless
     ``_searches_both_signs`` says it mirrors +R; the cover is scored once,
-    and the -R scores are the negated +R scores.  ``rng`` is drawn from only
-    when projected gradient runs without a cover, for the +R inits and then
-    the -R ones.
+    and the -R scores are the negated +R scores.  Without ``cover_cache``
+    the call builds the one ``_cover_cache_for`` picks; a pursuit passes
+    its own, built once per fit.
 
     The cover scores are approximate, each within a certified e of its
     float64 value (``_score_cover``).  With t = 1 for exhaustive search and
@@ -605,58 +598,46 @@ def inner_maximize(
     if R.shape != (n,):
         raise ValueError(f"residual shape {R.shape} does not match design rows {n}")
     act = Activation(config.activation)
-    diagnostics: dict = {"strategy": config.strategy, "cover_value": math.nan, "n_candidates": 1}
+    diagnostics: dict = {"strategy": config.strategy, "cover_value": 0.0, "n_candidates": 1}
 
     if not np.any(R):
-        diagnostics["cover_value"] = 0.0
         return InnerResult(np.zeros(D), 0.0, 1, diagnostics)
 
     if cover_cache is None:
         cover_cache = _cover_cache_for(X, act, config)
-    signs = (1, -1) if _searches_both_signs(act, cover_cache) else (1,)
-    heads: list = [[] for _ in signs]  # per sign, the cover argmax
-    count, rows = 0, iter(())  # per sign, the restarts
-    if cover_cache is not None:
-        K = cover_cache.thetas.shape[0]
-        top = 1 if config.strategy == "cover-exhaustive" else min(config.restarts, K)
-        scores, err = _score_cover(R, cover_cache)
-        idx = _rescore_set(scores, err, top, len(signs) == 2)
-        exact = _rescore_cover(R, cover_cache, idx)
-        signed = [exact if sign == 1 else -exact for sign in signs]
-        for head, score in zip(heads, signed):
-            j = int(np.argmax(score))
-            head.append((float(score[j]), cover_cache.thetas[idx[j]]))
-        diagnostics["cover_value"] = max(value for head in heads for value, _ in head)
-        diagnostics["n_candidates"] += len(signs) * K
+    signs = (1, -1) if _searches_both_signs(act) else (1,)
+    K = cover_cache.thetas.shape[0]
+    # Per sign, the restarts (none for exhaustive search).
+    count = min(config.restarts, K) if config.strategy == "projected-gradient" else 0
+    scores, err = _score_cover(R, cover_cache)
+    idx = _rescore_set(scores, err, max(count, 1), len(signs) == 2)
+    exact = _rescore_cover(R, cover_cache, idx)
+    signed = [exact if sign == 1 else -exact for sign in signs]
+    heads = []  # per sign, the cover argmax
+    for score in signed:
+        j = int(np.argmax(score))
+        heads.append((float(score[j]), cover_cache.thetas[idx[j]]))
+    diagnostics["cover_value"] = max(value for value, _ in heads)
+    total = len(signs) * count
+    diagnostics["n_candidates"] += len(signs) * K + total
 
-    if config.strategy == "projected-gradient":
-        count, order = config.restarts, None
-        if cover_cache is not None:
-            count = top
-            order = np.concatenate(
-                [idx[np.argsort(-score, kind="stable")[:count]] for score in signed]
-            )
-        total = len(signs) * count
+    def restarts():
+        order = np.concatenate(
+            [idx[np.argsort(-score, kind="stable")[:count]] for score in signed]
+        )
         step0 = 1.0 / (float(np.abs(R) @ np.einsum("ij,ij->i", X, X)) / n + 1e-12)
         block = max(1, _BLOCK_CELLS // n)
+        for start in range(0, total, block):
+            stop = min(start + block, total)
+            sign = np.where(np.arange(start, stop) < count, 1.0, -1.0)
+            inits = cover_cache.thetas[order[start:stop]]
+            values, thetas = _ascend_batch(R, X, act, inits, sign, config.lam, step0)
+            yield from zip(values.tolist(), thetas)
 
-        def restarts():
-            for start in range(0, total, block):
-                stop = min(start + block, total)
-                if order is None:
-                    inits = _random_vertices(rng, stop - start, D, config.lam)
-                else:
-                    inits = cover_cache.thetas[order[start:stop]]
-                sign = np.where(np.arange(start, stop) < count, 1.0, -1.0)
-                values, thetas = _ascend_batch(R, X, act, inits, sign, config.lam, step0)
-                yield from zip(values.tolist(), thetas)
-
-        rows = restarts()
-        diagnostics["n_candidates"] += total
-
+    rows = restarts() if count else iter(())
     best_value, best_theta, best_sign = 0.0, np.zeros(D), 1
     for sign, head in zip(signs, heads):
-        for value, theta in itertools.chain(head, itertools.islice(rows, count)):
+        for value, theta in itertools.chain([head], itertools.islice(rows, count)):
             if value > best_value:
                 best_value, best_theta, best_sign = value, theta, sign
     return InnerResult(best_theta.copy(), best_value, best_sign, diagnostics)
@@ -855,14 +836,16 @@ def line_search(
 
 
 def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
-    """Run the pursuit for config.m_max steps on the dataset (deterministic per seed)."""
+    """Run the pursuit for config.m_max steps on the dataset.
+
+    The path depends on X, Y and config alone: no random number is drawn,
+    so ``data.seed`` does not enter the fit.
+    """
     X = np.atleast_2d(np.asarray(data.X, dtype=float))
     Y = np.asarray(data.Y, dtype=float)
     n = X.shape[0]
     X_lift = lift(X)
     act = Activation(config.activation)
-    rng = np.random.default_rng(np.random.SeedSequence([int(data.seed) & (2**63 - 1), 104729]))
-
     cover_cache = _cover_cache_for(X_lift, act, config)
 
     model = RidgeModel()
@@ -871,7 +854,7 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
     v_prev = 0.0
     records: list[GreedyStep] = []
     for m in range(1, config.m_max + 1):
-        found = inner_maximize(resid, X_lift, config, rng, cover_cache=cover_cache)
+        found = inner_maximize(resid, X_lift, config, cover_cache=cover_cache)
         unit = RidgeUnit(activation=act, theta=found.theta, sign=found.sign)
         H = unit.evaluate_lifted(X_lift)
         alpha, beta, _ = line_search(fitted, H, Y, v_prev, config.w)

@@ -12,12 +12,12 @@ earlier ``np.where(u > 0, 1.0, 0.0)``.
 ``_ascend_projected`` is the serial implementation the batched ascent
 replaced, unchanged apart from using the projection above: one
 restart at a time, one matrix-vector product per gradient and per value, and
-one l1 projection per iteration.  ``score``, ``step0`` and ``random_inits``
-rebuild what the serial ``inner_maximize`` passed it.  ``two_sign_search``
-rebuilds the search of the signed dictionary as two serial searches, one per
-sign of the residual, with ``signed_inits`` giving their starting points.
-Cover scores come from ``exact_scores``, the float64 re-scorer applied to
-every cover unit.
+one l1 projection per iteration.  ``score`` and ``step0`` rebuild what the
+serial ``inner_maximize`` passed it.  ``two_sign_search`` rebuilds the search
+of the signed dictionary as two serial searches, one per sign of the
+residual, with ``signed_inits`` giving their starting points, the top cover
+points of each sign.  Cover scores come from ``exact_scores``, the float64
+re-scorer applied to every cover unit.
 """
 
 import numpy as np
@@ -123,18 +123,6 @@ def step0(R: np.ndarray, X: np.ndarray) -> float:
     return 1.0 / lipschitz
 
 
-def random_inits(rng: np.random.Generator, restarts: int, D: int, lam: float) -> list:
-    """The random vertices lam * (+-e_j) the serial code started from without a cover."""
-    inits = []
-    for seed in rng.integers(0, 2**63 - 1, size=restarts):
-        rgen = np.random.default_rng(int(seed))
-        theta0 = np.zeros(D)
-        j = int(rgen.integers(D))
-        theta0[j] = lam * (1.0 if rgen.random() < 0.5 else -1.0)
-        inits.append(theta0)
-    return inits
-
-
 def _ascend_projected(
     score,
     act: Activation,
@@ -165,24 +153,21 @@ def _ascend_projected(
     return best
 
 
-def signed_inits(R, X, config: GreedyConfig, rng, cover_cache, signs) -> list:
+def signed_inits(R, config: GreedyConfig, cover_cache, signs) -> list:
     """The (sign, theta0) pairs the serial searches start from, +R first.
 
-    Each sign starts from the ``restarts`` best cover points of sign * R or,
-    without a cover, from random vertices drawn from ``rng`` in turn.
+    Each sign starts from the ``restarts`` best cover points of sign * R
+    (every point when the cover is smaller).
     """
     pairs = []
     for sign in signs:
-        if cover_cache is None:
-            inits = random_inits(rng, config.restarts, X.shape[1], config.lam)
-        else:
-            scores = exact_scores(sign * R, cover_cache)
-            inits = cover_cache.thetas[np.argsort(-scores, kind="stable")[: config.restarts]]
+        scores = exact_scores(sign * R, cover_cache)
+        inits = cover_cache.thetas[np.argsort(-scores, kind="stable")[: config.restarts]]
         pairs += [(sign, theta0) for theta0 in inits]
     return pairs
 
 
-def two_sign_search(R, X, config: GreedyConfig, rng, cover_cache, signs=(1, -1)):
+def two_sign_search(R, X, config: GreedyConfig, cover_cache, signs=(1, -1)):
     """The best signed unit of one serial search per sign.
 
     Each search takes the best of the zero unit, the cover argmax of sign * R
@@ -193,18 +178,17 @@ def two_sign_search(R, X, config: GreedyConfig, rng, cover_cache, signs=(1, -1))
     act = Activation(config.activation)
     pairs = []
     if config.strategy == "projected-gradient":
-        pairs = signed_inits(R, X, config, rng, cover_cache, signs)
+        pairs = signed_inits(R, config, cover_cache, signs)
     best = (1, 0.0, np.zeros(X.shape[1]))
     n_candidates = 1 + len(pairs)
     for sign in signs:
         signed_R = sign * R
         value, theta = 0.0, np.zeros(X.shape[1])
-        if cover_cache is not None:
-            scores = exact_scores(signed_R, cover_cache)
-            n_candidates += scores.shape[0]
-            j = int(np.argmax(scores))
-            if scores[j] > value:
-                value, theta = float(scores[j]), cover_cache.thetas[j]
+        scores = exact_scores(signed_R, cover_cache)
+        n_candidates += scores.shape[0]
+        j = int(np.argmax(scores))
+        if scores[j] > value:
+            value, theta = float(scores[j]), cover_cache.thetas[j]
         value_of, first_step = score(signed_R, X, act), step0(signed_R, X)
         for _, theta0 in (p for p in pairs if p[0] == sign):
             found, at = _ascend_projected(value_of, act, signed_R, X, theta0, config, first_step)

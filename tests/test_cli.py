@@ -97,10 +97,11 @@ class TestParseConfig:
         keys = [ln.split("=", 1)[0] for ln in lines[1:]]
         assert keys == sorted(keys)
 
-    def test_bool_parsing(self):
-        assert parse_config(None, overrides=[("c_report", "no")])["c_report"] is False
-        with pytest.raises(ConfigError, match="'c_report'"):
-            parse_config(None, overrides=[("c_report", "maybe")])
+    def test_c_report_is_not_a_key(self, tmp_path, capsys):
+        # Every search scores a cover, so there is no switch for it.
+        argv = ["fit", "--set", "c_report=false", "--out", str(tmp_path / "fit.csv")]
+        assert main(argv) == 2
+        assert "'c_report'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,16 @@ class TestEnumerateCover:
             ref = self.multiset_reference(d, m, lam)
             assert cover.thetas.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("d", [17, 65, 257])
+    def test_vertex_cover_closed_form_matches_reference(self, d):
+        # m = 1 is built in closed form, lam * (-e_0, ..., -e_{d-1}, 0,
+        # e_{d-1}, ..., e_0); the bytes match the multiset enumeration, so
+        # every zero is +0.0.
+        cover = enumerate_cover(d, 1, 1.3)
+        assert cover.thetas.shape == (2 * d + 1, d)
+        assert cover.thetas.tobytes() == self.multiset_reference(d, 1, 1.3).tobytes()
+        assert not np.signbit(cover.thetas[cover.thetas == 0.0]).any()
+
     @pytest.mark.parametrize("d", range(1, 6))
     @pytest.mark.parametrize("m", range(1, 5))
     def test_counts_without_enumerating(self, d, m):

@@ -24,6 +24,7 @@ from ridgepursuit import (
     Noise,
     RidgeModel,
     RidgeUnit,
+    enumerate_cover,
     eval_unit,
     fit_lpgp,
     greedy_b_f,
@@ -227,7 +228,7 @@ def inner_config(**kwargs):
 class TestInnerMaximize:
     def test_zero_residual(self, rng):
         X = rng.uniform(-1, 1, size=(30, 3))
-        res = inner_maximize(np.zeros(30), X, inner_config(), rng)
+        res = inner_maximize(np.zeros(30), X, inner_config())
         np.testing.assert_array_equal(res.theta, np.zeros(3))
         assert res.value == 0.0
 
@@ -237,12 +238,12 @@ class TestInnerMaximize:
         X = rng.uniform(-1, 1, size=(50, 1))
         X = np.hstack([X, np.ones((50, 1))])  # lifted: constant column
         R = -np.ones(50)
-        res = inner_maximize(R, X, inner_config(), rng)
+        res = inner_maximize(R, X, inner_config())
         assert res.sign == -1 and res.value > 0.0
         assert res.value == pytest.approx(np.mean(np.maximum(X @ res.theta, 0.0)), rel=1e-14)
 
-        monkeypatch.setattr(greedy, "_searches_both_signs", lambda act, cache: False)
-        res = inner_maximize(R, X, inner_config(), rng)
+        monkeypatch.setattr(greedy, "_searches_both_signs", lambda act: False)
+        res = inner_maximize(R, X, inner_config())
         assert res.sign == 1 and res.value == 0.0
         np.testing.assert_array_equal(res.theta, np.zeros(2))
 
@@ -254,7 +255,7 @@ class TestInnerMaximize:
         X_lift = np.hstack([X, np.ones((n, 1))])
         theta0 = np.array([0.0, 0.0, 2.0])
         R = 1.5 * np.maximum(X_lift @ theta0, 0.0)  # == 3.0 everywhere
-        res = inner_maximize(R, X_lift, inner_config(), rng)
+        res = inner_maximize(R, X_lift, inner_config())
         np.testing.assert_array_equal(res.theta, theta0)
         assert res.value == pytest.approx(np.mean(R * 2.0), rel=1e-14)
         assert res.diagnostics["cover_value"] == res.value
@@ -274,20 +275,17 @@ class TestInnerMaximize:
         oracle = max(score(t) for t in grid)
         assert oracle == pytest.approx(score(lam), rel=1e-15)
 
-        exact = inner_maximize(
-            R, X, inner_config(strategy="cover-exhaustive"), np.random.default_rng(0)
-        )
+        exact = inner_maximize(R, X, inner_config(strategy="cover-exhaustive"))
         np.testing.assert_array_equal(exact.theta, [lam])
         assert exact.value == pytest.approx(oracle, rel=1e-12)
 
-        res = inner_maximize(
-            R,
-            X,
-            inner_config(strategy="projected-gradient", restarts=8, c_report=False),
-            np.random.default_rng(7),
-        )
-        assert res.value >= oracle - 1e-6
-        assert abs(res.theta[0] - lam) <= 1e-4
+        # Projected gradient from the configured cover and from the vertex
+        # cover {-lam, 0, lam} it falls back to over the cap.
+        for cap in (10**6, 1):
+            cfg = inner_config(strategy="projected-gradient", restarts=8, cover_cap=cap)
+            res = inner_maximize(R, X, cfg)
+            assert res.value >= oracle - 1e-6
+            assert abs(res.theta[0] - lam) <= 1e-4
 
     def test_gradient_strategies_dominate_cover_value(self, rng):
         # With the c diagnostic on, the reported value must match or beat the
@@ -295,13 +293,13 @@ class TestInnerMaximize:
         n = 60
         X = np.hstack([rng.uniform(-1, 1, size=(n, 2)), np.ones((n, 1))])
         R = rng.normal(size=n)
-        res = inner_maximize(R, X, inner_config(strategy="projected-gradient", restarts=8), rng)
+        res = inner_maximize(R, X, inner_config(strategy="projected-gradient", restarts=8))
         assert res.value >= res.diagnostics["cover_value"] - 1e-12
 
     @pytest.mark.parametrize("restarts", [1, 3, 1000])
     def test_restarts_start_from_top_cover_points(self, restarts, monkeypatch):
         # The ascents start from the `restarts` best cover points in score
-        # order (every point when the cover is smaller), whatever the rng.
+        # order (every point when the cover is smaller).
         rng = np.random.default_rng(5)
         X = np.hstack([rng.uniform(-1, 1, size=(60, 2)), np.ones((60, 1))])
         R = rng.normal(size=60)
@@ -319,7 +317,7 @@ class TestInnerMaximize:
             return result
 
         monkeypatch.setattr(greedy, "_ascend_batch", recording)
-        inner_maximize(R, X, cfg, rng, cover_cache=cache)
+        inner_maximize(R, X, cfg, cover_cache=cache)
         # The ramp searches both signs: the top points of +R, then of -R.
         count = min(restarts, len(cache.thetas))
         top = np.argsort(-scores, kind="stable")[:count]
@@ -335,47 +333,48 @@ class TestInnerMaximize:
         assert values[0] >= scores.max()
         assert values[count] >= -scores.min()
 
-    def test_cover_seeding_ignores_rng(self, rng):
-        X = np.hstack([rng.uniform(-1, 1, size=(60, 2)), np.ones((60, 1))])
-        R = rng.normal(size=60)
-        cfg = inner_config(strategy="projected-gradient", restarts=4)
-        a = inner_maximize(R, X, cfg, np.random.default_rng(1))
-        b = inner_maximize(R, X, cfg, np.random.default_rng(2))
-        np.testing.assert_array_equal(a.theta, b.theta)
-        assert a.value == b.value
-        assert a.diagnostics == b.diagnostics
-
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
-            inner_maximize(np.ones(5), np.ones((4, 2)), inner_config(), rng)
+            inner_maximize(np.ones(5), np.ones((4, 2)), inner_config())
 
     def test_cover_cap_exhausted(self, rng):
         X = rng.uniform(-1, 1, size=(10, 40))
         cfg = inner_config(strategy="cover-exhaustive", cover_cap=10)
         with pytest.raises(CoverSizeError):
-            inner_maximize(np.ones(10), X, cfg, rng)
+            inner_maximize(np.ones(10), X, cfg)
 
     def test_gradient_strategy_survives_cap(self, rng):
+        # Over the cap, projected gradient scores and seeds from the vertex
+        # cover lam * {+-e_j, 0}: 2D + 1 rows, whatever the cap.
         X = rng.uniform(-1, 1, size=(10, 40))
         cfg = inner_config(strategy="projected-gradient", cover_cap=10, restarts=4)
-        res = inner_maximize(np.ones(10), X, cfg, rng)
-        assert math.isnan(res.diagnostics["cover_value"])
-        assert res.value >= 0.0
+        cache = greedy._cover_cache_for(X, Activation("ramp"), cfg)
+        vertices = enumerate_cover(40, 1, cfg.lam)
+        assert cache.thetas.tobytes() == vertices.thetas.tobytes()
+        res = inner_maximize(np.ones(10), X, cfg)
+        assert math.isfinite(res.diagnostics["cover_value"])
+        assert res.value >= res.diagnostics["cover_value"] > 0.0
+        assert res.diagnostics["n_candidates"] == 1 + 2 * (81 + 4)
 
 
 def signed_search_case(seed, kind, restarts, cover):
     """A random lifted design, residual and projected-gradient config, and the
-    cover cache and searched signs ``inner_maximize`` uses for them."""
+    cover cache and searched signs ``inner_maximize`` uses for them.  With
+    ``cover`` False the configured cover is over the cap, so the search
+    falls back to the vertex cover."""
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(8, 60)), int(rng.integers(1, 4))
     X = np.hstack([rng.uniform(-1, 1, size=(n, d)), np.ones((n, 1))])
     R = rng.normal(size=n)
     act = Activation(kind)
     cfg = inner_config(
-        activation=kind, strategy="projected-gradient", restarts=restarts, c_report=cover
+        activation=kind,
+        strategy="projected-gradient",
+        restarts=restarts,
+        cover_cap=10**6 if cover else 1,
     )
     cache = greedy._cover_cache_for(X, act, cfg)
-    signs = (1, -1) if greedy._searches_both_signs(act, cache) else (1,)
+    signs = (1, -1) if greedy._searches_both_signs(act) else (1,)
     # 1e-12 relative to mean|R| lam max|x|, which bounds every |value|
     # since phi is 1-Lipschitz with phi(0) = 0.
     tol = 1e-12 * np.abs(R).mean() * cfg.lam * np.abs(X).max()
@@ -398,13 +397,11 @@ class TestBatchedAscent:
     def test_matches_serial_oracle(self, seed, kind, restarts, cover):
         X, R, act, cfg, cache, signs, tol = signed_search_case(seed, kind, restarts, cover)
         with mock.patch.object(greedy, "_ascend_batch", wraps=greedy._ascend_batch) as batch:
-            inner_maximize(R, X, cfg, np.random.default_rng(seed + 1), cover_cache=cache)
+            inner_maximize(R, X, cfg, cover_cache=cache)
         (_, _, _, batch_inits, batch_signs, _, step0), _ = batch.call_args
 
         # The serial searches: the same inits and signs, one ascent each.
-        pairs = ascent_oracle.signed_inits(
-            R, X, cfg, np.random.default_rng(seed + 1), cache, signs
-        )
+        pairs = ascent_oracle.signed_inits(R, cfg, cache, signs)
         np.testing.assert_array_equal(batch_inits, np.array([theta0 for _, theta0 in pairs]))
         np.testing.assert_array_equal(batch_signs, [sign for sign, _ in pairs])
         assert step0 == ascent_oracle.step0(R, X)
@@ -450,13 +447,13 @@ class TestBatchedAscent:
     def test_signed_search_matches_two_sign_oracle(self, seed, kind, restarts, cover):
         X, R, act, cfg, cache, signs, tol = signed_search_case(seed, kind, restarts, cover)
         sign, value, theta, n_candidates = ascent_oracle.two_sign_search(
-            R, X, cfg, np.random.default_rng(seed + 1), cache, signs
+            R, X, cfg, cache, signs
         )
         # One block, then blocks of two rows: with an odd restart count a
         # block holds the last +R row and the first -R row.
         for cells in (greedy._BLOCK_CELLS, 2 * X.shape[0]):
             with mock.patch.object(greedy, "_BLOCK_CELLS", cells):
-                res = inner_maximize(R, X, cfg, np.random.default_rng(seed + 1), cover_cache=cache)
+                res = inner_maximize(R, X, cfg, cover_cache=cache)
             # sign * phi(theta . x) is phi(sign * theta . x) for sine and tanh,
             # so there a tie between mirrored restarts may land on either sign.
             assert res.sign == sign or kind != "ramp"
@@ -466,8 +463,8 @@ class TestBatchedAscent:
 
     def test_blocks_bound_the_batch_width(self, monkeypatch):
         # restarts has no upper bound, so the batch is cut into blocks of at
-        # most _BLOCK_CELLS // n rows; the ramp without a cover runs the 10
-        # +R rows and then the 10 -R rows, and one block holds both signs.
+        # most _BLOCK_CELLS // n rows; the ramp runs the 10 +R rows and then
+        # the 10 -R rows, and one block holds both signs.
         rng = np.random.default_rng(2)
         n = 40
         X = np.hstack([rng.uniform(-1, 1, size=(n, 2)), np.ones((n, 1))])
@@ -481,18 +478,24 @@ class TestBatchedAscent:
             return ascend(R, X, act, inits, sign, lam, step0)
 
         monkeypatch.setattr(greedy, "_ascend_batch", recording)
-        cfg = inner_config(strategy="projected-gradient", restarts=10, c_report=False)
-        res = inner_maximize(R, X, cfg, np.random.default_rng(0))
+        cfg = inner_config(strategy="projected-gradient", restarts=10)
+        res = inner_maximize(R, X, cfg)
         assert [len(b) for b in signs] == [3, 3, 3, 3, 3, 3, 2]
         assert signs[3] == [1.0, -1.0, -1.0]
         assert sum(signs, []) == [1.0] * 10 + [-1.0] * 10
-        assert res.diagnostics["n_candidates"] == 1 + 20
+        # The zero unit, the 25 cover points of D = 3 per sign, the restarts.
+        assert math.isfinite(res.diagnostics["cover_value"])
+        assert res.diagnostics["n_candidates"] == 1 + 2 * 25 + 20
 
     def test_init_memory_does_not_grow_with_restarts(self, monkeypatch):
-        # Without a cover the random inits are drawn block by block, so peak
-        # memory is set by the block, not by restarts.
+        # The inits are gathered from the cover block by block, so peak
+        # memory is set by the block, not by restarts.  Over the cap the
+        # cover is the vertex cover, K = 2D + 1 = 4001 rows, and restarts
+        # above K stop at K; the cache is built first, so its O(D^2) rows
+        # do not count as init memory.
         rng = np.random.default_rng(4)
         n, D = 16, 2000
+        K = 2 * D + 1
         X = rng.uniform(-1, 1, size=(n, D))
         R = rng.normal(size=n)
         monkeypatch.setattr(greedy, "_BLOCK_CELLS", 16 * n)
@@ -501,20 +504,25 @@ class TestBatchedAscent:
             "_ascend_batch",
             lambda R, X, act, inits, sign, lam, step0: (np.zeros(inits.shape[0]), inits),
         )
+        cache = greedy._cover_cache_for(
+            X, Activation("ramp"), inner_config(strategy="projected-gradient")
+        )
+        assert cache.thetas.shape == (K, D)
 
         def peak(restarts):
-            cfg = inner_config(strategy="projected-gradient", restarts=restarts, c_report=False)
+            cfg = inner_config(strategy="projected-gradient", restarts=restarts)
             tracemalloc.start()
             try:
-                res = inner_maximize(R, X, cfg, np.random.default_rng(0))
+                res = inner_maximize(R, X, cfg, cover_cache=cache)
                 _, peak_bytes = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert res.diagnostics["n_candidates"] == 1 + 2 * restarts
+            assert res.diagnostics["n_candidates"] == 1 + 2 * (K + min(restarts, K))
             return peak_bytes
 
         small, large = peak(100), peak(5000)
-        # 5000 restarts at D = 2000 would take 80 MB as one (restarts, D) array.
+        # 4001 restarts per sign at D = 2000 would take 128 MB as one
+        # (2K, D) array of inits.
         assert large < 2 * small < 4 * 2**20
 
 
@@ -538,12 +546,12 @@ def direct_decisions(R, cache, signs, restarts):
 def assert_exact_decisions(R, X, cache, kind, lam, restarts_grid):
     """inner_maximize takes every decision as a direct float64 search does."""
     act = Activation(kind)
-    signs = (1, -1) if greedy._searches_both_signs(act, cache) else (1,)
+    signs = (1, -1) if greedy._searches_both_signs(act) else (1,)
     K = cache.thetas.shape[0]
     tol = 1e-12 * np.abs(R).mean() * max(1.0, lam * np.abs(X).max())
     (value, sign, j), cover_value, _ = direct_decisions(R, cache, signs, 1)
     cfg = inner_config(activation=kind, lam=lam, strategy="cover-exhaustive")
-    res = inner_maximize(R, X, cfg, np.random.default_rng(0), cover_cache=cache)
+    res = inner_maximize(R, X, cfg, cover_cache=cache)
     assert res.value == pytest.approx(value, rel=0, abs=tol)
     assert res.diagnostics["cover_value"] == pytest.approx(cover_value, rel=0, abs=tol)
     assert res.sign == sign
@@ -561,7 +569,7 @@ def assert_exact_decisions(R, X, cache, kind, lam, restarts_grid):
             activation=kind, lam=lam, strategy="projected-gradient", restarts=restarts
         )
         with mock.patch.object(greedy, "_ascend_batch", recording):
-            inner_maximize(R, X, cfg, np.random.default_rng(0), cover_cache=cache)
+            inner_maximize(R, X, cfg, cover_cache=cache)
         np.testing.assert_array_equal(np.concatenate(inits), cache.thetas[seeds])
 
 
@@ -1013,12 +1021,13 @@ class TestFitLpgp:
             ("tanh", dict(strategy="projected-gradient", restarts=8), 1),
             ("tanh", dict(strategy="projected-gradient", restarts=3, cover_m_grid=3), 1),
             ("ramp", dict(strategy="projected-gradient", restarts=8), 2),
-            ("sine", dict(strategy="projected-gradient", restarts=8, c_report=False), 2),
+            ("sine", dict(strategy="projected-gradient", restarts=8, cover_cap=1), 1),
         ],
     )
     def test_odd_activation_with_cover_searches_one_sign(self, kind, kwargs, per_step, monkeypatch):
-        # One search per step.  For sine and tanh with a cover the -R search
-        # mirrors the +R one and never wins, so its rows are skipped and each
+        # One search per step.  For sine and tanh the -R search mirrors the
+        # +R one and never wins, also from the vertex cover that projected
+        # gradient falls back to over the cap, so its rows are skipped and each
         # batch holds `restarts` rows, not 2 * restarts; the path is
         # byte-identical to the run that searches both signs.  A batch row
         # can move in the last bit with the batch height, so that run puts
@@ -1047,7 +1056,7 @@ class TestFitLpgp:
         batches = cfg.m_max if cfg.strategy == "projected-gradient" else 0
         assert rows == [per_step * cfg.restarts] * batches
 
-        monkeypatch.setattr(greedy, "_searches_both_signs", lambda act, cache: True)
+        monkeypatch.setattr(greedy, "_searches_both_signs", lambda act: True)
         rows.clear()
         both = io.StringIO()
         write_path_csv(fit_lpgp(data, cfg), both)
@@ -1211,6 +1220,65 @@ class TestFitLpgp:
         assert path.model_at(0).n_terms == 0
         for m in (1, 2, 3):
             assert path.model_at(m) is path.records[m - 1].model
+
+
+def path_csv(data, cfg):
+    """The path CSV of one fit, as text."""
+    buf = io.StringIO()
+    write_path_csv(fit_lpgp(data, cfg), buf)
+    return buf.getvalue()
+
+
+# Projected gradient from the configured cover and, with cover_cap = 1 (the
+# m_grid = 2 cover is over it), from the vertex cover it falls back to.
+SEARCHES = {
+    "exhaustive": dict(strategy="cover-exhaustive"),
+    "gradient": dict(strategy="projected-gradient", restarts=4),
+    "gradient-vertex-cover": dict(strategy="projected-gradient", restarts=4, cover_cap=1),
+}
+
+
+class TestCoverSeeding:
+    """Every search is seeded from a cover, so a fit draws no random number
+    and depends on X, Y and the config alone."""
+
+    @staticmethod
+    def data(seed=0):
+        rng = np.random.default_rng(31)
+        X = rng.uniform(-1, 1, size=(60, 3))
+        Y = np.sin(2.0 * X[:, 0] - X[:, 1]) + 0.2 * rng.normal(size=60)
+        return make_dataset(X, Y, seed=seed)
+
+    @pytest.mark.parametrize("search", list(SEARCHES))
+    @pytest.mark.parametrize("kind", ["ramp", "sine", "tanh"])
+    def test_fit_draws_no_random_numbers(self, kind, search, monkeypatch):
+        data = self.data()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit drew a random number")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        cfg = GreedyConfig(lam=2.0, m_max=3, activation=kind, **SEARCHES[search])
+        assert len(fit_lpgp(data, cfg).records) == 3
+
+    @pytest.mark.parametrize("search", list(SEARCHES))
+    def test_dataset_seed_does_not_enter_the_fit(self, search):
+        cfg = GreedyConfig(lam=2.0, m_max=4, **SEARCHES[search])
+        assert path_csv(self.data(seed=1), cfg) == path_csv(self.data(seed=2), cfg)
+
+    @pytest.mark.parametrize("kind", ["ramp", "sine"])
+    def test_over_cap_fallback_is_the_vertex_cover_run(self, kind):
+        common = dict(lam=2.0, m_max=4, activation=kind, strategy="projected-gradient", restarts=2)
+        fallback = GreedyConfig(cover_cap=1, **common)
+        vertex = GreedyConfig(cover_m_grid=1, **common)
+        assert path_csv(self.data(), fallback) == path_csv(self.data(), vertex)
+
+    @pytest.mark.parametrize("search", ["exhaustive", "gradient"])
+    def test_c_report_is_inert(self, search):
+        on = GreedyConfig(lam=2.0, m_max=4, c_report=True, **SEARCHES[search])
+        off = GreedyConfig(lam=2.0, m_max=4, c_report=False, **SEARCHES[search])
+        assert path_csv(self.data(), on) == path_csv(self.data(), off)
 
 
 # ---------------------------------------------------------------------------
