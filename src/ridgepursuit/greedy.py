@@ -20,9 +20,14 @@ provided every dictionary unit has norm at most 1.
 The inner maximizer searches the signed dictionary {+-phi(theta . x)}: one
 call returns the best unit and its sign, by exhaustive search over an
 enumerated cover of the l1 ball or by projected-gradient ascent restarted from
-the best cover points of each sign.  Every search has a cover: the configured
-one or, when projected gradient's is over the cap, the vertex cover
-{+-lam e_j, 0}.  No random number is drawn, so a fit depends on its data and
+the best cover points of each sign.  Each ascent accepts a step only if it
+raises the value; its step length starts at 1/L (L bounding the gradient's
+Lipschitz constant), doubles after each accepted step and halves after each
+rejected one, for at most 50 iterations.  On the benchmark's d = 16 fits
+that matches the search values of the earlier halving-only rule's 200
+iterations with about a quarter of the iterations.  Every search has a
+cover: the configured one or, when projected gradient's is over the cap, the
+vertex cover {+-lam e_j, 0}.  No random number is drawn, so a fit depends on its data and
 configuration alone.  The restarts of both signs run as one
 batch (in blocks of rows under a fixed cell budget, so a block may hold rows
 of both signs), with one product per gradient and per value and one row-wise
@@ -643,8 +648,13 @@ def inner_maximize(
     return InnerResult(best_theta.copy(), best_value, best_sign, diagnostics)
 
 
-# Gradient steps per projected-gradient ascent, at most.
-_PG_STEPS = 200
+# Gradient steps per projected-gradient ascent, at most.  With the step
+# doubling on acceptance, 50 iterations reach the best value of the earlier
+# halving-only rule's 200 in 95 of 96 batches (the 8 steps of 12 fits at
+# d = 16, n = 1024, 8 restarts per sign; seeds 100-111) and fall 6.7e-13
+# relative short in the last; 50 halving-only iterations fall short in 48 of
+# them, by up to 10.2%.
+_PG_STEPS = 50
 
 
 def _ascend_batch(
@@ -660,9 +670,13 @@ def _ascend_batch(
 
     Row i maximizes (1/n) sum_j sign_i R_j phi(theta . X_j), sign_i = +-1
     applied after each product (negation is exact), and ascends on its own:
-    a candidate is accepted only if it raises that row's value, otherwise
-    the row's step halves, and the row stops (and is frozen) once its step
-    falls below 1e-14 step0 or after ``_PG_STEPS`` iterations.  Per
+    a candidate is accepted only if it raises that row's value, and then the
+    row's step doubles; otherwise the row's step halves.  The row stops (and
+    is frozen) once its step falls below 1e-14 step0 or after ``_PG_STEPS``
+    iterations.  The doubling is the expansion half of a backtracking rule:
+    a step that only halves from step0 = 1/L (L bounding the gradient's
+    Lipschitz constant) ran to the 200-iteration cap in most batches, and
+    its value is matched in far fewer iterations (see ``_PG_STEPS``).  Per
     iteration the live rows share one gradient product, one row-wise
     projection (usually of a stack with every row outside the ball, which
     ``project_l1`` shrinks without a gather) and one product for the
@@ -694,6 +708,7 @@ def _ascend_batch(
             cand[down], Z_cand[down], value[down] = theta[down], Z[down], current[down]
             step[down] *= 0.5
             stop = down & (step < 1e-14 * step0)
+        step[~down] *= 2.0
         theta, Z, current = cand, Z_cand, value
         if stop.any():
             values[live[stop]], thetas[live[stop]] = current[stop], theta[stop]

@@ -2,22 +2,27 @@
 ``ridgepursuit.greedy``, kept as test oracles.
 
 ``project_l1`` and ``_ascend_batch`` below are the batched projection and
-ascent before their per-iteration overhead was cut, copied unchanged: the
-projection gathers the rows outside the ball and scatters them back on every
-call, and the ascent merges accepted rows with masked copies.  The current
-kernels must match them bit for bit.  The ascent takes phi' from
+ascent before their per-iteration overhead was cut: the projection gathers
+the rows outside the ball and scatters them back on every call, and the
+ascent merges accepted rows with masked copies.  The ascent carries the
+current step rule (an accepted row doubles its step, a rejected row halves
+it, at most ``_PG_STEPS`` iterations); otherwise both are copied unchanged.
+The current kernels must match them bit for bit.  The ascent takes phi' from
 ``Activation.derivative``, whose ramp branch ``test_dictionary`` pins to the
-earlier ``np.where(u > 0, 1.0, 0.0)``.
+earlier ``np.where(u > 0, 1.0, 0.0)``.  ``_ascend_halving`` is the same
+ascent under the earlier step rule: the step only halves, for at most 200
+iterations.
 
 ``_ascend_projected`` is the serial implementation the batched ascent
-replaced, unchanged apart from using the projection above: one
-restart at a time, one matrix-vector product per gradient and per value, and
-one l1 projection per iteration.  ``score`` and ``step0`` rebuild what the
-serial ``inner_maximize`` passed it.  ``two_sign_search`` rebuilds the search
-of the signed dictionary as two serial searches, one per sign of the
-residual, with ``signed_inits`` giving their starting points, the top cover
-points of each sign.  Cover scores come from ``exact_scores``, the float64
-re-scorer applied to every cover unit.
+replaced, unchanged apart from using the projection above and the current
+step rule: one restart at a time, one matrix-vector product per gradient
+and per value, and one l1 projection per iteration.  ``score`` and
+``step0`` rebuild what the serial ``inner_maximize`` passed it.
+``two_sign_search`` rebuilds the search of the signed dictionary as two
+serial searches, one per sign of the residual, with ``signed_inits`` giving
+their starting points, the top cover points of each sign.  Cover scores
+come from ``exact_scores``, the float64 re-scorer applied to every cover
+unit.
 """
 
 import numpy as np
@@ -57,14 +62,17 @@ def _ascend_batch(
     sign: np.ndarray,
     lam: float,
     step0: float,
+    grow: float = 2.0,
+    steps: int = _PG_STEPS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent from every row of ``inits`` at once.
 
     Row i maximizes (1/n) sum_j sign_i R_j phi(theta . X_j), sign_i = +-1
     applied after each product (negation is exact), and ascends on its own:
-    a candidate is accepted only if it raises that row's value, otherwise
-    the row's step halves, and the row stops (and is frozen) once its step
-    falls below 1e-14 step0 or after ``_PG_STEPS`` iterations.  Per iteration the live rows share one
+    a candidate is accepted only if it raises that row's value, and then the
+    row's step is multiplied by ``grow``; otherwise the row's step halves,
+    and the row stops (and is frozen) once its step falls below 1e-14 step0
+    or after ``steps`` iterations.  Per iteration the live rows share one
     gradient product, one row-wise projection and one product for the
     candidates' values, whose Z = Theta X^T is kept for the next gradient.
     Returns the accepted values (k,) and parameters (k, D).
@@ -78,7 +86,7 @@ def _ascend_batch(
     Z = theta @ XT
     current = sign * (act(Z) @ R) / n
     step = np.full(live.shape[0], step0)
-    for _ in range(_PG_STEPS):
+    for _ in range(steps):
         grad = sign[:, None] * ((act.derivative(Z) * R) @ X) / n
         cand = project_l1(theta + step[:, None] * grad, lam)
         Z_cand = cand @ XT
@@ -87,6 +95,7 @@ def _ascend_batch(
         np.copyto(theta, cand, where=up[:, None])
         np.copyto(Z, Z_cand, where=up[:, None])
         np.copyto(current, value, where=up)
+        step[up] *= grow
         step[~up] *= 0.5
         stop = ~up & (step < 1e-14 * step0)
         if stop.any():
@@ -98,6 +107,11 @@ def _ascend_batch(
                 break
     values[live], thetas[live] = current, theta
     return values, thetas
+
+
+def _ascend_halving(R, X, act, inits, sign, lam, step0):
+    """``_ascend_batch`` under the earlier step rule: halving only, 200 steps."""
+    return _ascend_batch(R, X, act, inits, sign, lam, step0, grow=1.0, steps=200)
 
 
 def exact_scores(R: np.ndarray, cover_cache) -> np.ndarray:
@@ -132,7 +146,8 @@ def _ascend_projected(
     config: GreedyConfig,
     step0: float,
 ) -> tuple[float, np.ndarray]:
-    """Projected gradient ascent with monotone step halving."""
+    """Projected gradient ascent: the step doubles on acceptance and halves
+    on rejection, and only increases of the value are accepted."""
     n = X.shape[0]
     theta = project_l1(theta0, config.lam)
     current = score(theta)
@@ -144,6 +159,7 @@ def _ascend_projected(
         value = score(cand)
         if value > current:
             theta, current = cand, value
+            step *= 2.0
             if value > best[0]:
                 best = (value, cand)
         else:

@@ -418,15 +418,14 @@ class TestFit:
         objectives = [float(r[7]) for r in data]
         assert all(a >= b - 1e-9 for a, b in zip(objectives, objectives[1:]))
 
-    @pytest.mark.parametrize("kind", ["ramp", "sine", "tanh"])
-    def test_huge_lam_fit_under_warnings_as_errors(self, kind, tmp_path):
-        # The cover is scored in float32; at lam = 1e12 no overflow or
-        # invalid-value warning may escape a run that treats warnings as
-        # errors.
+    @staticmethod
+    def fit_under_warnings_as_errors(sets, tmp_path):
+        """Run ``fit`` with the given --set pairs in a fresh interpreter that
+        treats warnings as errors; it must exit 0, silent, with 8 rows."""
         src = str(Path(ridgepursuit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         argv = [sys.executable, "-W", "error", "-m", "ridgepursuit.cli", "fit"]
-        for kv in ("lam=1e12", "d=4", "freqs=1,-1,0.5,0.5", f"activation={kind}"):
+        for kv in ("d=4", "freqs=1,-1,0.5,0.5", *sets):
             argv += ["--set", kv]
         out = subprocess.run(
             argv + ["--out", str(tmp_path / "fit.csv")], env=env, capture_output=True, text=True
@@ -435,6 +434,22 @@ class TestFit:
         assert out.stderr == ""
         _, _, data = read_csv_with_comments(tmp_path / "fit.csv")
         assert len(data) == 8
+
+    @pytest.mark.parametrize("kind", ["ramp", "sine", "tanh"])
+    def test_huge_lam_fit_under_warnings_as_errors(self, kind, tmp_path):
+        # The cover is scored in float32; at lam = 1e12 no overflow or
+        # invalid-value warning may escape a run that treats warnings as
+        # errors.
+        self.fit_under_warnings_as_errors(("lam=1e12", f"activation={kind}"), tmp_path)
+
+    @pytest.mark.parametrize("scale", ["lam=1e12", "lam=1e-12", "noise_scale=1e12"])
+    @pytest.mark.parametrize("kind", ["ramp", "sine", "tanh"])
+    def test_extreme_scale_ascent_under_warnings_as_errors(self, kind, scale, tmp_path):
+        # The ascent's step doubles on each accepted iteration, up to 2^50
+        # times its first value; no overflow or invalid-value warning may
+        # escape at the extreme scales either.
+        sets = (scale, f"activation={kind}", "strategy=projected-gradient")
+        self.fit_under_warnings_as_errors(sets, tmp_path)
 
     def test_detects_objective_regression(self, tmp_path, monkeypatch, capsys):
         class FakeRec:

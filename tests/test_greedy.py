@@ -24,9 +24,11 @@ from ridgepursuit import (
     Noise,
     RidgeModel,
     RidgeUnit,
+    SpectralTarget,
     enumerate_cover,
     eval_unit,
     fit_lpgp,
+    gen_dataset,
     greedy_b_f,
     greedy_bound_rhs,
     inner_maximize,
@@ -524,6 +526,59 @@ class TestBatchedAscent:
         # 4001 restarts per sign at D = 2000 would take 128 MB as one
         # (2K, D) array of inits.
         assert large < 2 * small < 4 * 2**20
+
+
+def cosine_fit_data(d, n=1024, seed=7):
+    """The CLI ``fit`` data: one cosine atom along (1, -1, 0.5, 0.5, 0, ...),
+    gaussian noise of scale 0.5."""
+    freqs = np.zeros((1, d))
+    freqs[0, :4] = [1.0, -1.0, 0.5, 0.5]
+    target = SpectralTarget(freqs=freqs, amps=np.array([1.0]), phases=np.array([0.0]))
+    return gen_dataset(target, n, d, Noise("gaussian", 0.5), seed, with_test=False)
+
+
+def ascent_config(kind, m_max):
+    return GreedyConfig(
+        lam=2.0,
+        m_max=m_max,
+        activation=kind,
+        w=w_linear(),
+        strategy="projected-gradient",
+        restarts=8,
+    )
+
+
+class TestStepRule:
+    """The step doubles on acceptance and the ascent stops after _PG_STEPS
+    iterations: its searches are as good as the earlier halving-only rule's
+    200 iterations, and the ascent stays within its cap."""
+
+    @pytest.mark.parametrize("d", [16, 64])
+    @pytest.mark.parametrize("kind", ["ramp", "sine", "tanh"])
+    def test_searches_no_worse_than_halving_rule(self, kind, d):
+        # The batches of the first four steps of a pursuit: 8 restarts per
+        # sign from the top cover points of the step's residual.
+        with mock.patch.object(greedy, "_ascend_batch", wraps=greedy._ascend_batch) as batch:
+            fit_lpgp(cosine_fit_data(d), ascent_config(kind, m_max=4))
+        assert batch.call_count == 4
+        got, want = [], []
+        for call in batch.call_args_list:
+            got.append(greedy._ascend_batch(*call.args)[0].max())
+            want.append(ascent_oracle._ascend_halving(*call.args)[0].max())
+        got, want = np.array(got), np.array(want)
+        assert np.all(want > 0)
+        assert np.all(got >= (1 - 1e-5) * want)
+        assert got.mean() >= want.mean()
+
+    def test_project_l1_calls_stay_within_the_cap(self):
+        # The benchmark's projected-gradient fit (d = 16, n = 1024, m = 8,
+        # 8 restarts per sign): each step runs one batch, with one
+        # projection of its inits and at most one per iteration.
+        cfg = ascent_config("ramp", m_max=8)
+        with mock.patch.object(greedy, "project_l1", wraps=greedy.project_l1) as proj:
+            path = fit_lpgp(cosine_fit_data(16, seed=100), cfg)
+        assert len(path.records) == 8
+        assert 8 <= proj.call_count <= 8 * (1 + greedy._PG_STEPS)
 
 
 def direct_decisions(R, cache, signs, restarts):
