@@ -12,8 +12,6 @@ independent draws.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -209,11 +207,9 @@ def best_of(
     """Keep the best of k independent draws.
 
     Candidate i draws from its own generator derived from ``seed``; the
-    winner minimizes (measured distortion, candidate index), so the result is
-    deterministic whatever order the candidates finish in.  The draws run on
-    as many threads as the process's CPU affinity allows; everything else in
-    the package is single-threaded, and BLAS threading is left at the library
-    default.
+    winner minimizes (measured distortion, candidate index).  The draws run
+    one after another on the calling thread, like everything else in the
+    package; BLAS threading is left at the library default.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -223,10 +219,5 @@ def best_of(
         model = draw(np.random.default_rng(seeds[i]))
         return (float(distortion(model)), i, model)
 
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(k, cpus)) as pool:
-        dist, idx, model = min(pool.map(_run, range(k)), key=lambda r: (r[0], r[1]))
+    dist, idx, model = min(map(_run, range(k)), key=lambda r: (r[0], r[1]))
     return BestDraw(model=model, distortion=dist, index=idx)

@@ -4,9 +4,9 @@ Config files are plain ``key=value`` lines (``#`` starts a comment); command
 line flags override file values.  Every run writes one CSV whose leading
 ``#`` comment lines echo the fully resolved configuration, so reruns with the
 same inputs are byte-identical.  Exit codes: 0 success, 1 property/assertion
-failure, 2 configuration error.  ``best_of`` draws run on as many threads as
-the process's CPU affinity allows; everything else is single-threaded, and
-BLAS threading is left at the library default.
+failure, 2 configuration error.  The package is single-threaded: it starts
+no thread or process of its own, and BLAS threading is left at the library
+default.
 """
 
 from __future__ import annotations

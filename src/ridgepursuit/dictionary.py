@@ -180,9 +180,22 @@ def lift(X: np.ndarray) -> np.ndarray:
 
 
 def eval_unit(unit: RidgeUnit, x: np.ndarray) -> float | np.ndarray:
-    """Evaluate sign * phi(theta . (x, 1)) at a point (d,) or batch (n, d)."""
+    """Evaluate sign * phi(theta . (x, 1)) at a point (d,) or batch (n, d).
+
+    The bias is added to X @ theta[:d] in place, so the design is not lifted.
+    """
     x = np.asarray(x, dtype=float)
-    values = unit.evaluate_lifted(lift(x))
+    X = np.atleast_2d(x)
+    d = unit.input_dim
+    if X.shape[1] != d:
+        raise ValueError(
+            f"dimension mismatch: x has {X.shape[1]} coordinates, theta expects {d}"
+        )
+    values = X @ unit.theta[:d]
+    values += unit.theta[d]
+    unit.activation(values, out=values)
+    if unit.sign < 0:
+        np.negative(values, out=values)
     return float(values[0]) if x.ndim == 1 else values
 
 

@@ -245,17 +245,6 @@ def ramp_sampler_normalizer(target: SpectralTarget) -> tuple[float, np.ndarray]:
     return float(masses.sum()), masses
 
 
-def _sample_t(c: float, phase: float, rng: np.random.Generator) -> float:
-    """Draw t in [0,1] with density proportional to |cos(c t + phase)|.
-
-    Rejection from the uniform proposal with envelope 1; exact for any c.
-    """
-    while True:
-        t = rng.uniform(0.0, 1.0)
-        if rng.uniform(0.0, 1.0) <= abs(math.cos(c * t + phase)):
-            return t
-
-
 def sample_ramp_model(
     target: SpectralTarget, m: int, rng: np.random.Generator
 ) -> RidgeModel:
@@ -267,6 +256,12 @@ def sample_ramp_model(
     s = -sgn cos(c_j t + z b_j), at weight v/m.  The affine part
     x . grad f*(0) + f*(0) is attached exactly.  Over repeated draws the mean
     squared L2 error against f* is at most 16 v_{f,2}^2 / m.
+
+    Thresholds come from rejection sampling with the uniform proposal and
+    envelope 1: picks take (t, u) pairs in order until u <= |cos(c_j t +
+    z b_j)|.  The pairs are drawn in rounds of one per open pick, and every
+    open pick needs at least one more, so the generator advances exactly as
+    a pair-at-a-time loop would.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -281,18 +276,26 @@ def sample_ramp_model(
 
     c = np.abs(target.freqs).sum(axis=1)
     flat = masses.ravel() / v
-    ramp = Activation("ramp")
     picks = rng.choice(flat.shape[0], size=m, p=flat)
-    terms: list[tuple[float, RidgeUnit]] = []
-    for pick in picks:
-        j, zi = divmod(int(pick), 2)
-        z = 1.0 if zi == 0 else -1.0
-        phase = z * target.phases[j]
-        t = _sample_t(c[j], phase, rng)
-        alpha = target.freqs[j] / c[j]
-        sign = -1 if math.cos(c[j] * t + phase) > 0 else 1
-        theta = np.append(z * alpha, -t)
-        terms.append((v / m, RidgeUnit(ramp, theta, sign)))
+    atoms, parity = np.divmod(picks, 2)
+    z = 1.0 - 2.0 * parity
+    rate = c[atoms].tolist()
+    phase = (z * target.phases[atoms]).tolist()
+    t = np.empty(m)
+    cos_at_t = [0.0] * m
+    done = 0
+    while done < m:
+        for t_try, u in rng.uniform(0.0, 1.0, size=(m - done, 2)).tolist():
+            cos_t = math.cos(rate[done] * t_try + phase[done])
+            if u <= abs(cos_t):
+                t[done], cos_at_t[done] = t_try, cos_t
+                done += 1
+    thetas = np.column_stack([z[:, None] * (target.freqs[atoms] / c[atoms, None]), -t])
+    ramp = Activation("ramp")
+    terms = [
+        (v / m, RidgeUnit(ramp, theta, -1 if cos_t > 0 else 1))
+        for theta, cos_t in zip(thetas, cos_at_t)
+    ]
     return RidgeModel(terms=terms, intercept=affine_intercept, slope=affine_slope)
 
 

@@ -2,6 +2,7 @@
 proportional allocation, quantization onto a net, and best-of-k selection."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -386,3 +387,19 @@ class TestBestOf:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             best_of(self.draw, self.distortion, k=0)
+
+    def test_draws_run_on_the_calling_thread(self):
+        # Every draw and every distortion runs on the caller's thread: the
+        # package starts no thread of its own.
+        threads = set()
+
+        def draw(gen):
+            threads.add(threading.get_ident())
+            return self.draw(gen)
+
+        def distortion(model):
+            threads.add(threading.get_ident())
+            return self.distortion(model)
+
+        best_of(draw, distortion, k=8, seed=1)
+        assert threads == {threading.get_ident()}

@@ -3,6 +3,7 @@ the randomized sparsification of dense parameter vectors onto the cover grid."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from ridgepursuit import (
     sparsify_theta,
 )
 from ridgepursuit import model as model_module
+from ridgepursuit.dictionary import ACTIVATION_KINDS
 
+import model_oracle
 from conftest import three_se
 
 
@@ -154,30 +157,17 @@ class TestEvalUnit:
             RidgeUnit(Activation("ramp"), np.array([1.0, 0.0]), sign=2)
 
     def test_evaluate_lifted_matches_eval_unit(self, rng):
-        unit = RidgeUnit(Activation("sine"), np.array([0.7, -0.4, 0.5]), sign=-1)
-        X = rng.uniform(-1, 1, size=(20, 2))
-        np.testing.assert_array_equal(unit.evaluate_lifted(lift(X)), eval_unit(unit, X))
+        # eval_unit adds the bias after the product instead of lifting the
+        # design, so the two agree within the certified rounding bound of a
+        # one-term model, not bit for bit.
+        for kind, sign, d in itertools.product(ACTIVATION_KINDS, (1, -1), (1, 2, 5)):
+            unit = RidgeUnit(Activation(kind), rng.normal(size=d + 1), sign=sign)
+            X = rng.uniform(-1, 1, size=(20, d))
+            bound = model_oracle.evaluation_bound(RidgeModel(terms=[(1.0, unit)]), X)
+            diff = np.abs(unit.evaluate_lifted(lift(X)) - eval_unit(unit, X))
+            assert np.all(diff <= bound)
         with pytest.raises(ValueError, match="dimension mismatch"):
             unit.evaluate_lifted(X)
-
-    def test_model_lifts_once_and_keeps_per_term_sums(self, rng, monkeypatch):
-        # One lift per evaluate call, whatever the number of terms, and the
-        # same per-term products, so the values are bit-identical to a sum
-        # of eval_unit calls.
-        X = rng.uniform(-1, 1, size=(30, 3))
-        terms = [
-            (float(rng.uniform(0.1, 1.0)), RidgeUnit(Activation(kind), rng.normal(size=4), sign=s))
-            for kind, s in [("ramp", 1), ("sine", -1), ("tanh", 1), ("ramp", -1)]
-        ]
-        model = RidgeModel(terms=terms, intercept=0.25, slope=np.array([0.5, -1.0, 0.0]))
-        expected = np.full(30, 0.25) + X @ model.slope
-        for beta, unit in terms:
-            expected += beta * eval_unit(unit, X)
-        calls = []
-        lift_once = model_module.lift
-        monkeypatch.setattr(model_module, "lift", lambda X: calls.append(1) or lift_once(X))
-        np.testing.assert_array_equal(model.evaluate(X), expected)
-        assert len(calls) == 1
 
     def test_lift_appends_ones(self, rng):
         X = rng.uniform(-1, 1, size=(7, 3))
@@ -185,6 +175,83 @@ class TestEvalUnit:
         assert L.shape == (7, 4)
         np.testing.assert_allclose(L[:, :3], X)
         np.testing.assert_allclose(L[:, 3], 1.0)
+
+
+def _random_terms(rng, d, plan):
+    """(beta, unit) pairs for (kind, sign, beta) entries; beta None draws one."""
+    return [
+        (
+            float(rng.uniform(0.1, 1.0)) if beta is None else beta,
+            RidgeUnit(Activation(kind), rng.normal(size=d + 1), sign=sign),
+        )
+        for kind, sign, beta in plan
+    ]
+
+
+_MIXED = [("ramp", 1, None), ("sine", -1, None), ("tanh", 1, None), ("ramp", -1, None)]
+_ZEROS = [("ramp", 1, 0.0), ("sine", -1, None), ("ramp", -1, 0.0), ("tanh", -1, 0.0)]
+_WIDE = [(kind, sign, None) for kind in ACTIVATION_KINDS for sign in (1, -1)] * 11
+
+
+class TestRidgeModelEvaluate:
+    @pytest.mark.parametrize(
+        "plan, d, n",
+        [
+            pytest.param(_MIXED, 3, 30, id="mixed"),
+            pytest.param(_ZEROS, 3, 30, id="zero-weights"),
+            pytest.param([], 3, 30, id="empty"),
+            pytest.param(_MIXED, 1, 30, id="one-coordinate"),
+            pytest.param(_MIXED, 3, 1, id="n1"),
+            pytest.param(_MIXED, 3, 0, id="point"),
+            pytest.param(_WIDE, 4, 3 * model_module._BLOCK_CELLS // 22 + 5, id="several-blocks"),
+        ],
+    )
+    def test_matches_per_term_loop_within_rounding_bound(self, rng, plan, d, n):
+        # The blocked products sum the terms in another order than the
+        # earlier per-term loop, so the two agree within the rounding bound
+        # derived in model_oracle, set before either is run.  n = 0 stands
+        # for a single point of shape (d,).
+        model = RidgeModel(
+            terms=_random_terms(rng, d, plan),
+            intercept=0.25,
+            slope=rng.normal(size=d),
+        )
+        X = rng.uniform(-1, 1, size=(max(n, 1), d))
+        x = X[0] if n == 0 else X
+        got = model.evaluate(x)
+        expected = model_oracle.evaluate(model, x)
+        if n == 0:
+            assert isinstance(got, float)
+        bound = model_oracle.evaluation_bound(model, x)
+        assert np.all(np.abs(np.asarray(got) - expected) <= bound)
+
+    def test_zero_weight_terms_are_skipped(self, rng):
+        # A zero-weight term is neither evaluated nor shape-checked.
+        X = rng.uniform(-1, 1, size=(5, 2))
+        stray = RidgeUnit(Activation("tanh"), np.ones(7))
+        model = RidgeModel(terms=[(0.0, stray)], intercept=-1.5)
+        np.testing.assert_array_equal(model.evaluate(X), np.full(5, -1.5))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            RidgeModel(terms=[(0.5, stray)]).evaluate(X)
+
+    def test_makes_no_n_by_k_temporary(self, rng):
+        # n = 200,000 and k = 256: an n x k array would be 410 MB.  The
+        # traced peak stays within the output, the slope product, one block
+        # and the stacked parameters.
+        n, d, k = 200_000, 8, 256
+        X = rng.uniform(-1, 1, size=(n, d))
+        model = RidgeModel(
+            terms=[(1.0 / k, RidgeUnit(Activation("ramp"), rng.normal(size=d + 1))) for _ in range(k)],
+            slope=np.ones(d),
+        )
+        tracemalloc.start()
+        try:
+            model.evaluate(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        vector, block = n * 8, model_module._BLOCK_CELLS * 8
+        assert peak <= 3 * vector + 2 * block
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from ridgepursuit import (
 )
 from ridgepursuit.targets import _abs_cos_integral, _draw_design
 
+import model_oracle
 from conftest import three_se
 
 
@@ -211,6 +212,35 @@ class TestSampleRampModel:
     def test_invalid_arguments(self, rng):
         with pytest.raises(ValueError):
             sample_ramp_model(one_atom_target(), 0, rng)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("m", [1, 2, 7, 64])
+    def test_matches_scalar_rejection_loop_bit_for_bit(self, d, m):
+        # Drawing the rejection pairs in rounds consumes the generator's
+        # stream exactly as the pair-at-a-time loop did: same thetas, signs
+        # and weights, and the same generator state afterwards.  The last
+        # atom has zero frequency and so no sampling mass.
+        for seed in range(5):
+            spec = np.random.default_rng([d, m, seed])
+            J = 3
+            freqs = spec.normal(size=(J, d)) * spec.uniform(0.1, 6.0, size=(J, 1))
+            freqs[-1] = 0.0
+            t = SpectralTarget(
+                freqs=freqs,
+                amps=spec.uniform(0.2, 2.0, size=J),
+                phases=spec.uniform(-math.pi, math.pi, size=J),
+            )
+            got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+            got = sample_ramp_model(t, m, got_rng)
+            want = model_oracle.sample_ramp_model(t, m, want_rng)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert got.n_terms == want.n_terms == m
+            for (b_got, u_got), (b_want, u_want) in zip(got.terms, want.terms):
+                assert b_got == b_want
+                assert u_got.sign == u_want.sign
+                assert u_got.theta.tobytes() == u_want.theta.tobytes()
+            assert got.intercept == want.intercept
+            assert got.slope.tobytes() == want.slope.tobytes()
 
     def test_m64_error_within_mean_budget_and_oracle(self, rng):
         # Mean squared L2(uniform) error at m=64 is below 16 v_2^2 / m = 4,
