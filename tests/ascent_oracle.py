@@ -6,17 +6,21 @@ ascent before their per-iteration overhead was cut: the projection gathers
 the rows outside the ball and scatters them back on every call, and the
 ascent merges accepted rows with masked copies.  The ascent carries the
 current step rule (an accepted row doubles its step, a rejected row halves
-it, at most ``_PG_STEPS`` iterations); otherwise both are copied unchanged.
-The current kernels must match them bit for bit.  The ascent takes phi' from
+it, at most ``_PG_STEPS`` iterations) and the current stop (a row is frozen
+once its value gained at most ``_PG_TOL`` relative over its last
+``_PG_WINDOW`` iterations), which it tracks in a full per-iteration history
+rather than a ring; otherwise both are copied unchanged.  The current
+kernels must match them bit for bit.  The ascent takes phi' from
 ``Activation.derivative``, whose ramp branch ``test_dictionary`` pins to the
-earlier ``np.where(u > 0, 1.0, 0.0)``.  ``_ascend_halving`` is the same
-ascent under the earlier step rule: the step only halves, for at most 200
-iterations.
+earlier ``np.where(u > 0, 1.0, 0.0)``.  ``_ascend_capped`` is the ascent
+without the settled-row stop, every row running ``_PG_STEPS`` iterations;
+``_ascend_halving`` is that under the earlier step rule: the step only
+halves, for 200 iterations.
 
 ``_ascend_projected`` is the serial implementation the batched ascent
 replaced, unchanged apart from using the projection above and the current
-step rule: one restart at a time, one matrix-vector product per gradient
-and per value, and one l1 projection per iteration.  ``score`` and
+step rule and stop: one restart at a time, one matrix-vector product per
+gradient and per value, and one l1 projection per iteration.  ``score`` and
 ``step0`` rebuild what the serial ``inner_maximize`` passed it.
 ``two_sign_search`` rebuilds the search of the signed dictionary as two
 serial searches, one per sign of the residual, with ``signed_inits`` giving
@@ -28,7 +32,7 @@ unit.
 import numpy as np
 
 from ridgepursuit import Activation, GreedyConfig
-from ridgepursuit.greedy import _PG_STEPS, _rescore_cover
+from ridgepursuit.greedy import _PG_STEPS, _PG_TOL, _PG_WINDOW, _rescore_cover
 
 
 def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
@@ -64,18 +68,20 @@ def _ascend_batch(
     step0: float,
     grow: float = 2.0,
     steps: int = _PG_STEPS,
+    window: int | None = _PG_WINDOW,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent from every row of ``inits`` at once.
 
     Row i maximizes (1/n) sum_j sign_i R_j phi(theta . X_j), sign_i = +-1
     applied after each product (negation is exact), and ascends on its own:
     a candidate is accepted only if it raises that row's value, and then the
-    row's step is multiplied by ``grow``; otherwise the row's step halves,
-    and the row stops (and is frozen) once its step falls below 1e-14 step0
-    or after ``steps`` iterations.  Per iteration the live rows share one
-    gradient product, one row-wise projection and one product for the
-    candidates' values, whose Z = Theta X^T is kept for the next gradient.
-    Returns the accepted values (k,) and parameters (k, D).
+    row's step is multiplied by ``grow``; otherwise the row's step halves.
+    The row stops (and is frozen) after ``steps`` iterations or, unless
+    ``window`` is None, after iteration t once
+    v_t - v_{t-window} <= _PG_TOL |v_t|.  Per iteration the
+    live rows share one gradient product, one row-wise projection and one
+    product for the candidates' values, whose Z = Theta X^T is kept for the
+    next gradient.  Returns the accepted values (k,) and parameters (k, D).
     """
     n = X.shape[0]
     XT = np.ascontiguousarray(X.T)
@@ -86,7 +92,9 @@ def _ascend_batch(
     Z = theta @ XT
     current = sign * (act(Z) @ R) / n
     step = np.full(live.shape[0], step0)
-    for _ in range(steps):
+    history = np.empty((steps + 1, inits.shape[0]))  # history[t, i]: row i's v_t
+    history[0] = current
+    for t in range(1, steps + 1):
         grad = sign[:, None] * ((act.derivative(Z) * R) @ X) / n
         cand = project_l1(theta + step[:, None] * grad, lam)
         Z_cand = cand @ XT
@@ -97,7 +105,10 @@ def _ascend_batch(
         np.copyto(current, value, where=up)
         step[up] *= grow
         step[~up] *= 0.5
-        stop = ~up & (step < 1e-14 * step0)
+        history[t, live] = current
+        if window is None or t < window:
+            continue
+        stop = current - history[t - window, live] <= _PG_TOL * np.abs(current)
         if stop.any():
             values[live[stop]], thetas[live[stop]] = current[stop], theta[stop]
             keep = ~stop
@@ -109,9 +120,15 @@ def _ascend_batch(
     return values, thetas
 
 
+def _ascend_capped(R, X, act, inits, sign, lam, step0):
+    """``_ascend_batch`` without the settled-row stop: every row runs
+    ``_PG_STEPS`` iterations."""
+    return _ascend_batch(R, X, act, inits, sign, lam, step0, window=None)
+
+
 def _ascend_halving(R, X, act, inits, sign, lam, step0):
-    """``_ascend_batch`` under the earlier step rule: halving only, 200 steps."""
-    return _ascend_batch(R, X, act, inits, sign, lam, step0, grow=1.0, steps=200)
+    """``_ascend_capped`` under the earlier step rule: halving only, 200 steps."""
+    return _ascend_batch(R, X, act, inits, sign, lam, step0, grow=1.0, steps=200, window=None)
 
 
 def exact_scores(R: np.ndarray, cover_cache) -> np.ndarray:
@@ -147,11 +164,14 @@ def _ascend_projected(
     step0: float,
 ) -> tuple[float, np.ndarray]:
     """Projected gradient ascent: the step doubles on acceptance and halves
-    on rejection, and only increases of the value are accepted."""
+    on rejection, and only increases of the value are accepted.  It stops
+    after ``_PG_STEPS`` iterations, or once its value gained at most
+    ``_PG_TOL`` relative over its last ``_PG_WINDOW`` iterations."""
     n = X.shape[0]
     theta = project_l1(theta0, config.lam)
     current = score(theta)
     best = (current, theta)
+    history = [current]
     step = step0
     for _ in range(_PG_STEPS):
         grad = X.T @ (R * act.derivative(X @ theta)) / n
@@ -164,7 +184,9 @@ def _ascend_projected(
                 best = (value, cand)
         else:
             step *= 0.5
-            if step < 1e-14 * step0:
+        history.append(current)
+        if len(history) > _PG_WINDOW:
+            if current - history[-1 - _PG_WINDOW] <= _PG_TOL * abs(current):
                 break
     return best
 

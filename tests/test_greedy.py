@@ -581,6 +581,100 @@ class TestStepRule:
         assert 8 <= proj.call_count <= 8 * (1 + greedy._PG_STEPS)
 
 
+def ascent_rows(run):
+    """Call ``run()`` and count the (row, iteration) pairs its ascents ran:
+    every row ``greedy.project_l1`` saw, less each ``_ascend_batch`` call's
+    projection of its inits (the projection runs nowhere else)."""
+    with mock.patch.object(greedy, "project_l1", wraps=greedy.project_l1) as proj:
+        with mock.patch.object(greedy, "_ascend_batch", wraps=greedy._ascend_batch) as batch:
+            result = run()
+    projected = sum(call.args[0].shape[0] for call in proj.call_args_list)
+    inits = sum(call.args[3].shape[0] for call in batch.call_args_list)
+    return result, projected - inits
+
+
+class TestSettledRows:
+    """A row leaves the ascent once its value has gained at most _PG_TOL
+    relative over its last _PG_WINDOW iterations: fits stay as good as with
+    every row run to the cap, each row keeps its own frozen result, the
+    window state does not grow with the cap, and the benchmark's fit runs
+    well under the cap's row-iterations."""
+
+    @pytest.mark.parametrize("d, seed", [(16, 100), (16, 101), (16, 102), (64, 100)])
+    @pytest.mark.parametrize("kind", ["ramp", "sine", "tanh"])
+    def test_train_mse_no_worse_than_capped_rule(self, kind, d, seed):
+        # The benchmark's projected-gradient fit (m = 8, 8 restarts per sign).
+        data, cfg = cosine_fit_data(d, seed=seed), ascent_config(kind, m_max=8)
+        settled = fit_lpgp(data, cfg).records[-1].train_mse
+        with mock.patch.object(greedy, "_ascend_batch", ascent_oracle._ascend_capped):
+            capped = fit_lpgp(data, cfg).records[-1].train_mse
+        assert settled <= 1.001 * capped
+
+    def test_rows_freeze_on_their_own_in_input_order(self):
+        # For the ramp, theta = 0 has a zero gradient: every candidate is
+        # rejected, so that row settles after exactly _PG_WINDOW iterations
+        # with value 0.  The other row climbs for longer, and wherever the
+        # zero rows sit in the batch it ends as it does alone.
+        rng = np.random.default_rng(3)
+        n, w = 64, greedy._PG_WINDOW
+        X = np.hstack([rng.uniform(-1, 1, size=(n, 3)), np.ones((n, 1))])
+        R = rng.normal(size=n)
+        act = Activation("ramp")
+        climb = np.array([0.3, -0.2, 0.1, 0.05])
+        step0 = ascent_oracle.step0(R, X)
+        (alone_value, alone_theta), alone_rows = ascent_rows(
+            lambda: greedy._ascend_batch(R, X, act, climb[None], np.ones(1), 2.0, step0)
+        )
+        assert w < alone_rows <= greedy._PG_STEPS
+        for layout in ([0, 1], [1, 0], [0, 1, 0]):
+            inits = np.where(np.array(layout)[:, None] == 1, climb, 0.0)
+            (values, thetas), rows = ascent_rows(
+                lambda: greedy._ascend_batch(R, X, act, inits, np.ones(len(layout)), 2.0, step0)
+            )
+            zero = np.array(layout) == 0
+            assert rows == w * zero.sum() + alone_rows
+            assert np.all(values[zero] == 0.0) and np.all(thetas[zero] == 0.0)
+            assert values[~zero][0] == pytest.approx(alone_value[0], rel=1e-12)
+            np.testing.assert_allclose(thetas[~zero][0], alone_theta[0], rtol=0, atol=1e-12)
+
+    def test_window_state_does_not_grow_with_the_cap(self, monkeypatch):
+        # Many rows on a short design, so per-row state dominates: a history
+        # of every iteration would take (steps + 1) * k * 8 bytes.
+        rng = np.random.default_rng(6)
+        n, k = 8, 400
+        X = np.hstack([rng.uniform(-1, 1, size=(n, 2)), np.ones((n, 1))])
+        R = rng.normal(size=n)
+        inits = rng.normal(size=(k, 3))
+        args = (R, X, Activation("tanh"), inits, np.ones(k), 2.0, ascent_oracle.step0(R, X))
+        greedy._ascend_batch(*args)  # warm up numpy's caches
+
+        def peak(steps):
+            monkeypatch.setattr(greedy, "_PG_STEPS", steps)
+            tracemalloc.start()
+            try:
+                greedy._ascend_batch(*args)
+                _, peak_bytes = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak_bytes
+
+        small, large = peak(50), peak(1000)
+        assert large < small + 50 * k * 8
+
+    def test_benchmark_fit_runs_under_the_cap(self):
+        # The benchmark's ramp fit: 8 steps, each one batch of 8 restarts
+        # per sign, at most _PG_STEPS iterations per row.
+        cfg = ascent_config("ramp", m_max=8)
+        path, rows = ascent_rows(lambda: fit_lpgp(cosine_fit_data(16, seed=100), cfg))
+        assert len(path.records) == 8
+        assert 0 < rows <= 0.7 * 16 * 50 * 8
+
+    def test_exhaustive_search_runs_no_ascent(self):
+        cfg = GreedyConfig(lam=2.0, m_max=3)
+        _, rows = ascent_rows(lambda: fit_lpgp(cosine_fit_data(4, n=256), cfg))
+        assert rows == 0
+
+
 def direct_decisions(R, cache, signs, restarts):
     """The decisions of a step taken from the float64 score of every cover
     unit: the exhaustive (value, sign, index) over the zero unit and each
