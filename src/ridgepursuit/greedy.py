@@ -49,6 +49,7 @@ exact and in closed form for every kind of w.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -135,6 +136,8 @@ class CoefficientPenalty:
             )
 
     def __call__(self, v: np.ndarray | float) -> np.ndarray | float:
+        if isinstance(v, float) and self.kind != "custom":
+            return self._at(float(v))
         arr = np.maximum(np.asarray(v, dtype=float), 0.0)
         if self.kind == "linear":
             out = self.rate * arr
@@ -149,6 +152,25 @@ class CoefficientPenalty:
             out = np.where(arr < vk[0], wk[0] + lo_slope * (arr - vk[0]), out)
             out = np.where(arr > vk[-1], wk[-1] + hi_slope * (arr - vk[-1]), out)
         return float(out) if np.ndim(v) == 0 else out
+
+    def _at(self, v: float) -> float:
+        """Linear or power w(v) for one float, bit for bit the array path's value.
+
+        The line search calls w a handful of times per step, so this skips
+        the 0-d array round-trip.  Signed zeros and nan still go through
+        ``np.maximum``, and power w raises a numpy float64 as the array path
+        does for one value: numpy's array power can differ from it in the
+        last bit.  Piecewise-linear w keeps the array path.
+        """
+        if v > 0.0:
+            x = v
+        elif v < 0.0:
+            x = 0.0
+        else:
+            x = float(np.maximum(v, 0.0))
+        if self.kind == "linear":
+            return self.rate * x
+        return self.rate * float(np.float64(x) ** (4.0 / 3.0))
 
 
 def w_linear(rate: float = 0.0) -> CoefficientPenalty:
@@ -222,10 +244,20 @@ class GreedyConfig:
 
 @dataclass(frozen=True)
 class GreedyStep:
-    """One pursuit step: the updated model and its bookkeeping."""
+    """One pursuit step: the unit it added and its bookkeeping.
+
+    A step stores its unit h_m and the line-search pair (alpha_m, beta_m),
+    not a copy of the model; ``previous`` links it to step m - 1, so the
+    records of a path hold O(1) state per step.  ``model`` (f_m) is built
+    the first time it is read, by replaying steps 1..m in order, and then
+    cached.  Each weight beta_j is scaled by (1 - alpha_{j+1}), ...,
+    (1 - alpha_m) in step order, the chain of products of the step
+    recurrence, so the model is bit for bit the one an eager rebuild at
+    every step gives.
+    """
 
     m: int
-    model: RidgeModel
+    unit: RidgeUnit
     v_m: float
     alpha: float
     beta: float
@@ -233,15 +265,35 @@ class GreedyStep:
     train_mse: float
     penalty: float
     diagnostics: dict = field(repr=False, default_factory=dict)
+    previous: GreedyStep | None = field(default=None, repr=False, compare=False)
 
     @property
     def objective(self) -> float:
         return self.train_mse + self.penalty
 
+    @functools.cached_property
+    def model(self) -> RidgeModel:
+        """The iterate f_m, built on first read and cached."""
+        steps = []
+        step: GreedyStep | None = self
+        while step is not None:
+            steps.append(step)
+            step = step.previous
+        steps.reverse()
+        weights = np.empty(len(steps))
+        for j, step in enumerate(steps):
+            weights[:j] *= 1.0 - step.alpha
+            weights[j] = step.beta
+        return RidgeModel(terms=list(zip(weights.tolist(), [step.unit for step in steps])))
+
 
 @dataclass(frozen=True)
 class GreedyPath:
-    """The full iteration path of one pursuit run."""
+    """The full iteration path of one pursuit run.
+
+    ``model_at(m)`` is ``records[m - 1].model``: built on first read from
+    the recorded units and line-search pairs, and cached on the step.
+    """
 
     records: tuple[GreedyStep, ...]
 
@@ -886,7 +938,10 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
     """Run the pursuit for config.m_max steps on the dataset.
 
     The path depends on X, Y and config alone: no random number is drawn,
-    so ``data.seed`` does not enter the fit.
+    so ``data.seed`` does not enter the fit.  Each step records its unit,
+    (alpha, beta) and diagnostics, and carries the fitted values and mass
+    forward; no model is built here.  ``GreedyStep.model`` builds f_m on
+    demand, bit for bit the iterate of the recurrence.
     """
     X = np.atleast_2d(np.asarray(data.X, dtype=float))
     Y = np.asarray(data.Y, dtype=float)
@@ -895,37 +950,33 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
     act = Activation(config.activation)
     cover_cache = _cover_cache_for(X_lift, act, config)
 
-    model = RidgeModel()
     fitted = np.zeros(n)
     resid = Y - fitted
-    v_prev = 0.0
+    v_m = 0.0
+    step = None
     records: list[GreedyStep] = []
     for m in range(1, config.m_max + 1):
         found = inner_maximize(resid, X_lift, config, cover_cache=cover_cache)
         unit = RidgeUnit(activation=act, theta=found.theta, sign=found.sign)
         H = unit.evaluate_lifted(X_lift)
-        alpha, beta, _ = line_search(fitted, H, Y, v_prev, config.w)
+        alpha, beta, _ = line_search(fitted, H, Y, v_m, config.w)
 
-        terms = [((1.0 - alpha) * b, u) for b, u in model.terms] + [(beta, unit)]
-        model = RidgeModel(terms=terms)
         fitted = (1.0 - alpha) * fitted + beta * H
-        v_m = (1.0 - alpha) * v_prev + beta
-        v_prev = v_m
-
+        v_m = (1.0 - alpha) * v_m + beta
         resid = Y - fitted
-        records.append(
-            GreedyStep(
-                m=m,
-                model=model,
-                v_m=v_m,
-                alpha=alpha,
-                beta=beta,
-                inner_value=found.value,
-                train_mse=float(resid @ resid) / n,
-                penalty=float(config.w(v_m)),
-                diagnostics=dict(found.diagnostics),
-            )
+        step = GreedyStep(
+            m=m,
+            unit=unit,
+            v_m=v_m,
+            alpha=alpha,
+            beta=beta,
+            inner_value=found.value,
+            train_mse=float(resid @ resid) / n,
+            penalty=config.w(v_m),
+            diagnostics=dict(found.diagnostics),
+            previous=step,
         )
+        records.append(step)
     return GreedyPath(records=tuple(records))
 
 

@@ -7,6 +7,7 @@ import math
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -43,6 +44,7 @@ from ridgepursuit import greedy
 from ridgepursuit.greedy import PATH_CSV_COLUMNS
 
 import ascent_oracle
+import path_oracle
 from line_search_oracle import line_search as oracle_line_search
 
 CUSTOM_POINTS = [(0.0, 0.0), (1.0, 0.5), (2.0, 1.4), (5.0, 6.0)]
@@ -112,6 +114,58 @@ class TestCoefficientPenalty:
             CoefficientPenalty(kind="linear", rate=-1.0)
         with pytest.raises(ValueError):
             CoefficientPenalty(kind="exp")
+
+
+def penalty_0d(w, v):
+    """w(v) through a 0-d array, as ``CoefficientPenalty`` evaluated every
+    input before it had a scalar path."""
+    arr = np.maximum(np.asarray(v, dtype=float), 0.0)
+    if w.kind == "linear":
+        out = w.rate * arr
+    elif w.kind == "power":
+        out = w.rate * arr ** (4.0 / 3.0)
+    else:
+        vk = np.array([k[0] for k in w.knots], dtype=float)
+        wk = np.array([k[1] for k in w.knots], dtype=float)
+        out = np.asarray(np.interp(arr, vk, wk))
+        lo_slope = (wk[1] - wk[0]) / (vk[1] - vk[0])
+        hi_slope = (wk[-1] - wk[-2]) / (vk[-1] - vk[-2])
+        out = np.where(arr < vk[0], wk[0] + lo_slope * (arr - vk[0]), out)
+        out = np.where(arr > vk[-1], wk[-1] + hi_slope * (arr - vk[-1]), out)
+    return float(out)
+
+
+SCALAR_PENALTIES = {
+    "linear": w_linear(0.7),
+    "linear-zero": w_linear(0.0),
+    "power": w_power(0.4),
+    "power-zero": w_power(0.0),
+    "custom": w_custom(CUSTOM_POINTS),
+}
+SCALAR_MASSES = [-1.0, -0.0, 0.0, 5e-324, 0.25, 0.5, 1.0, 3.7, 1e12, 1e300, math.inf, math.nan]
+
+
+class TestScalarPenalty:
+    """A float (or np.float64) mass skips the array round-trip and gives the
+    0-d result bit for bit: signed zeros, nan, inf and overflow included."""
+
+    @pytest.mark.parametrize("name", list(SCALAR_PENALTIES))
+    def test_matches_0d_array_bitwise(self, name):
+        w = SCALAR_PENALTIES[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v in SCALAR_MASSES:
+                want = np.float64(penalty_0d(w, v)).tobytes()
+                for x in (v, np.float64(v), np.asarray(v)):
+                    got = w(x)
+                    assert type(got) is float, (v, type(x))
+                    assert np.float64(got).tobytes() == want, (v, type(x), got)
+
+    @pytest.mark.parametrize("name", list(SCALAR_PENALTIES))
+    def test_random_masses_match_0d_array(self, name, rng):
+        w = SCALAR_PENALTIES[name]
+        masses = np.concatenate([rng.uniform(0.0, 10.0, 500), 10.0 ** rng.uniform(-300, 200, 500)])
+        for v in masses.tolist():
+            assert w(v) == penalty_0d(w, v), v
 
 
 class TestGreedyConfig:
@@ -1433,6 +1487,100 @@ class TestCoverSeeding:
 # ---------------------------------------------------------------------------
 # Guarantee arithmetic
 # ---------------------------------------------------------------------------
+
+
+def oracle_case(kind, w, search, Y=None):
+    rng = np.random.default_rng(41)
+    X = rng.uniform(-1, 1, size=(80, 3))
+    if Y is None:
+        Y = np.sin(2.0 * X[:, 0] - X[:, 1]) + 0.2 * rng.normal(size=80)
+    cfg = GreedyConfig(lam=2.0, m_max=16, activation=kind, w=w, **SEARCHES[search])
+    return make_dataset(X, Y), cfg
+
+
+def assert_same_terms(got, want):
+    """Same units in the same order, with bitwise equal weights."""
+    assert len(got.terms) == len(want.terms)
+    for (b, unit), (b_ref, ref) in zip(got.terms, want.terms):
+        assert type(b) is float
+        assert b == b_ref and np.signbit(b) == np.signbit(b_ref)
+        assert unit.activation == ref.activation and unit.sign == ref.sign
+        assert unit.theta.tobytes() == ref.theta.tobytes()
+
+
+PATH_PENALTIES = {
+    "linear": w_linear(0.02),
+    "power": w_power(0.02),
+    "custom": w_custom(CUSTOM_POINTS),
+}
+
+
+class TestPathOracle:
+    """Every model on the path is bit for bit the one the earlier eager
+    rebuild made at its step (``path_oracle``)."""
+
+    @pytest.mark.parametrize("search", ["exhaustive", "gradient"])
+    @pytest.mark.parametrize("w", list(PATH_PENALTIES))
+    @pytest.mark.parametrize("kind", ["ramp", "sine"])
+    def test_models_match_eager_rebuild(self, kind, w, search):
+        data, cfg = oracle_case(kind, PATH_PENALTIES[w], search)
+        path = fit_lpgp(data, cfg)
+        want = path_oracle.eager_models(data, cfg)
+        assert len(want) == cfg.m_max + 1
+        for m in range(cfg.m_max + 1):
+            assert_same_terms(path.model_at(m), want[m])
+        assert_same_terms(path.final_model, want[-1])
+
+    def test_zero_steps(self):
+        data, cfg = oracle_case("ramp", w_linear(), "exhaustive")
+        cfg = replace(cfg, m_max=0)
+        path = fit_lpgp(data, cfg)
+        (want,) = path_oracle.eager_models(data, cfg)
+        assert_same_terms(path.final_model, want)
+        assert_same_terms(path.model_at(0), want)
+
+    @pytest.mark.parametrize("search", ["exhaustive", "gradient"])
+    def test_zero_response(self, search):
+        data, cfg = oracle_case("ramp", w_power(0.02), search, Y=np.zeros(80))
+        path = fit_lpgp(data, cfg)
+        want = path_oracle.eager_models(data, cfg)
+        for m in range(cfg.m_max + 1):
+            assert_same_terms(path.model_at(m), want[m])
+
+
+class TestPathBookkeeping:
+    """A step records its unit, not a model: a fit builds no model, a read
+    builds one and caches it, and a path's memory is linear in m."""
+
+    def test_fit_builds_no_model(self, monkeypatch):
+        built = mock.Mock(wraps=RidgeModel)
+        monkeypatch.setattr(greedy, "RidgeModel", built)
+        path = fit_lpgp(cosine_fit_data(8, n=256), GreedyConfig(lam=2.0, m_max=64))
+        assert len(path.records) == 64
+        assert built.call_count == 0
+        model = path.final_model
+        assert built.call_count == 1
+        assert path.final_model is model and path.model_at(64) is model
+        assert built.call_count == 1
+        assert model.n_terms == 64
+
+    def test_retained_memory_is_linear_in_steps(self):
+        data = cosine_fit_data(8)
+        fit_lpgp(data, GreedyConfig(lam=2.0, m_max=2))  # warm up numpy's caches
+
+        def retained(m_max):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                path = fit_lpgp(data, GreedyConfig(lam=2.0, m_max=m_max))
+                held = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            assert len(path.records) == m_max
+            return held
+
+        # A model copy per step held O(m^2) terms: 3.6x from 128 to 256 steps.
+        assert retained(256) < 2.5 * retained(128)
 
 
 class TestGuaranteeBound:
