@@ -32,10 +32,6 @@ __all__ = [
 
 ACTIVATION_KINDS = ("ramp", "sine", "tanh")
 
-# Sup of |phi(u)| over the usage range: ramps are evaluated on |u| <= Lambda = 2
-# and left unnormalized, so their bound is 2; sine and tanh are globally in [-1, 1].
-_BOUNDS = {"ramp": 2.0, "sine": 1.0, "tanh": 1.0}
-
 
 # ----------------------------------------------------------------------------
 # Types
@@ -63,11 +59,6 @@ class Activation:
         if self.kind == "sine":
             return np.sin(u, out=out)
         return np.tanh(u, out=out)
-
-    @property
-    def bound(self) -> float:
-        """Sup-norm of the activation on its usage range."""
-        return _BOUNDS[self.kind]
 
     def derivative(self, u: np.ndarray | float) -> np.ndarray | float:
         """Pointwise derivative (subgradient 0 at the ramp kink).

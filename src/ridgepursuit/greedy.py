@@ -49,6 +49,7 @@ exact and in closed form for every kind of w.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -103,14 +104,19 @@ class CoefficientPenalty:
 
     kinds: ``linear`` w(v) = rate * v; ``power`` w(v) = rate * v^(4/3);
     ``custom`` piecewise-linear through ``knots`` (extended beyond the knot
-    range with the boundary slopes, which preserves convexity).
+    range with the boundary slopes, which preserves convexity).  ``slopes``
+    and ``breaks`` are set once, at construction: custom w's segment slopes
+    and interior knot positions, and (rate,) and () for linear and power w.
     """
 
     kind: str
     rate: float = 0.0
     knots: tuple[tuple[float, float], ...] = ()
+    slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    breaks: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        slopes, breaks = (self.rate,), ()
         if self.kind in ("linear", "power"):
             if self.rate < 0:
                 raise ValueError(f"need rate >= 0, got {self.rate}")
@@ -123,54 +129,52 @@ class CoefficientPenalty:
                 raise ValueError("knot positions must lie in [0, inf)")
             if np.any(np.diff(vk) <= 0):
                 raise ValueError("knot positions must be strictly increasing")
-            slopes = np.diff(wk) / np.diff(vk)
+            with np.errstate(over="ignore", invalid="ignore"):
+                slopes = np.diff(wk) / np.diff(vk)
+            if not np.isfinite(np.concatenate([vk, wk, slopes])).all():
+                raise ValueError("knots and the slopes between them must be finite")
             if np.any(np.diff(slopes) < -1e-12):
                 raise ValueError("knot values are not convex (slopes must be nondecreasing)")
             if slopes[-1] < 0:
                 raise ValueError("final slope must be >= 0 (penalty would go negative)")
             if np.any(wk < 0) or wk[0] - slopes[0] * vk[0] < 0:
                 raise ValueError("penalty values must stay nonnegative on [0, inf)")
+            slopes, breaks = tuple(slopes.tolist()), tuple(vk[1:-1].tolist())
         else:
             raise ValueError(
                 f"unknown penalty kind {self.kind!r}; expected linear, power, or custom"
             )
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "breaks", breaks)
 
     def __call__(self, v: np.ndarray | float) -> np.ndarray | float:
-        if isinstance(v, float) and self.kind != "custom":
+        """w(v): a float for a scalar or 0-d v, else an array of v's shape
+        whose every entry is w of that entry as a float, bit for bit."""
+        if isinstance(v, float):
             return self._at(float(v))
-        arr = np.maximum(np.asarray(v, dtype=float), 0.0)
-        if self.kind == "linear":
-            out = self.rate * arr
-        elif self.kind == "power":
-            out = self.rate * arr ** (4.0 / 3.0)
-        else:
-            vk = np.array([k[0] for k in self.knots], dtype=float)
-            wk = np.array([k[1] for k in self.knots], dtype=float)
-            out = np.asarray(np.interp(arr, vk, wk))
-            lo_slope = (wk[1] - wk[0]) / (vk[1] - vk[0])
-            hi_slope = (wk[-1] - wk[-2]) / (vk[-1] - vk[-2])
-            out = np.where(arr < vk[0], wk[0] + lo_slope * (arr - vk[0]), out)
-            out = np.where(arr > vk[-1], wk[-1] + hi_slope * (arr - vk[-1]), out)
-        return float(out) if np.ndim(v) == 0 else out
+        arr = np.asarray(v, dtype=float)
+        out = [self._at(x) for x in arr.ravel().tolist()]
+        return out[0] if arr.ndim == 0 else np.array(out).reshape(arr.shape)
 
     def _at(self, v: float) -> float:
-        """Linear or power w(v) for one float, bit for bit the array path's value.
+        """w(v) for one float, by one formula per kind.
 
-        The line search calls w a handful of times per step, so this skips
-        the 0-d array round-trip.  Signed zeros and nan still go through
-        ``np.maximum``, and power w raises a numpy float64 as the array path
-        does for one value: numpy's array power can differ from it in the
-        last bit.  Piecewise-linear w keeps the array path.
+        v is clamped at 0 as np.maximum(v, 0.0) clamps it: -0.0 becomes 0.0
+        and nan stays nan.  Power w raises a numpy float64, which overflows
+        to inf where a float power would raise; numpy's array power can
+        differ from it in the last bit.  Custom w is np.interp's
+        w_j + slope_j (v - v_j) on the segment j holding v (the first or last
+        segment outside the knots), taken from the last knot for v at or
+        past it, where np.interp returns that knot's value.
         """
-        if v > 0.0:
-            x = v
-        elif v < 0.0:
-            x = 0.0
-        else:
-            x = float(np.maximum(v, 0.0))
+        x = 0.0 if v <= 0.0 else v
         if self.kind == "linear":
             return self.rate * x
-        return self.rate * float(np.float64(x) ** (4.0 / 3.0))
+        if self.kind == "power":
+            return self.rate * float(np.float64(x) ** (4.0 / 3.0))
+        j = bisect.bisect_right(self.breaks, x)
+        v0, w0 = self.knots[j + 1] if x >= self.knots[-1][0] else self.knots[j]
+        return w0 + self.slopes[j] * (x - v0)
 
 
 def w_linear(rate: float = 0.0) -> CoefficientPenalty:
@@ -646,10 +650,11 @@ def inner_maximize(
     t = min(restarts, K) for projected gradient, every unit whose signed
     approximate score is within 2e of its sign's t-th largest is re-scored
     in float64 (``_rescore_set``, ``_rescore_cover``); no other unit can
-    reach a sign's top t.  Each sign's cover argmax (the first strict
-    maximum) and restart seeds (the stable top t) are taken from those
-    float64 scores, and ``cover_value`` is the best of them.  These are the
-    decisions a float64 score of every cover unit gives.
+    reach a sign's top t.  Each sign's re-scored units are ranked once by
+    those float64 scores, best first and ties in cover order: the first is
+    the sign's cover argmax, the first t its restart seeds, and
+    ``cover_value`` is the best of the argmaxes.  These are the decisions a
+    float64 score of every cover unit gives.
 
     Projected gradient runs the +R restarts and then the -R restarts as one
     batch (``_ascend_batch``, one sign per row), in blocks of at most
@@ -665,7 +670,7 @@ def inner_maximize(
     if R.shape != (n,):
         raise ValueError(f"residual shape {R.shape} does not match design rows {n}")
     act = Activation(config.activation)
-    diagnostics: dict = {"strategy": config.strategy, "cover_value": 0.0, "n_candidates": 1}
+    diagnostics: dict = {"cover_value": 0.0, "n_candidates": 1}
 
     if not np.any(R):
         return InnerResult(np.zeros(D), 0.0, 1, diagnostics)
@@ -680,18 +685,16 @@ def inner_maximize(
     idx = _rescore_set(scores, err, max(count, 1), len(signs) == 2)
     exact = _rescore_cover(R, cover_cache, idx)
     signed = [exact if sign == 1 else -exact for sign in signs]
-    heads = []  # per sign, the cover argmax
-    for score in signed:
-        j = int(np.argmax(score))
-        heads.append((float(score[j]), cover_cache.thetas[idx[j]]))
+    # Per sign, the re-scored units best first, ties in cover order: the
+    # first is the cover argmax, the first ``count`` are the restart seeds.
+    ranks = [np.argsort(-score, kind="stable") for score in signed]
+    heads = [(float(s[r[0]]), cover_cache.thetas[idx[r[0]]]) for s, r in zip(signed, ranks)]
     diagnostics["cover_value"] = max(value for value, _ in heads)
     total = len(signs) * count
     diagnostics["n_candidates"] += len(signs) * K + total
 
     def restarts():
-        order = np.concatenate(
-            [idx[np.argsort(-score, kind="stable")[:count]] for score in signed]
-        )
+        order = np.concatenate([idx[r[:count]] for r in ranks])
         step0 = 1.0 / (float(np.abs(R) @ np.einsum("ij,ij->i", X, X)) / n + 1e-12)
         block = max(1, _BLOCK_CELLS // n)
         for start in range(0, total, block):
@@ -836,22 +839,19 @@ def _argmin_on_line(
 ) -> list[float]:
     """Candidate minimizers of a2 t^2 + a1 t + w(s0 + ds t) over [0, hi].
 
-    a2 >= 0, and the mass s0 + ds t is >= 0 on [0, hi].  Linear w: the
-    clipped quadratic with linear coefficient a1 + rate ds.  Piecewise-linear
-    w: that quadratic once per segment slope, plus the interior knots.  Power
-    w: in u = s^(1/3) stationarity is u^3 + p u + q = 0 with
-    p = 2 rate ds^2 / (3 a2) > 0; its one real root, clipped to s >= 0 and
-    then to [0, hi], is the minimizer by convexity.
+    a2 >= 0, and the mass s0 + ds t is >= 0 on [0, hi].  Linear and
+    piecewise-linear w, and power w where it is constant along the line
+    (rate 0 or ds 0): the clipped quadratic with linear coefficient
+    a1 + slope ds, once per slope in ``w.slopes``, plus the interior knots
+    ``w.breaks``.  Power w: in u = s^(1/3) stationarity is u^3 + p u + q = 0
+    with p = 2 rate ds^2 / (3 a2) > 0; its one real root, clipped to s >= 0
+    and then to [0, hi], is the minimizer by convexity.
     """
-    if w.kind == "custom":
-        vk, wk = np.array(w.knots, dtype=float).T
-        slopes = (np.diff(wk) / np.diff(vk)).tolist()
-        ts = [_argmin_quadratic(a2, a1 + rate * ds, hi) for rate in slopes]
+    if w.kind != "power" or w.rate == 0.0 or ds == 0.0:
+        ts = [_argmin_quadratic(a2, a1 + slope * ds, hi) for slope in w.slopes]
         if ds != 0.0:
-            ts += [t for t in ((vk[1:-1] - s0) / ds).tolist() if 0.0 <= t <= hi]
+            ts += [t for t in ((b - s0) / ds for b in w.breaks) if 0.0 <= t <= hi]
         return ts
-    if w.kind == "linear" or w.rate == 0.0 or ds == 0.0:
-        return [_argmin_quadratic(a2, a1 + w.rate * ds, hi)]
     if a2 > 0.0:
         u = _cubic_root(2.0 * w.rate * ds * ds / (3.0 * a2), a1 * ds / (2.0 * a2) - s0)
     else:

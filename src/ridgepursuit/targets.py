@@ -359,7 +359,7 @@ def mc_l2_sq_distance_to(
     """f -> ``mc_l2_sq_distance(f, g, ...)``, drawing the design and g's values once.
 
     Scoring many callables against one g then costs one evaluation of each.
-    The design and g's values are read-only, so threads may share the scorer.
+    The design and g's values are read-only.
     """
     rng = np.random.default_rng(seed)
     X = _draw_design(n_points, d, rng, design)

@@ -111,6 +111,10 @@ class TestCoefficientPenalty:
         with pytest.raises(ValueError):
             w_custom([(0.0, -0.5), (1.0, 1.0)])  # negative value
         with pytest.raises(ValueError):
+            w_custom([(0.0, 0.0), (1e-300, 1e10)])  # slope overflows
+        with pytest.raises(ValueError):
+            w_custom([(0.0, 0.0), (math.inf, 1.0)])  # knot at infinity
+        with pytest.raises(ValueError):
             CoefficientPenalty(kind="linear", rate=-1.0)
         with pytest.raises(ValueError):
             CoefficientPenalty(kind="exp")
@@ -166,6 +170,33 @@ class TestScalarPenalty:
         masses = np.concatenate([rng.uniform(0.0, 10.0, 500), 10.0 ** rng.uniform(-300, 200, 500)])
         for v in masses.tolist():
             assert w(v) == penalty_0d(w, v), v
+
+
+ARRAY_PENALTIES = {
+    "linear": w_linear(0.7),
+    "power-1e-3": w_power(1e-3),
+    "power-0.4": w_power(0.4),
+    "custom": w_custom(CUSTOM_POINTS),
+    "custom-offset": w_custom([(0.5, 0.5), (1.5, 0.6), (2.0, 1.5)]),
+}
+
+
+class TestArrayPenalty:
+    """An array of masses maps the one-float formula entry by entry."""
+
+    @pytest.mark.parametrize("name", list(ARRAY_PENALTIES))
+    def test_array_is_the_floats_bitwise(self, name):
+        w = ARRAY_PENALTIES[name]
+        rng = np.random.default_rng(19)
+        special = [0.0, -0.0, math.nan, math.inf, -math.inf]
+        masses = np.concatenate([rng.uniform(-2.0, 12.0, 20_000), special])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = w(masses)
+            want = np.array([w(float(x)) for x in masses])
+            grid = w(masses[:20_000].reshape(100, 200))
+        assert got.shape == masses.shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert grid.tobytes() == want[:20_000].tobytes()
 
 
 class TestGreedyConfig:
@@ -388,6 +419,41 @@ class TestInnerMaximize:
         values = np.concatenate(values)
         assert values[0] >= scores.max()
         assert values[count] >= -scores.min()
+
+    def test_exact_tie_goes_to_the_lower_cover_index(self):
+        # Two equal columns make lam e_0 and lam e_1 score the same, bit for
+        # bit, and so -lam e_0 and -lam e_1.  Each sign ranks its units once:
+        # its cover argmax is the tied unit of lower cover index, and that
+        # unit is also its first restart seed.
+        x = np.random.default_rng(3).uniform(-0.5, 1.0, size=64)
+        X = np.column_stack([x, x])
+        cfg = inner_config(cover_m_grid=1)
+        cache = greedy._cover_cache_for(X, Activation("ramp"), cfg)
+        rows = [tuple(theta) for theta in cache.thetas.tolist()]
+        up = sorted(rows.index(t) for t in ((2.0, 0.0), (0.0, 2.0)))
+        down = sorted(rows.index(t) for t in ((-2.0, 0.0), (0.0, -2.0)))
+        exact = ascent_oracle.exact_scores(x, cache)
+        assert exact[up[0]] == exact[up[1]] == exact.max() > 0.0
+        assert exact[down[0]] == exact[down[1]] == exact.min() < 0.0
+        inits = []
+
+        def recording(R, X, act, theta0, sign, lam, step0):
+            inits.append(theta0.copy())
+            return np.full(theta0.shape[0], -np.inf), theta0
+
+        # x leans positive, so a tied +lam unit wins from the +R search when
+        # R = x and from the -R search when R = -x.
+        for R, sign, seeds in ((x, 1, up + down), (-x, -1, down + up)):
+            res = inner_maximize(R, X, cfg, cover_cache=cache)
+            assert res.sign == sign
+            np.testing.assert_array_equal(res.theta, cache.thetas[up[0]])
+            inits.clear()
+            pg = replace(cfg, strategy="projected-gradient", restarts=2)
+            with mock.patch.object(greedy, "_ascend_batch", recording):
+                res = inner_maximize(R, X, pg, cover_cache=cache)
+            np.testing.assert_array_equal(np.concatenate(inits), cache.thetas[seeds])
+            assert res.sign == sign
+            np.testing.assert_array_equal(res.theta, cache.thetas[up[0]])
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
