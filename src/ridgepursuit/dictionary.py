@@ -106,13 +106,20 @@ class RidgeUnit:
         return (self.activation.kind, self.sign, tuple(self.theta))
 
     def evaluate_lifted(self, X_lift: np.ndarray) -> np.ndarray:
-        """sign * phi(X_lift @ theta) on a batch that already has the bias column."""
+        """sign * phi(X_lift @ theta) on a batch that already has the bias column.
+
+        phi and the sign are applied in place on the product, a fresh array.
+        """
         if X_lift.shape[1] != self.theta.shape[0]:
             raise ValueError(
                 f"dimension mismatch: x has {X_lift.shape[1] - 1} coordinates, "
                 f"theta expects {self.theta.shape[0] - 1}"
             )
-        return self.sign * self.activation(X_lift @ self.theta)
+        values = X_lift @ self.theta
+        self.activation(values, out=values)
+        if self.sign < 0:
+            np.negative(values, out=values)
+        return values
 
 
 class CoverSizeError(ValueError):

@@ -33,18 +33,22 @@ random number is drawn, so a fit depends on its data and configuration
 alone.  The restarts of both signs run as one batch (in blocks of rows
 under a fixed cell budget, so a block may hold rows of both signs), with
 one product per gradient and per value and one row-wise l1 projection per
-iteration.  Each step costs one float32 n x K/2 product for approximate
-scores of the K cover units (the cover is symmetric, so one row of each
-pair theta, -theta is cached; the scores of -R are the negated scores of
-+R), a float64 re-score of the few units a certified rounding bound
-cannot rule out of the decisions, one evaluation of the new unit, and a line
-search that reads only six inner products of the residual
-R = Y - f_{m-1}(X), the fitted values and the new unit's values.  Every
-decision taken from the cover scores (the exhaustive argmax, the
-``cover_value`` diagnostic and the restart seeds) is therefore the one a
-float64 score of every unit gives.  For the odd activations (sine, tanh)
-the -R search mirrors the +R one, so only +R is searched.  The line search is
-exact and in closed form for every kind of w.
+iteration.  Each step computes every quantity once.  It takes ||R||_1 of
+the residual R = Y - f_{m-1}(X) once, for the zero-residual test and the
+score error bound; one float32 n x K/2 product for approximate scores of
+the K cover units (the cover is symmetric, so one row of each pair theta,
+-theta is cached; the scores of -R are the negated scores of +R); a float64
+re-score of the few units a certified rounding bound cannot rule out of the
+decisions, ranked once per sign by one stable sort; one evaluation of the
+new unit, with phi and the sign applied in place; and a line search over
+six inner products of R, the fitted values and the new unit's values, of
+which R . R / n is the previous step's train MSE.  The fit keeps R and the
+fitted values and updates both in place.  Every decision taken from the
+cover scores (the exhaustive argmax, the ``cover_value`` diagnostic and the
+restart seeds) is therefore the one a float64 score of every unit gives.
+For the odd activations (sine, tanh) the -R search mirrors the +R one, so
+only +R is searched.  The line search is exact and in closed form for every
+kind of w.
 """
 
 from __future__ import annotations
@@ -107,6 +111,8 @@ class CoefficientPenalty:
     range with the boundary slopes, which preserves convexity).  ``slopes``
     and ``breaks`` are set once, at construction: custom w's segment slopes
     and interior knot positions, and (rate,) and () for linear and power w.
+    Linear and power w need 0 <= rate < inf: a nan or infinite rate makes
+    w(0) nan.
     """
 
     kind: str
@@ -118,8 +124,8 @@ class CoefficientPenalty:
     def __post_init__(self) -> None:
         slopes, breaks = (self.rate,), ()
         if self.kind in ("linear", "power"):
-            if self.rate < 0:
-                raise ValueError(f"need rate >= 0, got {self.rate}")
+            if not 0.0 <= self.rate < math.inf:
+                raise ValueError(f"need 0 <= rate < inf, got {self.rate}")
         elif self.kind == "custom":
             if len(self.knots) < 2:
                 raise ValueError("custom penalty needs at least 2 knots")
@@ -456,15 +462,19 @@ def _cover_cache_for(X: np.ndarray, activation: Activation, config: GreedyConfig
         return _build_cover_cache(X, activation, 1, config.lam, 2 * X.shape[1] + 1)
 
 
-def _score_cover(R: np.ndarray, cover_cache: _CoverCache) -> tuple[np.ndarray, float]:
+def _score_cover(
+    R: np.ndarray, cover_cache: _CoverCache, r_l1: float
+) -> tuple[np.ndarray, float]:
     """Approximate (1/n) sum_i R_i h_k(X_i) for every cover unit k, in cover
     order, and a bound e on the error of each against ``_rescore_cover``.
+    ``r_l1`` is ||R||_1, as ``inner_maximize`` computes it.
 
     float32 products of R against the cached half score the first K/2 rows,
     _SCORE_ROWS rows at a time, and the partial sums are added in float64.
     Row K-1-k is -(row k): it scores -s_k for the odd activations (sine,
     tanh) and, since ramp(-u) = ramp(u) - u, s_k - (row k) . (X^T R) / n for
-    the ramp, that term in float64.  The middle row is 0 and scores 0.
+    the ramp, that term in float64.  The middle row is 0 and scores 0.  The
+    scores are written into one array, in place.
 
     The bound (Higham, Accuracy and Stability of Numerical Algorithms, 3.1
     and 2.1 for underflow).  Let u = 2^-24, gamma_k = k u / (1 - k u), D the
@@ -508,6 +518,9 @@ def _score_cover(R: np.ndarray, cover_cache: _CoverCache) -> tuple[np.ndarray, f
     """
     values = cover_cache.values
     n, half = values.shape
+    scores = np.empty(2 * half + 1)
+    first, mirror = scores[:half], scores[: half : -1]  # rows k and K-1-k
+    scores[half] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         R32 = R.astype(np.float32)
         full = n - n % _SCORE_ROWS
@@ -515,16 +528,15 @@ def _score_cover(R: np.ndarray, cover_cache: _CoverCache) -> tuple[np.ndarray, f
             R32[:full].reshape(-1, 1, _SCORE_ROWS),
             values[:full].reshape(-1, _SCORE_ROWS, half),
         )
-        first = parts.sum(axis=(0, 1), dtype=np.float64)
+        parts.sum(axis=(0, 1), dtype=np.float64, out=first)
         if full < n:
             first += R32[full:] @ values[full:]
         first /= n
         if cover_cache.activation.kind == "ramp":
-            mirror = first - cover_cache.thetas[:half] @ (cover_cache.XT @ R / n)
+            np.subtract(first, cover_cache.thetas[:half] @ (cover_cache.XT @ R / n), out=mirror)
         else:
-            mirror = -first
-        scores = np.concatenate([first, [0.0], mirror[::-1]])
-    err = cover_cache.unit_error * float(np.abs(R).sum()) / n + cover_cache.floor_error
+            np.negative(first, out=mirror)
+    err = cover_cache.unit_error * r_l1 / n + cover_cache.floor_error
     return scores, err
 
 
@@ -642,8 +654,16 @@ def inner_maximize(
     (the zero function) is a candidate.  -R is searched too unless
     ``_searches_both_signs`` says it mirrors +R; the cover is scored once,
     and the -R scores are the negated +R scores.  Without ``cover_cache``
-    the call builds the one ``_cover_cache_for`` picks; a pursuit passes
-    its own, built once per fit.
+    the call builds the one ``_cover_cache_for`` picks.  ``fit_lpgp`` passes
+    its residual Y - f_{m-1}(X), the lifted design and the cover cache it
+    builds once per fit; the search then reads the activation from that
+    cache.
+
+    ||R||_1 is computed once: R = 0 (every entry +-0) returns the zero unit
+    with ``n_candidates`` 1 before any cover is built, and otherwise it sets
+    the error bound of the cover scores.  A residual whose ||R||_1 is not
+    finite (a nan or infinite entry, or finite entries whose l1 norm
+    overflows) raises ValueError, as does one whose shape does not match X.
 
     The cover scores are approximate, each within a certified e of its
     float64 value (``_score_cover``).  With t = 1 for exhaustive search and
@@ -669,33 +689,41 @@ def inner_maximize(
     n, D = X.shape
     if R.shape != (n,):
         raise ValueError(f"residual shape {R.shape} does not match design rows {n}")
-    act = Activation(config.activation)
+    abs_R = np.abs(R)
+    with np.errstate(over="ignore"):
+        r_l1 = float(abs_R.sum())
+    if not math.isfinite(r_l1):
+        raise ValueError(f"the residual's l1 norm must be finite, got {r_l1}")
     diagnostics: dict = {"cover_value": 0.0, "n_candidates": 1}
 
-    if not np.any(R):
+    if r_l1 == 0.0:
         return InnerResult(np.zeros(D), 0.0, 1, diagnostics)
 
     if cover_cache is None:
-        cover_cache = _cover_cache_for(X, act, config)
-    signs = (1, -1) if _searches_both_signs(act) else (1,)
+        cover_cache = _cover_cache_for(X, Activation(config.activation), config)
+    act = cover_cache.activation
+    both = _searches_both_signs(act)
     K = cover_cache.thetas.shape[0]
     # Per sign, the restarts (none for exhaustive search).
     count = min(config.restarts, K) if config.strategy == "projected-gradient" else 0
-    scores, err = _score_cover(R, cover_cache)
-    idx = _rescore_set(scores, err, max(count, 1), len(signs) == 2)
+    scores, err = _score_cover(R, cover_cache, r_l1)
+    idx = _rescore_set(scores, err, max(count, 1), both)
     exact = _rescore_cover(R, cover_cache, idx)
-    signed = [exact if sign == 1 else -exact for sign in signs]
     # Per sign, the re-scored units best first, ties in cover order: the
     # first is the cover argmax, the first ``count`` are the restart seeds.
-    ranks = [np.argsort(-score, kind="stable") for score in signed]
-    heads = [(float(s[r[0]]), cover_cache.thetas[idx[r[0]]]) for s, r in zip(signed, ranks)]
-    diagnostics["cover_value"] = max(value for value, _ in heads)
-    total = len(signs) * count
-    diagnostics["n_candidates"] += len(signs) * K + total
+    # -R's scores are -exact, so its ranking is the ascending sort of exact.
+    ranks = [(-exact).argsort(kind="stable")]
+    heads = [float(exact[ranks[0][0]])]
+    if both:
+        ranks.append(exact.argsort(kind="stable"))
+        heads.append(-float(exact[ranks[1][0]]))
+    diagnostics["cover_value"] = max(heads)
+    total = len(ranks) * count
+    diagnostics["n_candidates"] += len(ranks) * K + total
 
     def restarts():
         order = np.concatenate([idx[r[:count]] for r in ranks])
-        step0 = 1.0 / (float(np.abs(R) @ np.einsum("ij,ij->i", X, X)) / n + 1e-12)
+        step0 = 1.0 / (float(abs_R @ np.einsum("ij,ij->i", X, X)) / n + 1e-12)
         block = max(1, _BLOCK_CELLS // n)
         for start in range(0, total, block):
             stop = min(start + block, total)
@@ -705,12 +733,15 @@ def inner_maximize(
             yield from zip(values.tolist(), thetas)
 
     rows = restarts() if count else iter(())
-    best_value, best_theta, best_sign = 0.0, np.zeros(D), 1
-    for sign, head in zip(signs, heads):
-        for value, theta in itertools.chain([head], itertools.islice(rows, count)):
+    best_value, best_theta, best_sign = 0.0, None, 1
+    for sign, head, rank in zip((1, -1), heads, ranks):
+        if head > best_value:
+            best_value, best_theta, best_sign = head, cover_cache.thetas[idx[rank[0]]], sign
+        for value, theta in itertools.islice(rows, count):
             if value > best_value:
                 best_value, best_theta, best_sign = value, theta, sign
-    return InnerResult(best_theta.copy(), best_value, best_sign, diagnostics)
+    theta = np.zeros(D) if best_theta is None else best_theta.copy()
+    return InnerResult(theta, best_value, best_sign, diagnostics)
 
 
 # Gradient steps per projected-gradient ascent, at most.  With the step
@@ -849,7 +880,7 @@ def _argmin_on_line(
     """
     if w.kind != "power" or w.rate == 0.0 or ds == 0.0:
         ts = [_argmin_quadratic(a2, a1 + slope * ds, hi) for slope in w.slopes]
-        if ds != 0.0:
+        if ds != 0.0 and w.breaks:
             ts += [t for t in ((b - s0) / ds for b in w.breaks) if 0.0 <= t <= hi]
         return ts
     if a2 > 0.0:
@@ -866,12 +897,18 @@ def line_search(
     Y: np.ndarray,
     v_prev: float,
     w: CoefficientPenalty,
+    *,
+    R: np.ndarray | None = None,
+    rr: float | None = None,
 ) -> tuple[float, float, float]:
     """Minimize ||Y - (1-alpha) F - beta H||_n^2 + w((1-alpha) v_prev + beta).
 
     F and H are the previous fit's and the new unit's values on the design,
     v_prev the previous coefficient mass; alpha ranges over [0, 1] and beta
-    over [0, inf).  Returns (alpha, beta, objective).
+    over [0, inf).  Returns (alpha, beta, objective).  ``R`` = Y - F and
+    ``rr`` = R . R / n are computed here unless given: ``fit_lpgp`` passes
+    the residual it holds and its previous train MSE, which are those very
+    values, so its steps are the ones a call without them gives.
 
     With R = Y - F the loss is the quadratic
 
@@ -884,48 +921,60 @@ def line_search(
     grad L . (1, v_prev) = 0.  The valley does not depend on w and is
     parameterized by s >= 0.  ``_argmin_on_line`` minimizes along each line.
 
-    Every candidate is scored with the true objective.  (0, 0), which keeps
-    f_prev, is always one, so the step never does worse than f_prev.  Exact
-    ties go to the smaller alpha.
+    Every candidate is scored with the true objective as it is found, and
+    the least (objective, alpha, beta) wins, the first one on a tie.  The
+    first candidate is (0, 0), which keeps f_prev, so the step never does
+    worse than f_prev; exact ties go to the smaller alpha.
     """
     F = np.asarray(F, dtype=float)
     H = np.asarray(H, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    n = Y.shape[0]
-    R = Y - F
-    rr, rf, rh = float(R @ R) / n, float(R @ F) / n, float(R @ H) / n
+    n = F.shape[0]
+    if R is None:
+        R = np.asarray(Y, dtype=float) - F
+    if rr is None:
+        rr = float(R @ R) / n
+    rf, rh = float(R @ F) / n, float(R @ H) / n
     ff, fh, hh = float(F @ F) / n, float(F @ H) / n, float(H @ H) / n
     v = float(v_prev)
+    at = w._at
 
-    def objective(alpha: float, beta: float) -> float:
-        loss = rr + 2.0 * alpha * rf - 2.0 * beta * rh
-        loss += alpha * alpha * ff - 2.0 * alpha * beta * fh + beta * beta * hh
-        return loss + float(w((1.0 - alpha) * v + beta))
-
-    def on_line(alpha0, beta0, d_alpha, d_beta, hi) -> list[tuple[float, float]]:
-        """Candidate points (alpha0, beta0) + t (d_alpha, d_beta), t in [0, hi]."""
-        g_alpha = 2.0 * (rf + alpha0 * ff - beta0 * fh)  # grad L at t = 0
-        g_beta = 2.0 * (beta0 * hh - rh - alpha0 * fh)
-        a1 = g_alpha * d_alpha + g_beta * d_beta
-        a2 = d_alpha * d_alpha * ff - 2.0 * d_alpha * d_beta * fh + d_beta * d_beta * hh
-        s0, ds = (1.0 - alpha0) * v + beta0, d_beta - v * d_alpha
-        ts = _argmin_on_line(a2, a1, s0, ds, hi, w)
-        return [(alpha0 + t * d_alpha, beta0 + t * d_beta) for t in ts]
-
-    candidates = [(0.0, 0.0)]
-    candidates += on_line(0.0, 0.0, 0.0, 1.0, math.inf)  # alpha = 0
-    candidates += on_line(1.0, 0.0, 0.0, 1.0, math.inf)  # alpha = 1
-    candidates += on_line(0.0, 0.0, 1.0, 0.0, 1.0)  # beta = 0
+    # Each line is (alpha0, beta0, d_alpha, d_beta, hi, in_domain): the points
+    # (alpha0, beta0) + t (d_alpha, d_beta) for t in [0, hi], and whether
+    # they all lie in the domain.  First the edges alpha = 0, alpha = 1 and
+    # beta = 0.
+    lines = [
+        (0.0, 0.0, 0.0, 1.0, math.inf, True),
+        (1.0, 0.0, 0.0, 1.0, math.inf, True),
+        (0.0, 0.0, 1.0, 0.0, 1.0, True),
+    ]
     q2 = ff - 2.0 * fh * v + hh * v * v  # ||F - v H||_n^2, the loss curvature along (1, v)
     if q2 > 0.0:
         # The valley by its mass s: alpha q2 = (v - s)(v HH - FH) - RF + v RH and
         # beta = s - (1 - alpha) v, starting at s = 0.
         alpha0 = (v * (v * hh - fh) - rf + v * rh) / q2
         d_alpha = (fh - v * hh) / q2
-        valley = on_line(alpha0, (alpha0 - 1.0) * v, d_alpha, 1.0 + v * d_alpha, math.inf)
-        candidates += [(a, b) for a, b in valley if 0.0 <= a <= 1.0 and b >= 0.0]
+        lines.append((alpha0, (alpha0 - 1.0) * v, d_alpha, 1.0 + v * d_alpha, math.inf, False))
 
-    obj, alpha, beta = min((objective(a, b), a, b) for a, b in candidates)
+    best = None
+    for alpha0, beta0, d_alpha, d_beta, hi, in_domain in lines:
+        g_alpha = 2.0 * (rf + alpha0 * ff - beta0 * fh)  # grad L at t = 0
+        g_beta = 2.0 * (beta0 * hh - rh - alpha0 * fh)
+        a1 = g_alpha * d_alpha + g_beta * d_beta
+        a2 = d_alpha * d_alpha * ff - 2.0 * d_alpha * d_beta * fh + d_beta * d_beta * hh
+        s0, ds = (1.0 - alpha0) * v + beta0, d_beta - v * d_alpha
+        ts = _argmin_on_line(a2, a1, s0, ds, hi, w)
+        if best is None:
+            ts.insert(0, 0.0)  # (0, 0) is t = 0 on the edge alpha = 0
+        for t in ts:
+            alpha, beta = alpha0 + t * d_alpha, beta0 + t * d_beta
+            if not (in_domain or (0.0 <= alpha <= 1.0 and beta >= 0.0)):
+                continue
+            loss = rr + 2.0 * alpha * rf - 2.0 * beta * rh
+            loss += alpha * alpha * ff - 2.0 * alpha * beta * fh + beta * beta * hh
+            point = (loss + at((1.0 - alpha) * v + beta), alpha, beta)
+            if best is None or point < best:
+                best = point
+    obj, alpha, beta = best
     return alpha + 0.0, beta + 0.0, obj
 
 
@@ -939,9 +988,11 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
 
     The path depends on X, Y and config alone: no random number is drawn,
     so ``data.seed`` does not enter the fit.  Each step records its unit,
-    (alpha, beta) and diagnostics, and carries the fitted values and mass
-    forward; no model is built here.  ``GreedyStep.model`` builds f_m on
-    demand, bit for bit the iterate of the recurrence.
+    (alpha, beta) and diagnostics, and carries the fitted values, the
+    residual, its train MSE and the mass forward; the line search takes the
+    residual and the train MSE as R and R . R / n.  No model is built here.
+    ``GreedyStep.model`` builds f_m on demand, bit for bit the iterate of
+    the recurrence.
     """
     X = np.atleast_2d(np.asarray(data.X, dtype=float))
     Y = np.asarray(data.Y, dtype=float)
@@ -952,6 +1003,7 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
 
     fitted = np.zeros(n)
     resid = Y - fitted
+    train_mse = float(resid @ resid) / n
     v_m = 0.0
     step = None
     records: list[GreedyStep] = []
@@ -959,11 +1011,15 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
         found = inner_maximize(resid, X_lift, config, cover_cache=cover_cache)
         unit = RidgeUnit(activation=act, theta=found.theta, sign=found.sign)
         H = unit.evaluate_lifted(X_lift)
-        alpha, beta, _ = line_search(fitted, H, Y, v_m, config.w)
+        alpha, beta, _ = line_search(fitted, H, Y, v_m, config.w, R=resid, rr=train_mse)
 
-        fitted = (1.0 - alpha) * fitted + beta * H
+        # f_m = (1 - alpha) f_{m-1} + beta h_m and R = Y - f_m, in place.
+        fitted *= 1.0 - alpha
+        H *= beta
+        fitted += H
         v_m = (1.0 - alpha) * v_m + beta
-        resid = Y - fitted
+        np.subtract(Y, fitted, out=resid)
+        train_mse = float(resid @ resid) / n
         step = GreedyStep(
             m=m,
             unit=unit,
@@ -971,9 +1027,9 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
             alpha=alpha,
             beta=beta,
             inner_value=found.value,
-            train_mse=float(resid @ resid) / n,
+            train_mse=train_mse,
             penalty=config.w(v_m),
-            diagnostics=dict(found.diagnostics),
+            diagnostics=found.diagnostics,
             previous=step,
         )
         records.append(step)

@@ -4,6 +4,7 @@ guarantee, and path CSV emission."""
 
 import io
 import math
+import struct
 import threading
 import tracemalloc
 import warnings
@@ -118,6 +119,15 @@ class TestCoefficientPenalty:
             CoefficientPenalty(kind="linear", rate=-1.0)
         with pytest.raises(ValueError):
             CoefficientPenalty(kind="exp")
+
+    @pytest.mark.parametrize("kind", ["linear", "power"])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_rate_must_be_finite(self, kind, rate):
+        # A nan or infinite rate made w(0) nan: inf * 0.0 and nan * 1.0.
+        with pytest.raises(ValueError, match="0 <= rate < inf"):
+            CoefficientPenalty(kind=kind, rate=rate)
+        with pytest.raises(ValueError, match="0 <= rate < inf"):
+            (w_linear if kind == "linear" else w_power)(rate)
 
 
 def penalty_0d(w, v):
@@ -315,9 +325,42 @@ def inner_config(**kwargs):
 class TestInnerMaximize:
     def test_zero_residual(self, rng):
         X = rng.uniform(-1, 1, size=(30, 3))
-        res = inner_maximize(np.zeros(30), X, inner_config())
-        np.testing.assert_array_equal(res.theta, np.zeros(3))
-        assert res.value == 0.0
+        for R in (np.zeros(30), np.full(30, -0.0)):
+            res = inner_maximize(R, X, inner_config())
+            np.testing.assert_array_equal(res.theta, np.zeros(3))
+            assert res.value == 0.0
+            assert res.theta.tobytes() == np.zeros(3).tobytes() and res.sign == 1
+            assert res.diagnostics == {"cover_value": 0.0, "n_candidates": 1}
+
+    def test_smallest_subnormal_residual_is_searched(self):
+        # ||R||_1 = n 5e-324 > 0, so the search runs.  With X = 0 (lifted)
+        # a unit sees only its bias weight: lam e_bias, lam = 1, gives 1 on
+        # every row and scores n 5e-324 / n = 5e-324 exactly; every other
+        # unit's products round to 0.
+        n = 16
+        X = np.hstack([np.zeros((n, 2)), np.ones((n, 1))])
+        res = inner_maximize(np.full(n, 5e-324), X, inner_config(lam=1.0))
+        assert res.value == 5e-324 and res.sign == 1
+        assert res.theta.tolist() == [0.0, 0.0, 1.0]
+        assert res.diagnostics["cover_value"] == 5e-324
+
+    @pytest.mark.parametrize("case", ["nan", "inf", "l1_overflow"])
+    def test_nonfinite_residual_raises(self, rng, case):
+        # Before the check, a nan entry returned cover_value nan, and a +inf
+        # entry or an R whose l1 norm overflows returned value inf, with
+        # RuntimeWarnings.
+        X = rng.uniform(-1, 1, size=(30, 3))
+        R = rng.normal(size=30)
+        if case == "nan":
+            R[4] = math.nan
+        elif case == "inf":
+            R[4] = math.inf
+        else:
+            R = np.full(30, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="l1 norm must be finite"):
+                inner_maximize(R, X, inner_config())
 
     def test_value_never_negative(self, rng, monkeypatch):
         # Residuals anti-correlated with every ramp: the -R search finds a
@@ -842,6 +885,11 @@ def assert_exact_decisions(R, X, cache, kind, lam, restarts_grid):
         np.testing.assert_array_equal(np.concatenate(inits), cache.thetas[seeds])
 
 
+def score_cover(R, cache):
+    """``_score_cover`` with ||R||_1 computed as ``inner_maximize`` computes it."""
+    return greedy._score_cover(R, cache, float(np.abs(R).sum()))
+
+
 class TestSharedCoverScores:
     """Each step scores the cover once, approximately, from the float32 half
     cache; the -R scores are the negated +R ones, and the float64 re-scores
@@ -862,7 +910,7 @@ class TestSharedCoverScores:
         assert cache.values.shape == (n, K // 2) and cache.values.dtype == np.float32
         assert cache.values.nbytes == n * (K // 2) * 4
         direct = ascent_oracle.exact_scores(R, cache)
-        scores, err = greedy._score_cover(R, cache)
+        scores, err = score_cover(R, cache)
         assert 0.0 < err < 1e-4 * np.abs(R).mean() * 2.0
         assert np.abs(scores - direct).max() <= err
         assert_exact_decisions(R, X, cache, kind, 2.0, [1, 32])
@@ -871,7 +919,7 @@ class TestSharedCoverScores:
         calls = []
         score = greedy._score_cover
         monkeypatch.setattr(
-            greedy, "_score_cover", lambda R, cache: calls.append(1) or score(R, cache)
+            greedy, "_score_cover", lambda R, cache, r_l1: calls.append(1) or score(R, cache, r_l1)
         )
         data, _ = sine_cover_target(rng)
         fit_lpgp(data, GreedyConfig(lam=2.0, m_max=5))
@@ -906,7 +954,7 @@ class TestCertifiedScores:
             R = rng.normal(size=n)
             cache = greedy._build_cover_cache(X, Activation(kind), m_grid=2, lam=lam, cap=10**6)
             K = cache.thetas.shape[0]
-            scores, err = greedy._score_cover(R, cache)
+            scores, err = score_cover(R, cache)
             assert np.abs(scores - ascent_oracle.exact_scores(R, cache)).max() <= err
             sizes.clear()
             assert_exact_decisions(R, X, cache, kind, lam, [1, 5, K, K + 7])
@@ -935,7 +983,7 @@ class TestCertifiedScores:
             R = rng.normal(size=n) * r_scale
             cache = greedy._build_cover_cache(X, Activation(kind), m_grid=2, lam=lam, cap=10**6)
             K = cache.thetas.shape[0]
-            scores, err = greedy._score_cover(R, cache)
+            scores, err = score_cover(R, cache)
             assert np.abs(scores - ascent_oracle.exact_scores(R, cache)).max() <= err
             sizes.clear()
             assert_exact_decisions(R, X, cache, kind, lam, [1, 5])
@@ -977,7 +1025,7 @@ class TestCertifiedScores:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cache = greedy._build_cover_cache(X, Activation("ramp"), m_grid=2, lam=2.0, cap=10**6)
-            scores, err = greedy._score_cover(R, cache)
+            scores, err = score_cover(R, cache)
             assert not np.isfinite(scores).all()
             K = cache.thetas.shape[0]
             np.testing.assert_array_equal(greedy._rescore_set(scores, err, 1, True), np.arange(K))
@@ -1197,6 +1245,59 @@ class TestLineSearchOracle:
         F, H, Y = rng.normal(size=(3, 30))
         for w in ORACLE_PENALTIES:
             line_search(F, H, Y, 0.7, w)
+
+
+def float_bits(x):
+    """A float's type and its IEEE bytes: equal bits, signed zeros included."""
+    return type(x), struct.pack("<d", x)
+
+
+FROZEN_CASES = ("generic", "f_zero", "h_zero", "all_zero", "y_equals_f", "h_equals_f")
+
+
+class TestLineSearchFrozen:
+    """The line search against its frozen copy in ``path_oracle``, bit for bit,
+    with and without the residual and R . R / n that ``fit_lpgp`` passes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        case=st.sampled_from(FROZEN_CASES),
+        w=st.sampled_from(ORACLE_PENALTIES),
+        v=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_matches_frozen_copy(self, seed, n, case, w, v, scale):
+        rng = np.random.default_rng(seed)
+        F, H, Y = scale * rng.normal(size=(3, n))
+        if case in ("f_zero", "all_zero"):  # alpha = 0 and alpha = 1 tie when v = 0
+            F = np.zeros(n)
+        if case in ("h_zero", "all_zero"):  # beta moves nothing but the mass
+            H = np.zeros(n)
+        if case == "all_zero":
+            Y = np.zeros(n)
+        if case == "y_equals_f":  # R = 0: (0, 0) ties with the alpha = 0 edge's minimizer
+            Y = F.copy()
+        if case == "h_equals_f":
+            H = F.copy()
+        want = [float_bits(x) for x in path_oracle.line_search(F, H, Y, v, w)]
+        R = Y - F
+        for kwargs in ({}, {"R": R, "rr": float(R @ R) / n}):
+            got = line_search(F, H, Y, v, w, **kwargs)
+            assert [float_bits(x) for x in got] == want
+
+    @pytest.mark.parametrize("w", ORACLE_PENALTIES)
+    def test_exact_ties_at_the_origin(self, w):
+        # Everything zero: every candidate's loss is 0, so candidates tie
+        # wherever w does; with w = 0 all of them tie, and (0, 0) wins.
+        zeros = np.zeros(8)
+        for v in (0.0, 0.5, 2.0):
+            got = line_search(zeros, zeros, zeros, v, w)
+            want = path_oracle.line_search(zeros, zeros, zeros, v, w)
+            assert [float_bits(x) for x in got] == [float_bits(x) for x in want]
+            if w == w_linear(0.0):
+                assert got == (0.0, 0.0, 0.0)
 
 
 class TestPowerStationarity:
@@ -1612,6 +1713,45 @@ class TestPathOracle:
         want = path_oracle.eager_models(data, cfg)
         for m in range(cfg.m_max + 1):
             assert_same_terms(path.model_at(m), want[m])
+
+
+def assert_same_steps(path, want):
+    """Every record of a fit equals the oracle's, field for field, bit for bit."""
+    assert len(path.records) == len(want)
+    for rec, ref in zip(path.records, want):
+        assert rec.m == ref["m"]
+        assert rec.unit.theta.tobytes() == ref["theta"] and rec.unit.sign == ref["sign"]
+        for name in ("v_m", "alpha", "beta", "inner_value", "train_mse", "penalty"):
+            assert float_bits(getattr(rec, name)) == float_bits(ref[name]), (rec.m, name)
+        assert rec.diagnostics.keys() == ref["diagnostics"].keys()
+        assert float_bits(rec.diagnostics["cover_value"]) == float_bits(
+            ref["diagnostics"]["cover_value"]
+        )
+        assert rec.diagnostics["n_candidates"] == ref["diagnostics"]["n_candidates"]
+
+
+class TestStepOracle:
+    """Every step of a fit is the one ``path_oracle`` takes from its own
+    float64 cover search, frozen line search and unit evaluation."""
+
+    @pytest.mark.parametrize("search", ["exhaustive", "gradient", "gradient-vertex-cover"])
+    @pytest.mark.parametrize("w", list(PATH_PENALTIES))
+    @pytest.mark.parametrize("kind", ["ramp", "sine"])
+    def test_records_match(self, kind, w, search):
+        data, cfg = oracle_case(kind, PATH_PENALTIES[w], search)
+        assert_same_steps(fit_lpgp(data, cfg), path_oracle.oracle_steps(data, cfg))
+
+    @pytest.mark.parametrize("search", ["exhaustive", "gradient"])
+    def test_zero_response(self, search):
+        data, cfg = oracle_case("ramp", w_linear(0.02), search, Y=np.zeros(80))
+        path = fit_lpgp(data, cfg)
+        assert_same_steps(path, path_oracle.oracle_steps(data, cfg))
+        assert all(rec.alpha == rec.beta == 0.0 for rec in path.records)
+
+    def test_benchmark_fit_path_config(self):
+        # The fit-path benchmark's linear-w fit: d = 8, n = 1024, m = 256.
+        data, cfg = cosine_fit_data(8), GreedyConfig(lam=2.0, m_max=256)
+        assert_same_steps(fit_lpgp(data, cfg), path_oracle.oracle_steps(data, cfg))
 
 
 class TestPathBookkeeping:
