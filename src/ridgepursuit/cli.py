@@ -1,17 +1,20 @@
 """Batch front door: config parsing, subcommand dispatch, CSV emission.
 
 Config files are plain ``key=value`` lines (``#`` starts a comment); command
-line flags override file values.  Every run writes one CSV whose leading
-``#`` comment lines echo the fully resolved configuration, so reruns with the
-same inputs are byte-identical.  Exit codes: 0 success, 1 property/assertion
-failure, 2 configuration error.  The package is single-threaded: it starts
-no thread or process of its own, and BLAS threading is left at the library
-default.
+line flags override file values, and may come before or after the
+subcommand.  Every run writes one CSV whose leading ``#`` comment lines echo
+the text each key was resolved from, so reruns with the same inputs are
+byte-identical, and the echo, less ``subcommand`` and ``out``, reruns the
+same job as a config file.  ``dispatch`` owns the exit-code contract: 0
+success, 1 a certified property failed, 2 configuration error.  The package
+is single-threaded: it starts no thread or process of its own, and BLAS
+threading is left at the library default.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -63,27 +66,14 @@ from .targets import (
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "dispatch", "main", "SUBCOMMANDS"]
 
-SUBCOMMANDS = (
-    "fit",
-    "approx-rate",
-    "cover-stats",
-    "penalty-table",
-    "concentration-check",
-    "risk-curve",
-)
-
 
 class ConfigError(ValueError):
     """A configuration problem; always names the offending key."""
 
 
 # ----------------------------------------------------------------------------
-# Key table: name -> (parser, default-as-string)
+# Key table: name -> (parser, default text, which the echo writes as is)
 # ----------------------------------------------------------------------------
-
-
-def _int(raw: str) -> int:
-    return int(raw)
 
 
 def _float(raw: str) -> float:
@@ -91,10 +81,6 @@ def _float(raw: str) -> float:
     if not math.isfinite(val):
         raise ValueError(f"need a finite number, got {raw.strip()!r}")
     return val
-
-
-def _str(raw: str) -> str:
-    return raw.strip()
 
 
 def _choice(*options: str) -> Callable[[str], str]:
@@ -148,10 +134,13 @@ def _at_least(
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
+    """Comma-separated integers; empty text holds no integer and is rejected."""
     return tuple(int(p) for p in raw.split(","))
+
+
+def _m_grid(raw: str) -> tuple[int, ...]:
+    """``_int_list``, except that empty text gives (): ``risk.default_m_grid``'s grid."""
+    return _int_list(raw) if raw.strip() else ()
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -182,11 +171,11 @@ def _auto_float(raw: str) -> float | str:
 
 _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     # run plumbing
-    "seed": (_at_least(_int, 0), "0"),
-    "out": (_str, ""),
+    "seed": (_at_least(int, 0), "0"),
+    "out": (str.strip, ""),
     # data
-    "n": (_at_least(_int, 1), "200"),
-    "d": (_at_least(_int, 1), "2"),
+    "n": (_at_least(int, 1), "200"),
+    "d": (_at_least(int, 1), "2"),
     "design": (_choice(*DESIGN_LAWS), "uniform"),
     "noise": (_choice(*NOISE_KINDS), "gaussian"),
     "noise_scale": (_at_least(_float, 0.0, at_most=_MAX_SCALE), "0.5"),
@@ -195,81 +184,83 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     "amps": (_at_least(_float_list, 0.0, strict=True, at_most=_MAX_SCALE), "1"),
     "phases": (_at_least(_float_list, -math.pi, at_most=math.pi), "0"),
     # pursuit
-    "m_max": (_int, "8"),
-    "lam": (_at_least(_float, 0.0, strict=True, at_most=_MAX_SCALE), "2.0"),
+    "m_max": (int, "8"),
+    "lam": (_at_least(_float, 0.0, strict=True, at_most=_MAX_SCALE), "2"),
     "activation": (_choice(*ACTIVATION_KINDS), "ramp"),
     "strategy": (_choice(*INNER_STRATEGIES), "cover-exhaustive"),
-    "restarts": (_int, "32"),
+    "restarts": (int, "32"),
     "w_kind": (_choice("linear", "power"), "linear"),
-    "w_rate": (_float, "0.0"),
-    "cover_m_grid": (_at_least(_int, 1), "2"),
-    "cover_cap": (_int, "1000000"),
+    "w_rate": (_float, "0"),
+    "cover_m_grid": (_at_least(int, 1), "2"),
+    "cover_cap": (int, "1000000"),
     # penalty
     "B": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
     "B_n": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
     "sigma_sq": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
     "eta": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
     "nu": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
-    "delta1": (_at_least(_float, 1.0 / _MAX_SCALE, at_most=_MAX_SCALE), "1.0"),
-    "delta2": (_at_least(_float, 1.0 / _MAX_SCALE, at_most=_MAX_SCALE), "1.0"),
+    "delta1": (_at_least(_float, 1.0 / _MAX_SCALE, at_most=_MAX_SCALE), "1"),
+    "delta2": (_at_least(_float, 1.0 / _MAX_SCALE, at_most=_MAX_SCALE), "1"),
     "regime": (_choice(*REGIMES), "highdim-noise"),
-    "mixed_C": (_at_least(_float, 0.0, strict=True, at_most=_MAX_SCALE), "1.0"),
+    "mixed_C": (_at_least(_float, 0.0, strict=True, at_most=_MAX_SCALE), "1"),
     "tail": (_choice("auto", *TAIL_CLASSES), "auto"),
     # concentration checks
-    "gamma": (_at_least(_float, 0.0, strict=True), "1.0"),
-    "A": (_at_least(_float, 0.0, strict=True), "2.0"),
-    "cc_trials": (_at_least(_int, 2), "2000"),
+    "gamma": (_at_least(_float, 0.0, strict=True), "1"),
+    "A": (_at_least(_float, 0.0, strict=True), "2"),
+    "cc_trials": (_at_least(int, 2), "2000"),
     # experiment grids
-    "trials": (_at_least(_int, 1), "5"),
+    "trials": (_at_least(int, 1), "5"),
     "n_grid": (_at_least(_int_list, 1), "256,512,1024"),
-    "m_grid": (_at_least(_int_list, 0), ""),
+    "m_grid": (_at_least(_m_grid, 0), ""),
     "ar_m_grid": (_at_least(_int_list, 1), "8,16,32,64"),
-    "draws": (_at_least(_int, 1), "32"),
-    "mc_points": (_at_least(_int, 1), "20000"),
-    "v_f": (_at_least(_float, 0.0, at_most=_MAX_SCALE), "1.0"),
+    "draws": (_at_least(int, 1), "32"),
+    "mc_points": (_at_least(int, 1), "20000"),
+    "v_f": (_at_least(_float, 0.0, at_most=_MAX_SCALE), "1"),
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved key-value configuration for one run."""
+    """Fully resolved configuration for one run.
+
+    ``values`` maps each key to its parsed value, and ``texts`` to the text
+    that value was parsed from: the default, the config file's or the flag's,
+    stripped.
+    """
 
     values: dict
+    texts: dict
 
     def __getitem__(self, key: str):
         return self.values[key]
 
     def header_lines(self, subcommand: str) -> list[str]:
-        lines = [f"subcommand={subcommand}"]
-        for key in sorted(self.values):
-            lines.append(f"{key}={_render(self.values[key])}")
-        return lines
+        """The config echo: ``subcommand=...``, then ``key=text`` in key order.
 
-
-def _render(value) -> str:
-    if isinstance(value, tuple):
-        if value and isinstance(value[0], tuple):
-            return ";".join(",".join(format(x, "g") for x in row) for row in value)
-        return ",".join(format(x, "g") for x in value)
-    if isinstance(value, float):
-        return format(value, "g")
-    return str(value)
+        Each text parses back to the value the run used.
+        """
+        return [f"subcommand={subcommand}", *(f"{k}={self.texts[k]}" for k in sorted(self.texts))]
 
 
 def parse_config(path: str | None, overrides: Sequence[tuple[str, str]] = ()) -> RunConfig:
     """Resolve defaults, then the config file, then overrides (flags win)."""
     values: dict = {}
-    for key, (parser, default) in _KEYS.items():
-        values[key] = parser(default)
+    texts: dict = {}
 
     def assign(key: str, raw: str, where: str) -> None:
         if key not in _KEYS:
             raise ConfigError(f"unknown key '{key}' ({where})")
-        parser, _ = _KEYS[key]
+        text = raw.strip()
         try:
-            values[key] = parser(raw)
+            if len(text.splitlines()) > 1:  # the echo holds one line per key
+                raise ValueError("a value must fit on one line")
+            values[key] = _KEYS[key][0](text)
         except ValueError as exc:
             raise ConfigError(f"bad value for key '{key}' ({where}): {exc}") from exc
+        texts[key] = text
+
+    for key, (_, default) in _KEYS.items():
+        assign(key, default, "default")
 
     if path is not None:
         try:
@@ -283,13 +274,13 @@ def parse_config(path: str | None, overrides: Sequence[tuple[str, str]] = ()) ->
                             f"unknown key '{stripped}' ({path}:{lineno}: expected key=value)"
                         )
                     key, raw = stripped.split("=", 1)
-                    assign(key.strip(), raw.strip(), f"{path}:{lineno}")
+                    assign(key.strip(), raw, f"{path}:{lineno}")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
     for key, raw in overrides:
         assign(key.strip(), raw, "flag override")
-    return RunConfig(values=values)
+    return RunConfig(values=values, texts=texts)
 
 
 # ----------------------------------------------------------------------------
@@ -414,11 +405,11 @@ def _write_out(
 
 
 # ----------------------------------------------------------------------------
-# Subcommand bodies (return process exit codes)
+# Subcommand bodies (each returns its property-failure message, or None)
 # ----------------------------------------------------------------------------
 
 
-def _cmd_fit(config: RunConfig) -> int:
+def _cmd_fit(config: RunConfig) -> str | None:
     target = _build_target(config)
     noise = _build_noise(config)
     data = gen_dataset(
@@ -429,22 +420,20 @@ def _cmd_fit(config: RunConfig) -> int:
         write_path_csv(path, fh, header_lines=config.header_lines("fit"))
     objectives = [rec.objective for rec in path.records]
     if any(b > a + 1e-9 for a, b in zip(objectives, objectives[1:])):
-        print("property failure: objective increased along the path", file=sys.stderr)
-        return 1
-    return 0
+        return "objective increased along the path"
+    return None
 
 
-def _cmd_approx_rate(config: RunConfig) -> int:
+def _cmd_approx_rate(config: RunConfig) -> str | None:
     target = _build_target(config)
     d = config["d"]
     v2 = spectral_norm(target, 2.0)
-    m_grid = config["ar_m_grid"] or (8, 16, 32, 64)
     # One Monte Carlo design and one evaluation of the target for every draw.
     distance = mc_l2_sq_distance_to(
         target, d, n_points=config["mc_points"], seed=config["seed"] + 7919
     )
     rows = []
-    for m in m_grid:
+    for m in config["ar_m_grid"]:
         result = best_of(
             lambda rng, m=m: sample_ramp_model(target, m, rng),
             distance,
@@ -459,9 +448,8 @@ def _cmd_approx_rate(config: RunConfig) -> int:
         notes=[f"log_log_slope={format(slope, '.17g')}"],
     )
     if any(err > bound for _, err, bound in rows):
-        print("property failure: sampled error exceeded the mean bound", file=sys.stderr)
-        return 1
-    return 0
+        return "sampled error exceeded the mean bound"
+    return None
 
 
 def _loglog_slope(ms: Sequence[int], errs: Sequence[float]) -> float:
@@ -473,7 +461,7 @@ def _loglog_slope(ms: Sequence[int], errs: Sequence[float]) -> float:
     return float(slope)
 
 
-def _cmd_cover_stats(config: RunConfig) -> int:
+def _cmd_cover_stats(config: RunConfig) -> str | None:
     d = config["d"]
     m_grid = config["cover_m_grid"]
     lam = config["lam"]
@@ -483,18 +471,16 @@ def _cmd_cover_stats(config: RunConfig) -> int:
     row = (d, m_grid, format(lam, "g"), multisets, distinct, math.log(multisets), log_bound)
     _write_out(config, "cover-stats", columns, [row])
     if math.log(multisets) > log_bound:
-        print("property failure: cover count exceeded its closed-form bound", file=sys.stderr)
-        return 1
-    return 0
+        return "cover count exceeded its closed-form bound"
+    return None
 
 
-def _cmd_penalty_table(config: RunConfig) -> int:
+def _cmd_penalty_table(config: RunConfig) -> str | None:
     target = _build_target(config)
     v_f = config["v_f"]
-    n_grid = config["n_grid"] or (256, 1024, 4096)
     rows = []
     for regime in REGIMES:
-        for n in n_grid:
+        for n in config["n_grid"]:
             pconfig = replace(_build_penalty_config(config, target, n), regime=regime)
             pen = penalty_for_regime(pconfig, v_f, n, config["d"])
             rows.append(
@@ -502,10 +488,10 @@ def _cmd_penalty_table(config: RunConfig) -> int:
             )
     columns = ("regime", "n", "d", "v_f", "pen_per_n", "main_term", "valid")
     _write_out(config, "penalty-table", columns, rows)
-    return 0
+    return None
 
 
-def _cmd_concentration_check(config: RunConfig) -> int:
+def _cmd_concentration_check(config: RunConfig) -> str | None:
     d = config["d"]
     specs = shipped_class_specs(d=d)
     noise = _build_noise(config)
@@ -529,15 +515,14 @@ def _cmd_concentration_check(config: RunConfig) -> int:
     columns = ("check", "spec", "constant", "n", "trials", "mean", "se", "pass")
     _write_out(config, "concentration-check", columns, rows)
     if failed:
-        print("property failure: a concentration mean exceeded 3 standard errors", file=sys.stderr)
-        return 1
-    return 0
+        return "a concentration mean exceeded 3 standard errors"
+    return None
 
 
-def _cmd_risk_curve(config: RunConfig) -> int:
+def _cmd_risk_curve(config: RunConfig) -> str | None:
     target = _build_target(config)
     noise = _build_noise(config)
-    n_grid = config["n_grid"] or (256, 512, 1024)
+    n_grid = config["n_grid"]
     pconfig = _build_penalty_config(config, target, max(n_grid))
     rows = risk_curve(
         target,
@@ -555,7 +540,7 @@ def _cmd_risk_curve(config: RunConfig) -> int:
     )
     with open(_out_path(config, "risk-curve"), "w", encoding="utf-8") as fh:
         write_risk_csv(rows, fh, header_lines=config.header_lines("risk-curve"))
-    return 0
+    return None
 
 
 _COMMANDS = {
@@ -568,13 +553,20 @@ _COMMANDS = {
 }
 
 
-def dispatch(subcommand: str, config: RunConfig) -> int:
-    """Run one subcommand; returns the process exit code."""
-    if subcommand not in _COMMANDS:
-        print(f"config error: unknown subcommand '{subcommand}'", file=sys.stderr)
-        return 2
+SUBCOMMANDS = tuple(_COMMANDS)
+
+
+def dispatch(subcommand: str, path: str | None, flags: Sequence[str]) -> int:
+    """Resolve the config from the file at ``path`` and the ``KEY=VALUE``
+    ``flags``, run one subcommand, and return the process exit code.
+
+    The exit-code contract is decided here alone: 0 on success; 1 when the
+    subcommand returns a property-failure message, after writing its CSV; 2
+    on a configuration error, whose message names the offending key.
+    """
     try:
-        return _COMMANDS[subcommand](config)
+        config = parse_config(path, [_split_flag(flag) for flag in flags])
+        failure = _COMMANDS[subcommand](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -584,6 +576,17 @@ def dispatch(subcommand: str, config: RunConfig) -> int:
             file=sys.stderr,
         )
         return 2
+    if failure is not None:
+        print(f"property failure: {failure}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _split_flag(flag: str) -> tuple[str, str]:
+    key, eq, raw = flag.partition("=")
+    if not eq:
+        raise ConfigError(f"bad --set {flag!r}, expected KEY=VALUE")
+    return key, raw
 
 
 # ----------------------------------------------------------------------------
@@ -591,51 +594,40 @@ def dispatch(subcommand: str, config: RunConfig) -> int:
 # ----------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every call
+    of ``main``; argparse copies the ``--set`` default list before appending
+    to it, so no call sees another's flags."""
     parser = argparse.ArgumentParser(
         prog="ridgepursuit",
         description="Penalized greedy pursuit over ridge-function dictionaries.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} batch job")
-        p.add_argument("--config", default=None, help="path to a key=value config file")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override one config key (repeatable; wins over the file)",
-        )
-        p.add_argument("--seed", default=None, help="override the seed key")
-        p.add_argument("--out", default=None, help="override the output path key")
+    parser.add_argument("subcommand", choices=SUBCOMMANDS, help="the batch job to run")
+    parser.add_argument("--config", default=None, help="path to a key=value config file")
+    parser.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override one config key (repeatable; wins over the file)",
+    )
+    parser.add_argument("--seed", default=None, help="override the seed key")
+    parser.add_argument("--out", default=None, help="override the output path key")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0), or a usage error argparse reported (2)
         return int(exc.code or 0)
-
-    overrides: list[tuple[str, str]] = []
-    for pair in args.set:
-        if "=" not in pair:
-            print(f"config error: bad --set {pair!r}, expected KEY=VALUE", file=sys.stderr)
-            return 2
-        key, raw = pair.split("=", 1)
-        overrides.append((key, raw))
+    flags = list(args.set)  # with no --set, args.set is the parser's own default list
     if args.seed is not None:
-        overrides.append(("seed", args.seed))
+        flags.append(f"seed={args.seed}")
     if args.out is not None:
-        overrides.append(("out", args.out))
-
-    try:
-        config = parse_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    return dispatch(args.subcommand, config)
+        flags.append(f"out={args.out}")
+    return dispatch(args.subcommand, args.config, flags)
 
 
 if __name__ == "__main__":

@@ -23,11 +23,9 @@ enumerated cover of the l1 ball or by projected-gradient ascent restarted from
 the best cover points of each sign.  Each ascent accepts a step only if it
 raises the value; its step length starts at 1/L (L bounding the gradient's
 Lipschitz constant), doubles after each accepted step and halves after each
-rejected one, for at most 50 iterations.  On the benchmark's d = 16 fits
-that matches the search values of the earlier halving-only rule's 200
-iterations with about a quarter of the iterations.  A restart stops sooner
-once it has settled, its value having gained at most 1e-7 relative over its
-last 6 iterations.  Every search has a cover: the configured one or, when
+rejected one, for at most 50 iterations.  A restart stops sooner once it
+has settled, its value having gained at most 1e-7 relative over its last 6
+iterations.  Every search has a cover: the configured one or, when
 projected gradient's is over the cap, the vertex cover {+-lam e_j, 0}.  No
 random number is drawn, so a fit depends on its data and configuration
 alone.  The restarts of both signs run as one batch (in blocks of rows
@@ -316,23 +314,6 @@ class GreedyPath:
         if m == 0:
             return RidgeModel()
         return self.records[m - 1].model
-
-    def measured_c(self) -> float:
-        """Largest observed ratio (best cover-grid value) / (achieved value), >= 1.
-
-        This is 1.0 by construction for every strategy: every step scores a
-        cover (the vertex cover when the configured one is over the cap),
-        and the cover scores are themselves candidates, so the achieved
-        value never falls below the best cover value.  It says nothing about
-        the relaxation factor against the whole l1 ball; ROADMAP item 2
-        replaces it with certified bounds.
-        """
-        worst = 1.0
-        for rec in self.records:
-            cover = rec.diagnostics.get("cover_value", math.nan)
-            if math.isfinite(cover) and rec.inner_value > 0:
-                worst = max(worst, cover / rec.inner_value)
-        return worst
 
 
 # ----------------------------------------------------------------------------
@@ -872,13 +853,13 @@ def _argmin_on_line(
 
     a2 >= 0, and the mass s0 + ds t is >= 0 on [0, hi].  Linear and
     piecewise-linear w, and power w where it is constant along the line
-    (rate 0 or ds 0): the clipped quadratic with linear coefficient
-    a1 + slope ds, once per slope in ``w.slopes``, plus the interior knots
-    ``w.breaks``.  Power w: in u = s^(1/3) stationarity is u^3 + p u + q = 0
+    (rate * ds is 0, or rounds to 0): the clipped quadratic with linear
+    coefficient a1 + slope ds, once per slope in ``w.slopes``, plus the
+    interior knots ``w.breaks``.  Power w: in u = s^(1/3) stationarity is u^3 + p u + q = 0
     with p = 2 rate ds^2 / (3 a2) > 0; its one real root, clipped to s >= 0
     and then to [0, hi], is the minimizer by convexity.
     """
-    if w.kind != "power" or w.rate == 0.0 or ds == 0.0:
+    if w.kind != "power" or w.rate * ds == 0.0:
         ts = [_argmin_quadratic(a2, a1 + slope * ds, hi) for slope in w.slopes]
         if ds != 0.0 and w.breaks:
             ts += [t for t in ((b - s0) / ds for b in w.breaks) if 0.0 <= t <= hi]
@@ -993,6 +974,11 @@ def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
     residual and the train MSE as R and R . R / n.  No model is built here.
     ``GreedyStep.model`` builds f_m on demand, bit for bit the iterate of
     the recurrence.
+
+    Against the cover dictionary the relaxation factor is c = 1: every step
+    takes at least the cover argmax (``inner_value >= cover_value``), so for
+    a competitor whose units are cover points the guarantee of
+    ``greedy_bound_rhs`` holds with c = 1.
     """
     X = np.atleast_2d(np.asarray(data.X, dtype=float))
     Y = np.asarray(data.Y, dtype=float)

@@ -12,7 +12,9 @@ search or unit evaluation:
 - ``line_search`` and ``_argmin_on_line`` are frozen copies of the closed-form
   line search as it was before it took the residual from the fit: it
   recomputes R = Y - F and R . R / n and scores its candidates through the
-  ``objective`` and ``on_line`` closures;
+  ``objective`` and ``on_line`` closures (one fix since, made in both: power
+  w takes the constant branch when rate * ds rounds to 0, where the closed
+  form divided 0 by 0);
 - a unit is evaluated as sign * phi(X_lift @ theta), the expression
   ``RidgeUnit.evaluate_lifted`` returned before it worked in place.
 
@@ -87,7 +89,7 @@ def _argmin_on_line(
     a2: float, a1: float, s0: float, ds: float, hi: float, w: CoefficientPenalty
 ) -> list[float]:
     """Candidate minimizers of a2 t^2 + a1 t + w(s0 + ds t) over [0, hi]."""
-    if w.kind != "power" or w.rate == 0.0 or ds == 0.0:
+    if w.kind != "power" or w.rate * ds == 0.0:
         ts = [_argmin_quadratic(a2, a1 + slope * ds, hi) for slope in w.slopes]
         if ds != 0.0:
             ts += [t for t in ((b - s0) / ds for b in w.breaks) if 0.0 <= t <= hi]

@@ -172,6 +172,10 @@ class TestConfigErrors:
             ("approx-rate", "freqs", "1e308,1"),
             ("fit", "phases", "4"),
             ("approx-rate", "phases", "-3.2"),
+            ("penalty-table", "n_grid", ""),
+            ("risk-curve", "n_grid", ""),
+            ("approx-rate", "ar_m_grid", ""),
+            ("risk-curve", "n_grid", "32,\n64"),
         ],
     )
     def test_out_of_range_value_names_key(self, subcommand, key, value, tmp_path, capsys):
@@ -261,6 +265,27 @@ class TestMainPlumbing:
     def test_bad_set_flag(self, capsys):
         assert main(["cover-stats", "--set", "lam2"]) == 2
         assert "lam2" in capsys.readouterr().err
+
+    def test_options_before_subcommand(self, tmp_path):
+        out = tmp_path / "c1.csv"
+        argv = ["--set", "d=1", "--set", "cover_m_grid=1", "--out", str(out), "cover-stats"]
+        assert main(argv) == 0
+        _, _, data = read_csv_with_comments(out)
+        assert int(data[0][3]) == 3
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "cover-stats" in capsys.readouterr().out
+
+    def test_reused_parser_keeps_no_flags(self, tmp_path):
+        # The parser is built once per process; no call's flags may reach
+        # a later call.
+        out = tmp_path / "cover.csv"
+        assert main(["cover-stats", "--set", "d=3", "--out", str(out)]) == 0
+        assert main(["cover-stats", "--seed", "5", "--out", str(out)]) == 0
+        assert main(["cover-stats", "--out", str(out)]) == 0
+        comments, _, _ = read_csv_with_comments(out)
+        assert "# d=2" in comments and "# seed=0" in comments
 
     def test_unknown_key_via_set(self, capsys):
         assert main(["cover-stats", "--set", "bogus=1"]) == 2
@@ -581,6 +606,37 @@ def test_rerun_is_byte_identical(subcommand, tmp_path):
     first = out.read_bytes()
     assert main(argv) == 0
     assert out.read_bytes() == first
+
+
+# SMALL_RUNS, plus a fit whose values have more digits than a "g" echo keeps.
+ECHO_RUNS = {
+    **{subcommand: [subcommand, *flags] for subcommand, flags in SMALL_RUNS.items()},
+    "fit-long-digits": [
+        "fit",
+        "--set", "n=64",
+        "--set", "m_max=3",
+        "--set", "lam=1.23456789",
+        "--set", "noise_scale=0.123456789",
+        "--set", "freqs=1.2345678901234567,-0.98765432109876543",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", ECHO_RUNS.values(), ids=list(ECHO_RUNS))
+def test_rerun_from_echo_is_byte_identical(argv, tmp_path):
+    # The echoed lines, less subcommand and out, rerun the job as a config
+    # file: the data rows and the rest of the echo come out the same.
+    first, second, config = tmp_path / "first.csv", tmp_path / "second.csv", tmp_path / "echo.cfg"
+    assert main([*argv, "--out", str(first)]) == 0
+    echo = [c[2:] for c in read_csv_with_comments(first)[0]]
+    keys = set(cli._KEYS) - {"out"}
+    config.write_text("".join(f"{line}\n" for line in echo if line.split("=")[0] in keys))
+    assert main([argv[0], "--config", str(config), "--out", str(second)]) == 0
+
+    def without_out(path):
+        return [ln for ln in path.read_text().splitlines() if not ln.startswith("# out=")]
+
+    assert without_out(second) == without_out(first)
 
 
 class TestDefaultOutPath:

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ridgepursuit import (
@@ -1268,6 +1268,8 @@ class TestLineSearchFrozen:
         v=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
         scale=st.sampled_from([1e-3, 1.0, 1e3]),
     )
+    # rate * ds underflows to 0 on the alpha edge, where a1 is 0 too.
+    @example(seed=0, n=1, case="f_zero", w=w_power(0.2), v=5e-324, scale=1e-3)
     def test_matches_frozen_copy(self, seed, n, case, w, v, scale):
         rng = np.random.default_rng(seed)
         F, H, Y = scale * rng.normal(size=(3, n))
@@ -1493,7 +1495,8 @@ class TestFitLpgp:
             data, fstar = sine_cover_target(np.random.default_rng(100 + seed))
             cfg = GreedyConfig(lam=2.0, m_max=12, activation="sine", w=w_linear())
             path = fit_lpgp(data, cfg)
-            assert path.measured_c() == 1.0
+            for rec in path.records:
+                assert rec.inner_value >= rec.diagnostics["cover_value"], (seed, rec.m)
             norm_fstar = math.sqrt(float(np.mean(np.asarray(data.Y) ** 2)))
             v_f = fstar.v
             for rec in path.records:
@@ -1558,7 +1561,8 @@ class TestFitLpgp:
         objs = [rec.objective for rec in path.records]
         assert all(a >= b - 1e-12 for a, b in zip(objs, objs[1:]))
         assert objs[-1] < base
-        assert path.measured_c() >= 1.0
+        for rec in path.records:
+            assert rec.inner_value >= rec.diagnostics["cover_value"], rec.m
 
     def test_cover_cap_propagates_for_exhaustive_only(self, rng):
         X = rng.uniform(-1, 1, size=(10, 40))
