@@ -468,7 +468,7 @@ def _cmd_cover_stats(config: RunConfig) -> str | None:
     multisets, distinct = cover_counts(d, m_grid, lam, cap=config["cover_cap"])
     log_bound = cover_count_log_bound(2 * d + 1, m_grid)
     columns = ("d", "m_grid", "lam", "multisets", "distinct", "log_multisets", "log_bound")
-    row = (d, m_grid, format(lam, "g"), multisets, distinct, math.log(multisets), log_bound)
+    row = (d, m_grid, lam, multisets, distinct, math.log(multisets), log_bound)
     _write_out(config, "cover-stats", columns, [row])
     if math.log(multisets) > log_bound:
         return "cover count exceeded its closed-form bound"
@@ -483,9 +483,7 @@ def _cmd_penalty_table(config: RunConfig) -> str | None:
         for n in config["n_grid"]:
             pconfig = replace(_build_penalty_config(config, target, n), regime=regime)
             pen = penalty_for_regime(pconfig, v_f, n, config["d"])
-            rows.append(
-                (regime, n, config["d"], format(v_f, "g"), pen.pen_per_n, pen.main_term, pen.valid)
-            )
+            rows.append((regime, n, config["d"], v_f, pen.pen_per_n, pen.main_term, pen.valid))
     columns = ("regime", "n", "d", "v_f", "pen_per_n", "main_term", "valid")
     _write_out(config, "penalty-table", columns, rows)
     return None
@@ -505,13 +503,13 @@ def _cmd_concentration_check(config: RunConfig) -> str | None:
         )
         ok = mean <= 3.0 * se
         failed = failed or not ok
-        rows.append(("symmetrization", name, format(config["gamma"], "g"), n, trials, mean, se, ok))
+        rows.append(("symmetrization", name, config["gamma"], n, trials, mean, se, ok))
         mean, se = mc_noise_check(
             spec, config["A"], n, trials, noise, design=config["design"], d=d, rng=rng
         )
         ok = mean <= 3.0 * se
         failed = failed or not ok
-        rows.append(("noise", name, format(config["A"], "g"), n, trials, mean, se, ok))
+        rows.append(("noise", name, config["A"], n, trials, mean, se, ok))
     columns = ("check", "spec", "constant", "n", "trials", "mean", "se", "pass")
     _write_out(config, "concentration-check", columns, rows)
     if failed:

@@ -4,8 +4,9 @@ A ridge unit is x -> sign * phi(theta . (x, 1)) where phi is a 1-Lipschitz
 scalar activation and the internal parameter theta (bias folded into the last
 coordinate) has l1 norm at most Lambda.  The cover construction enumerates the
 vectors (Lambda/m) * sum of m signed standard basis vectors (zero allowed),
-whose multiset count is C(2d+m, m); sparsify_theta draws random cover members
-concentrating near a given theta.
+whose multiset count is C(2d+m, m), and holds each as at most m (coordinate,
+count) entries; sparsify_theta draws random cover members concentrating near
+a given theta.
 """
 
 from __future__ import annotations
@@ -140,22 +141,57 @@ class SparseCover:
 
     ``size`` counts the generating multisets, C(2d + m_grid, m_grid); distinct
     multisets can realize the same vector (e.g. {+e1, -e1} and {0, 0}), so
-    ``thetas`` holds the distinct vectors in lexicographic order.  The set is
-    symmetric, so row K-1-k is the negation of row k and the middle row is 0.
+    the cover holds the K distinct vectors (lam/m_grid) c, c integer with
+    ||c||_1 <= m_grid, in lexicographic order.  The set is symmetric, so row
+    K-1-k is the negation of row k and the middle row is 0.
+
+    No row is stored densely.  Row k is the m_grid (coordinate, signed count)
+    entries ``coords[k]``, ``counts[k]``: a slot with count 0 is padding and
+    points at the column d, one past the last coordinate.  ``rows(idx)``
+    decodes the rows idx, and ``thetas`` decodes every row on each read.
+
+    The rows fall into runs, one per line of ``runs`` = (first row, start j):
+    a run is a fixed prefix (its first row's entries below coordinate j)
+    plus, in turn, each vector of the slice [j, 2d + 1 - j) of the vertex
+    list -e_0, ..., -e_{d-1}, 0, e_{d-1}, ..., e_0.  A run with j = d is the
+    prefix alone.  So run r holds 2 (d - j_r) + 1 rows.
     """
 
     d: int
     m_grid: int
     lam: float
-    thetas: np.ndarray = field(repr=False)
     size: int
+    coords: np.ndarray = field(repr=False)  # (K, m_grid) intp, padding at column d
+    counts: np.ndarray = field(repr=False)  # (K, m_grid) signed counts, padding 0
+    runs: np.ndarray = field(repr=False)  # (runs, 2) intp: first row, slice start j
 
     def __len__(self) -> int:
         return self.size
 
     @property
     def n_distinct(self) -> int:
-        return self.thetas.shape[0]
+        return self.coords.shape[0]
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """The rows idx as a (len(idx), d) float64 array.
+
+        Each entry is float(count) * (lam / m_grid), +0.0 where the count is
+        0, as the integer vectors times the step give it in float64.  The
+        array is the first d columns of a fresh one whose last column takes
+        the padding slots.
+        """
+        out = np.zeros((idx.shape[0], self.d + 1))
+        at = np.arange(idx.shape[0])[:, None]
+        out[at, self.coords.take(idx, axis=0)] = self.counts.take(idx, axis=0)
+        out *= self.lam / self.m_grid
+        return out[:, : self.d]
+
+    @property
+    def thetas(self) -> np.ndarray:
+        """Every row, (K, d) float64 and read-only, decoded on each read."""
+        thetas = self.rows(np.arange(self.n_distinct))
+        thetas.setflags(write=False)
+        return thetas
 
     def contains(self, theta: np.ndarray, tol: float = 1e-9) -> bool:
         """Whether theta coincides with some cover vector up to tol."""
@@ -229,35 +265,51 @@ def enumerate_cover(
     """Enumerate all vectors (lam/m_grid) * sum of m_grid symbols from {+-e_j, 0}.
 
     These are the vectors (lam/m_grid) * c for the integer vectors c with
-    ||c||_1 <= m_grid, built directly in lexicographic order, so row K-1-k
-    is the negation of row k and the middle row is zero.  The multiset count
-    is C(2d + m_grid, m_grid); enumeration refuses to run past ``cap``
-    multisets.  For m_grid = 1 the rows are the vertices and zero,
-    lam * (-e_0, ..., -e_{d-1}, 0, e_{d-1}, ..., e_0), built in closed form.
+    ||c||_1 <= m_grid, in lexicographic order, so row K-1-k is the negation
+    of row k and the middle row is zero.  The multiset count is
+    C(2d + m_grid, m_grid); enumeration refuses to run past ``cap``
+    multisets.
+
+    The vectors with budget r left over coordinates j..d-1 are, in order,
+    v e_j followed by those with budget r - |v| over j+1..d-1, for v from -r
+    to r.  Budget 1 leaves the vertex slice -e_j, ..., -e_{d-1}, 0,
+    e_{d-1}, ..., e_j, and budget 0 (or no coordinate left) leaves 0, so a
+    walk of that recursion down to budget 1 lists the runs of
+    ``SparseCover``; the entries of all K rows are then filled from the runs
+    in O(K m_grid).  For m_grid = 1 the one run is the vertex list itself.
     """
-    size, _ = cover_counts(d, m_grid, lam, cap)
+    size, distinct = cover_counts(d, m_grid, lam, cap)
+    prefixes, starts = [], []
+    stack = [(0, m_grid, ())]
+    while stack:
+        j, r, prefix = stack.pop()
+        if r <= 1 or j == d:
+            prefixes.append(prefix)
+            starts.append(j if r == 1 else d)
+            continue
+        for v in range(r, -r - 1, -1):  # popped from -r up
+            stack.append((j + 1, r - abs(v), prefix + ((j, v),) if v else prefix))
     dtype = np.min_scalar_type(-m_grid)
-    if m_grid == 1:
-        eye = np.eye(d, dtype=dtype)
-        ints = np.concatenate([-eye, np.zeros((1, d), dtype=dtype), eye[::-1]])
-    else:
-
-        def prepend(v: int, tail: np.ndarray) -> np.ndarray:
-            return np.concatenate([np.full((tail.shape[0], 1), v, dtype=dtype), tail], axis=1)
-
-        # After t passes, tails[r] holds the integer vectors in Z^t with l1
-        # norm <= r in lexicographic order; a pass prepends each leading value
-        # v in increasing order, followed by the vectors of budget r - |v|.
-        tails = [np.zeros((1, 0), dtype=dtype)] * (m_grid + 1)
-        for _ in range(d):
-            tails = [
-                np.vstack([prepend(v, tails[r - abs(v)]) for v in range(-r, r + 1)])
-                for r in range(m_grid + 1)
-            ]
-        ints = tails[m_grid]
-    thetas = np.multiply(ints, lam / m_grid, dtype=np.float64)
-    thetas.setflags(write=False)
-    return SparseCover(d=d, m_grid=m_grid, lam=float(lam), thetas=thetas, size=size)
+    start = np.array(starts, dtype=np.intp)
+    length = 2 * (d - start) + 1
+    first = np.cumsum(length) - length
+    # A prefix has at most m_grid - 1 entries; the last slot is the vertex.
+    pre_coords = np.full((start.shape[0], m_grid), d, dtype=np.intp)
+    pre_counts = np.zeros((start.shape[0], m_grid), dtype=dtype)
+    for row, prefix in enumerate(prefixes):
+        for slot, (j, v) in enumerate(prefix):
+            pre_coords[row, slot], pre_counts[row, slot] = j, v
+    coords = np.repeat(pre_coords, length, axis=0)
+    counts = np.repeat(pre_counts, length, axis=0)
+    vertex = np.arange(distinct) - np.repeat(first - start, length)  # 0..2d
+    coords[:, -1] = np.where(vertex <= d, vertex, 2 * d - vertex)
+    counts[:, -1] = np.sign(vertex - d)
+    runs = np.column_stack([first, start])
+    for array in (coords, counts, runs):
+        array.setflags(write=False)
+    return SparseCover(
+        d=d, m_grid=m_grid, lam=float(lam), size=size, coords=coords, counts=counts, runs=runs
+    )
 
 
 def sparsify_theta(

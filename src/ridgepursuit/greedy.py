@@ -31,13 +31,17 @@ random number is drawn, so a fit depends on its data and configuration
 alone.  The restarts of both signs run as one batch (in blocks of rows
 under a fixed cell budget, so a block may hold rows of both signs), with
 one product per gradient and per value and one row-wise l1 projection per
-iteration.  Each step computes every quantity once.  It takes ||R||_1 of
-the residual R = Y - f_{m-1}(X) once, for the zero-residual test and the
-score error bound; one float32 n x K/2 product for approximate scores of
-the K cover units (the cover is symmetric, so one row of each pair theta,
--theta is cached; the scores of -R are the negated scores of +R); a float64
-re-score of the few units a certified rounding bound cannot rule out of the
-decisions, ranked once per sign by one stable sort; one evaluation of the
+iteration.  The cover is held sparsely, each of its K rows as at most
+m_grid (coordinate, count) entries, and its float32 values are built once
+per fit from the design's scaled columns, with no dense parameter matrix
+and no product (the cover is symmetric, so one row of each pair theta,
+-theta is cached).  Each step computes every quantity once.  It takes
+||R||_1 of the residual R = Y - f_{m-1}(X) once, for the zero-residual
+test and the score error bound; one float32 product of R with each cached
+block for approximate scores of the K cover units (the scores of -R are
+the negated scores of +R); a float64 re-score of the few units a certified
+rounding bound cannot rule out of the decisions, whose rows are decoded
+once and ranked once per sign by one stable sort; one evaluation of the
 new unit, with phi and the sign applied in place; and a line search over
 six inner products of R, the fitted values and the new unit's values, of
 which R . R / n is the previous step's train MSE.  The fit keeps R and the
@@ -55,6 +59,7 @@ import bisect
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -65,6 +70,8 @@ from .dictionary import (
     CoverSizeError,
     FieldError,
     RidgeUnit,
+    SparseCover,
+    cover_counts,
     enumerate_cover,
     lift,
 )
@@ -212,7 +219,8 @@ class GreedyConfig:
     the restarts of both signs run as one batch in blocks of at most
     ``_BLOCK_CELLS // n`` rows.  ``cover_m_grid`` sets the cover resolution
     used for exhaustive search, the restart inits, and the ``cover_value``
-    diagnostic; ``cover_cap`` bounds its multiset count.  Over the cap,
+    diagnostic; ``cover_cap`` bounds its multiset count.  Over the cap, or
+    when its value cache would not fit the memory the process can allocate,
     exhaustive search raises CoverSizeError and projected gradient seeds
     from the vertex cover (m_grid = 1, 2D + 1 rows, built without the cap).
     Each step searches both signs of the residual, except for the odd
@@ -340,29 +348,37 @@ class InnerResult:
 
 @dataclass(frozen=True)
 class _CoverCache:
-    """Precomputed cover grid: parameter rows and half of their unit values.
+    """A search's cover and half of its unit values.
 
     The cover rows are in lexicographic order, so row K-1-k is -(row k) and
-    the middle row is 0; only the first K//2 rows are evaluated, in float32.
-    ``_score_cover`` derives approximate scores of every row from them, with
-    the bound ``unit_error * ||R||_1 / n + floor_error`` on their error
-    against the float64 scores of ``_rescore_cover``.
+    the middle row is 0; only the first K//2 rows are evaluated, in float32,
+    from the design's columns (``_build_cover_cache``).  The values are
+    stored unit-major in blocks of _SCORE_ROWS design rows (the last block
+    may be shorter): ``values[b][k, i]`` = phi(theta_k . X_{b _SCORE_ROWS + i}).
+    No cover row is held densely; a step decodes the rows it uses from
+    ``cover``.  ``_score_cover`` derives approximate scores of every row
+    from the values, with the bound ``unit_error * ||R||_1 / n +
+    floor_error`` on their error against the float64 scores of
+    ``_rescore_cover``.
     """
 
-    thetas: np.ndarray  # (K, D) float64, all cover rows
-    values: np.ndarray  # (n, K//2) float32 = phi(X @ thetas[:K//2].T)
+    cover: SparseCover
+    values: tuple[np.ndarray, ...]  # float32 (K//2, <= _SCORE_ROWS) blocks, in design order
     XT: np.ndarray  # (D, n) float64, contiguous: the design the values were taken on
+    weights: np.ndarray  # (K//2, m_grid) float64: the first rows' counts * lam / (m_grid n)
     activation: Activation
     unit_error: float  # the certified score error per unit of ||R||_1 / n
     floor_error: float  # the certified score error from underflow, for any R
 
 
-# Cells per block of the cache build: small enough that the activation runs
-# on a block still in cache, large enough that each product stays efficient.
+# Cells per block of a float64 re-score or of the restart batch: small enough
+# that the activation runs on a block still in cache, large enough that each
+# product stays efficient.
 _BLOCK_CELLS = 2**20
 
-# Rows per float32 partial sum of the cover scores; the partial sums are
-# added in float64, so the float32 rounding grows with this count, not with n.
+# Design rows per block of the float32 cache, and so per float32 partial sum
+# of the cover scores; the partial sums are added in float64, so the float32
+# rounding grows with this count, not with n.
 _SCORE_ROWS = 1024
 
 # Allowance, in units of the float32 spacing at 1, for the rounding of
@@ -376,21 +392,34 @@ def _gamma(k: int, u: float) -> float:
     return k * u / (1.0 - k * u)
 
 
+def _value_error(
+    m_grid: int, lam: float, xmax: float, activation: Activation
+) -> tuple[float, float]:
+    """(value_error, top): the bound on |cached value - phi(theta . x)|, the
+    float64 cover row theta against the exact product, and the bound M' on
+    every |cached value|; see ``_score_cover``."""
+    u, eta = 2.0**-24, 2.0**-126  # float32 unit roundoff, smallest normal float32
+    reach = lam * xmax  # >= |x . theta| for every row x and cover row theta
+    bound = reach if activation.kind == "ramp" else 1.0
+    g = _gamma(m_grid + 3, u)
+    under = eta * (3 * m_grid + 1) * (1.0 + g)  # A
+    value_error = g * reach + under
+    if activation.kind != "ramp":
+        value_error = min(value_error + _ACT_ULPS * 2.0**-23, 2.0)
+    return value_error, (1.0 + g) * bound + under
+
+
 def _score_error(
-    n: int, D: int, lam: float, xmax: float, activation: Activation
+    n: int, D: int, m_grid: int, lam: float, xmax: float, activation: Activation
 ) -> tuple[float, float]:
     """The bound e of ``_score_cover`` as (unit_error, floor_error): e is
     unit_error * ||R||_1 / n + floor_error; see there."""
     u, u64 = 2.0**-24, 2.0**-53
     eta, eta64 = 2.0**-126, 2.0**-1022  # the smallest normal float32, float64
     c = min(n, _SCORE_ROWS)
-    reach = lam * xmax  # >= |x . theta| for every row x and cover row theta
+    reach = lam * xmax
     bound = reach if activation.kind == "ramp" else 1.0
-    under = eta * (lam + D * xmax + 3 * D) * (1.0 + _gamma(D + 2, u))  # A
-    value_error = _gamma(D + 2, u) * reach + under
-    if activation.kind != "ramp":
-        value_error = min(value_error + _ACT_ULPS * 2.0**-23, 2.0)
-    top = (1.0 + _gamma(D + 2, u)) * bound + under  # M' >= every |cached value|
+    value_error, top = _value_error(m_grid, lam, xmax, activation)
     rounding32 = value_error + _gamma(c + 1, u) * top
     rounding64 = (
         4.0 * _gamma(n + 2 * D + 16, u64) * (reach + bound)
@@ -403,35 +432,100 @@ def _score_error(
     return unit_error, (floor32 + floor64) * (1.0 + 2.0**-20)
 
 
+def _memory_budget() -> float:
+    """The bytes a new array may take: physical memory and, under a finite
+    RLIMIT_AS, the address space the process has left.  A bound the
+    platform cannot report is not applied."""
+    budget = math.inf
+    try:
+        page = os.sysconf("SC_PAGE_SIZE")
+        budget = float(page * os.sysconf("SC_PHYS_PAGES"))
+        import resource
+
+        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if limit != resource.RLIM_INFINITY:
+            with open("/proc/self/statm", encoding="ascii") as fh:
+                used = int(fh.read().split()[0]) * page
+            budget = min(budget, float(limit - used))
+    except (AttributeError, ValueError, ImportError, OSError):
+        pass
+    return budget
+
+
 def _build_cover_cache(
     X: np.ndarray, activation: Activation, m_grid: int, lam: float, cap: int
 ) -> _CoverCache:
-    cover = enumerate_cover(X.shape[1], m_grid, lam, cap=cap)
-    half = cover.thetas[: cover.thetas.shape[0] // 2].astype(np.float32)
-    values = np.empty((X.shape[0], half.shape[0]), dtype=np.float32)
-    block = max(1, _BLOCK_CELLS // half.shape[0])
+    """The cover of (D = X's columns, m_grid, lam) and its half cache on X.
+
+    Its bytes are known from ``cover_counts`` before any array exists: n
+    (K//2) float32 values, the n D float64 design copy, K m_grid entries and
+    (K//2) m_grid float64 weights.  Over the cap, or over the memory the
+    process can allocate (``_memory_budget``), it raises CoverSizeError.
+
+    The values are built from x~_j = float32(X_{:, j} lam / m_grid), the
+    columns scaled by the cover's step.  Each run of the cover (see
+    ``SparseCover``) is its prefix, sum_s count_s x~_{j_s} summed in float32
+    in entry order, plus a contiguous slice of the vertex rows
+    [-x~_0, ..., -x~_{D-1}, 0, x~_{D-1}, ..., x~_0]: one numpy add per run
+    and block of design rows, then phi in place.  No cover row is decoded,
+    and no product is taken.
+    """
+    n, D = X.shape
+    _, K = cover_counts(D, m_grid, lam, cap)
+    need = 4.0 * n * (K // 2) + 8.0 * n * D + 13.0 * K * m_grid
+    budget = _memory_budget()
+    if need > budget:
+        raise CoverSizeError(
+            f"the cover of m_grid = {m_grid} at D = {D} has {K} rows, and its value cache "
+            f"on n = {n} rows needs {need:.3g} bytes, above the {budget:.3g} this process "
+            f"can allocate"
+        )
+    cover = enumerate_cover(D, m_grid, lam, cap=cap)
+    half = K // 2
+    XT = np.ascontiguousarray(X.T)
+    first, start = cover.runs[cover.runs[:, 0] < half].T
+    stop = np.minimum(first + 2 * (D - start) + 1, half)
+    # A run's prefix is its first row's entries below its slice start; x~_j
+    # is vertex row 2D - j, and every other slot reads the zero row D.
+    below = cover.coords[first] < start[:, None]
+    entry = np.where(below, 2 * D - cover.coords[first], D)
+    count = np.where(below, cover.counts[first], 0)
+    spans = list(zip(first.tolist(), stop.tolist(), start.tolist()))
+    blocks = []
     with np.errstate(over="ignore", invalid="ignore"):
-        X32 = X.astype(np.float32)
-        for start in range(0, X.shape[0], block):
-            out = values[start : start + block]
-            np.matmul(X32[start : start + block], half.T, out=out)
-            activation(out, out=out)
-    xmax = float(np.abs(X).max(initial=0.0))
-    unit_error, floor_error = _score_error(X.shape[0], X.shape[1], lam, xmax, activation)
-    return _CoverCache(
-        cover.thetas, values, np.ascontiguousarray(X.T), activation, unit_error, floor_error
-    )
+        for row in range(0, n, _SCORE_ROWS):
+            cols = XT[:, row : row + _SCORE_ROWS]
+            vertex = np.empty((2 * D + 1, cols.shape[1]), dtype=np.float32)
+            vertex[D + 1 :] = cols[::-1] * (lam / m_grid)
+            vertex[D] = 0.0
+            np.negative(vertex[:D:-1], out=vertex[:D])
+            prefix = vertex[entry[:, 0]]
+            prefix *= count[:, :1]
+            for slot in range(1, m_grid):
+                term = vertex[entry[:, slot]]
+                term *= count[:, slot : slot + 1]
+                prefix += term
+            block = np.empty((half, cols.shape[1]), dtype=np.float32)
+            for (lo, hi, j), p in zip(spans, prefix):
+                np.add(vertex[j : j + hi - lo], p, out=block[lo:hi])
+            activation(block, out=block)
+            blocks.append(block)
+    weights = cover.counts[:half] * (lam / m_grid / n)
+    xmax = float(max(X.max(initial=0.0), -X.min(initial=0.0)))  # max |X_ij|, with no copy of X
+    unit_error, floor_error = _score_error(n, D, m_grid, lam, xmax, activation)
+    return _CoverCache(cover, tuple(blocks), XT, weights, activation, unit_error, floor_error)
 
 
 def _cover_cache_for(X: np.ndarray, activation: Activation, config: GreedyConfig) -> _CoverCache:
     """The cover cache of a search: the one place that picks its cover.
 
     That is the configured cover (``cover_m_grid``, capped at ``cover_cap``
-    multisets).  Exhaustive search cannot run without it, so an over-cap
-    cover raises CoverSizeError there; projected gradient, which uses the
-    cover for its restart seeds and the c diagnostic, falls back to the
-    vertex cover lam * {+-e_j, 0}, the m_grid = 1 cover, whose 2D + 1 rows
-    are built without the cap.
+    multisets and at the memory the process can allocate).  Exhaustive
+    search cannot run without it, so an over-cap cover raises
+    CoverSizeError there; projected gradient, which uses the cover for its
+    restart seeds and the c diagnostic, falls back to the vertex cover
+    lam * {+-e_j, 0}, the m_grid = 1 cover, whose 2D + 1 rows of one entry
+    each are built without the cap (but not without the memory bound).
     """
     try:
         return _build_cover_cache(
@@ -450,36 +544,42 @@ def _score_cover(
     order, and a bound e on the error of each against ``_rescore_cover``.
     ``r_l1`` is ||R||_1, as ``inner_maximize`` computes it.
 
-    float32 products of R against the cached half score the first K/2 rows,
-    _SCORE_ROWS rows at a time, and the partial sums are added in float64.
-    Row K-1-k is -(row k): it scores -s_k for the odd activations (sine,
-    tanh) and, since ramp(-u) = ramp(u) - u, s_k - (row k) . (X^T R) / n for
-    the ramp, that term in float64.  The middle row is 0 and scores 0.  The
-    scores are written into one array, in place.
+    A float32 product of each cached block with R's rows scores the first
+    K/2 rows, and the partial sums are added in float64.  Row K-1-k is
+    -(row k): it scores -s_k for the odd activations (sine, tanh) and,
+    since ramp(-u) = ramp(u) - u, s_k - (row k) . (X^T R) / n for the ramp,
+    that term in float64 from the row's (coordinate, count) entries.  The
+    middle row is 0 and scores 0.  The scores are written into one array,
+    in place.
 
     The bound (Higham, Accuracy and Stability of Numerical Algorithms, 3.1
     and 2.1 for underflow).  Let u = 2^-24, gamma_k = k u / (1 - k u), D the
     columns of X, c the rows per partial sum (n if fewer), xmax = max |X_ij|,
-    lam >= ||theta_k||_1 and M >= |phi(X_i . theta_k)|: lam xmax for the
-    ramp, 1 for sine and tanh.  A float32 rounding or operation has relative
-    error at most u, plus an absolute error below eta = 2^-126 (the smallest
-    normal float32) when its result underflows, with gradual underflow or
-    with flush to zero.  Each cached value is phi of a float32 product of X
-    and theta_k, both rounded to float32: two roundings of the inputs and D
-    of the product put it within gamma_{D+2} sum_j |X_ij theta_kj| + A <=
-    gamma_{D+2} lam xmax + A of X_i . theta_k, where A = eta (lam + D xmax
-    + 3D) (1 + gamma_{D+2}) bounds the underflow of the two input roundings
-    (eta |theta_kj| and eta |X_ij| per term) and of the D products and D - 1
+    q = lam / m_grid, lam >= ||theta_k||_1 and M >= |phi(X_i . theta_k)|:
+    lam xmax for the ramp, 1 for sine and tanh.  A float32 rounding or
+    operation has relative error at most u, plus an absolute error below
+    eta = 2^-126 (the smallest normal float32) when its result underflows,
+    with gradual underflow or with flush to zero.  Row k is q sum_s c_s e_j_s
+    over at most m_grid entries with sum_s |c_s| <= m_grid, and its float64
+    row theta_k has entries fl(c_s q), within u' = 2^-53 of c_s q.  Its
+    cached value is phi of the float32 sum over its entries of c_s x~_j_s,
+    x~_j = fl32(fl(X_ij q)): per entry two roundings of the input, one of
+    the product by c_s and at most m_grid - 1 of the sum, so with the u'
+    of theta the value is within gamma_{m_grid+3} sum_s |c_s q X_ij_s| + A
+    <= gamma_{m_grid+3} lam xmax + A of X_i . theta_k, where A = eta
+    (3 m_grid + 1) (1 + gamma_{m_grid+3}) bounds the underflow of the inputs
+    (eta |c_s| each, plus the float64 product's), the products and the
     sums; phi is 1-Lipschitz.  The float32 ramp max(., 0) is exact; the
     float32 sine and tanh add at most _ACT_ULPS float32 spacings at 1, and
-    their values stay in [-1, 1], so the value error is at most 2 there.
-    Every cached value is then at most M' = (1 + gamma_{D+2}) M + A in
-    magnitude.  Rounding R to float32 and a float32 dot product over c rows
-    add gamma_{c+1} sum_i |R_i| |v_ik| <= gamma_{c+1} ||R||_1 M', plus an
-    underflow of at most eta |v_ik| from rounding R_i and eta for each of its
-    product and sum, 2 + M' times eta (1 + gamma_c) per row.  So
+    their values stay in [-1, 1], so the value error is at most 2 there
+    (``_value_error``).  Every cached value is then at most
+    M' = (1 + gamma_{m_grid+3}) M + A in magnitude.  Rounding R to float32
+    and a float32 dot product over c rows add gamma_{c+1} sum_i |R_i| |v_ik|
+    <= gamma_{c+1} ||R||_1 M', plus an underflow of at most eta |v_ik| from
+    rounding R_i and eta for each of its product and sum, 2 + M' times
+    eta (1 + gamma_c) per row.  So
 
-        |approx - exact| <= ||R||_1 / n * (gamma_{D+2} lam xmax + A + a_phi
+        |approx - exact| <= ||R||_1 / n * (gamma_{m_grid+3} lam xmax + A + a_phi
                             + gamma_{c+1} M')  +  eta (M' + 2) (1 + gamma_c)
 
     with a_phi = 0 for the ramp, _ACT_ULPS 2^-23 for sine and tanh (and the
@@ -488,33 +588,30 @@ def _score_cover(
     sums and the ramp's linear term), add 4 gamma'_{n+2D+16} (lam xmax + M),
     2 _ACT_ULPS 2^-52 and A' = 2 eta' (lam + D xmax + 3D) (1 + gamma'_{D+2})
     (the float64 A of both sides) per unit of ||R||_1 / n, with gamma' taken
-    at u' = 2^-53, and an underflow below eta' (4 lam + 2D + 16 + that unit
-    error), eta' = 2^-1022, which also covers the underflow of ||R||_1 and
-    of the re-score thresholds.  e, computed in float64, is inflated by
-    1 + 2^-20 to cover its own rounding and that of the thresholds; its
-    R-free part is ``floor_error``, so when R, theta or X is so small that
-    the scores sit near the underflow range, e covers them all and every
-    unit is re-scored.  A score or e that is not finite certifies nothing;
+    at u', and an underflow below eta' (4 lam + 2D + 16 + that unit error),
+    eta' = 2^-1022, which also covers the underflow of ||R||_1 and of the
+    re-score thresholds.  e, computed in float64, is inflated by 1 + 2^-20
+    to cover its own rounding and that of the thresholds; its R-free part is
+    ``floor_error``, so when R, theta or X is so small that the scores sit
+    near the underflow range, e covers them all and every unit is
+    re-scored.  A score or e that is not finite certifies nothing;
     ``_rescore_set`` then keeps every unit.
     """
     values = cover_cache.values
-    n, half = values.shape
-    scores = np.empty(2 * half + 1)
+    n, half = R.shape[0], values[0].shape[0]
+    scores = np.zeros(2 * half + 1)
     first, mirror = scores[:half], scores[: half : -1]  # rows k and K-1-k
-    scores[half] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         R32 = R.astype(np.float32)
-        full = n - n % _SCORE_ROWS
-        parts = np.matmul(
-            R32[:full].reshape(-1, 1, _SCORE_ROWS),
-            values[:full].reshape(-1, _SCORE_ROWS, half),
-        )
-        parts.sum(axis=(0, 1), dtype=np.float64, out=first)
-        if full < n:
-            first += R32[full:] @ values[full:]
+        for row, block in zip(range(0, n, _SCORE_ROWS), values):
+            first += block @ R32[row : row + _SCORE_ROWS]
         first /= n
         if cover_cache.activation.kind == "ramp":
-            np.subtract(first, cover_cache.thetas[:half] @ (cover_cache.XT @ R / n), out=mirror)
+            XT = cover_cache.XT
+            g = np.zeros(XT.shape[0] + 1)  # the padding column D reads 0
+            np.matmul(XT, R, out=g[:-1])
+            entries = g.take(cover_cache.cover.coords[:half])
+            np.subtract(first, np.vecdot(cover_cache.weights, entries), out=mirror)
         else:
             np.negative(first, out=mirror)
     err = cover_cache.unit_error * r_l1 / n + cover_cache.floor_error
@@ -545,22 +642,22 @@ def _rescore_set(scores: np.ndarray, err: float, top: int, both: bool) -> np.nda
     return keep.nonzero()[0]
 
 
-def _rescore_cover(R: np.ndarray, cover_cache: _CoverCache, idx: np.ndarray) -> np.ndarray:
-    """(1/n) sum_i R_i h_k(X_i) in float64 for the cover units ``idx``.
+def _rescore_cover(R: np.ndarray, cover_cache: _CoverCache, thetas: np.ndarray) -> np.ndarray:
+    """(1/n) sum_i R_i h(X_i) in float64 for the decoded cover rows ``thetas``.
 
-    Each unit is evaluated directly, phi(theta_k . X_i) for every row and
-    then its dot product with R, in blocks of at most _BLOCK_CELLS // n
-    units.  Both products run one unit at a time (the rows of one product,
-    then a stack of one dot product per row), so a unit's score does not
-    depend on which other units share its call: every re-scored set sees the
-    same values.
+    Each unit is evaluated directly, phi(theta . X_i) for every row and then
+    its dot product with R, in blocks of at most _BLOCK_CELLS // n units.
+    Both products run one unit at a time (the rows of one product, then a
+    stack of one dot product per row), so a unit's score does not depend on
+    which other units share its call: every re-scored set sees the same
+    values.
     """
     n = R.shape[0]
     block = max(1, _BLOCK_CELLS // n)
-    if idx.shape[0] > block:
-        parts = [idx[start : start + block] for start in range(0, idx.shape[0], block)]
+    if thetas.shape[0] > block:
+        parts = [thetas[start : start + block] for start in range(0, thetas.shape[0], block)]
         return np.concatenate([_rescore_cover(R, cover_cache, part) for part in parts])
-    Z = cover_cache.thetas[idx] @ cover_cache.XT
+    Z = thetas @ cover_cache.XT
     return (cover_cache.activation(Z, out=Z)[:, None, :] @ R)[:, 0] / n
 
 
@@ -682,14 +779,30 @@ def inner_maximize(
 
     if cover_cache is None:
         cover_cache = _cover_cache_for(X, Activation(config.activation), config)
-    act = cover_cache.activation
+    act, cover = cover_cache.activation, cover_cache.cover
     both = _searches_both_signs(act)
-    K = cover_cache.thetas.shape[0]
+    K = cover.n_distinct
     # Per sign, the restarts (none for exhaustive search).
     count = min(config.restarts, K) if config.strategy == "projected-gradient" else 0
     scores, err = _score_cover(R, cover_cache, r_l1)
     idx = _rescore_set(scores, err, max(count, 1), both)
-    exact = _rescore_cover(R, cover_cache, idx)
+    # The re-scored rows are decoded once, for the re-score, the argmaxes and
+    # the restart seeds.  A set wider than one block (every unit, when the
+    # scores certify nothing, or restarts near K) is decoded a block at a
+    # time where it is used instead, so a step holds at most a block of rows.
+    block = max(1, _BLOCK_CELLS // n)
+    if idx.shape[0] <= block:
+        decoded = cover.rows(idx)
+        exact = _rescore_cover(R, cover_cache, decoded)
+    else:
+        decoded = None
+        parts = [idx[start : start + block] for start in range(0, idx.shape[0], block)]
+        exact = np.concatenate([_rescore_cover(R, cover_cache, cover.rows(p)) for p in parts])
+
+    def rows_at(pos):
+        """The re-scored rows at ``pos``, an index array or slice into idx."""
+        return cover.rows(idx[pos]) if decoded is None else decoded[pos]
+
     # Per sign, the re-scored units best first, ties in cover order: the
     # first is the cover argmax, the first ``count`` are the restart seeds.
     # -R's scores are -exact, so its ranking is the ascending sort of exact.
@@ -703,13 +816,12 @@ def inner_maximize(
     diagnostics["n_candidates"] += len(ranks) * K + total
 
     def restarts():
-        order = np.concatenate([idx[r[:count]] for r in ranks])
+        order = np.concatenate([r[:count] for r in ranks])
         step0 = 1.0 / (float(abs_R @ np.einsum("ij,ij->i", X, X)) / n + 1e-12)
-        block = max(1, _BLOCK_CELLS // n)
         for start in range(0, total, block):
             stop = min(start + block, total)
             sign = np.where(np.arange(start, stop) < count, 1.0, -1.0)
-            inits = cover_cache.thetas[order[start:stop]]
+            inits = rows_at(order[start:stop])
             values, thetas = _ascend_batch(R, X, act, inits, sign, config.lam, step0)
             yield from zip(values.tolist(), thetas)
 
@@ -717,7 +829,8 @@ def inner_maximize(
     best_value, best_theta, best_sign = 0.0, None, 1
     for sign, head, rank in zip((1, -1), heads, ranks):
         if head > best_value:
-            best_value, best_theta, best_sign = head, cover_cache.thetas[idx[rank[0]]], sign
+            top = int(rank[0])
+            best_value, best_theta, best_sign = head, rows_at(slice(top, top + 1))[0], sign
         for value, theta in itertools.islice(rows, count):
             if value > best_value:
                 best_value, best_theta, best_sign = value, theta, sign

@@ -133,7 +133,7 @@ def _ascend_halving(R, X, act, inits, sign, lam, step0):
 
 def exact_scores(R: np.ndarray, cover_cache) -> np.ndarray:
     """The float64 score of every cover unit against R, in cover order."""
-    return _rescore_cover(R, cover_cache, np.arange(cover_cache.thetas.shape[0]))
+    return _rescore_cover(R, cover_cache, cover_cache.cover.thetas)
 
 
 def score(R: np.ndarray, X: np.ndarray, act: Activation):
@@ -200,7 +200,7 @@ def signed_inits(R, config: GreedyConfig, cover_cache, signs) -> list:
     pairs = []
     for sign in signs:
         scores = exact_scores(sign * R, cover_cache)
-        inits = cover_cache.thetas[np.argsort(-scores, kind="stable")[: config.restarts]]
+        inits = cover_cache.cover.thetas[np.argsort(-scores, kind="stable")[: config.restarts]]
         pairs += [(sign, theta0) for theta0 in inits]
     return pairs
 
@@ -226,7 +226,7 @@ def two_sign_search(R, X, config: GreedyConfig, cover_cache, signs=(1, -1)):
         n_candidates += scores.shape[0]
         j = int(np.argmax(scores))
         if scores[j] > value:
-            value, theta = float(scores[j]), cover_cache.thetas[j]
+            value, theta = float(scores[j]), cover_cache.cover.thetas[j]
         value_of, first_step = score(signed_R, X, act), step0(signed_R, X)
         for _, theta0 in (p for p in pairs if p[0] == sign):
             found, at = _ascend_projected(value_of, act, signed_R, X, theta0, config, first_step)

@@ -53,15 +53,15 @@ def inner_search(R, X, config: GreedyConfig, cover_cache):
         return np.zeros(D), 0.0, 1, diagnostics
     act = Activation(config.activation)
     signs = (1, -1) if act.kind == "ramp" else (1,)
-    K = cover_cache.thetas.shape[0]
+    K = cover_cache.cover.n_distinct
     count = min(config.restarts, K) if config.strategy == "projected-gradient" else 0
     exact = ascent_oracle.exact_scores(R, cover_cache)
     heads, seeds = [], []
     for sign in signs:
         signed = exact if sign == 1 else -exact
         rank = np.argsort(-signed, kind="stable")
-        heads.append((float(signed[rank[0]]), cover_cache.thetas[rank[0]]))
-        seeds.append(cover_cache.thetas[rank[:count]])
+        heads.append((float(signed[rank[0]]), cover_cache.cover.thetas[rank[0]]))
+        seeds.append(cover_cache.cover.thetas[rank[:count]])
     diagnostics["cover_value"] = max(value for value, _ in heads)
     diagnostics["n_candidates"] += len(signs) * (K + count)
 

@@ -325,6 +325,35 @@ class TestMainPlumbing:
 # ---------------------------------------------------------------------------
 
 
+class TestCoverMemoryBound:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
+    def test_cache_over_address_space_limit_exits_2(self, tmp_path):
+        # The cover cache's bytes are known before any array exists.  Under
+        # an RLIMIT_AS of 512 MiB above what the process already maps, an
+        # exhaustive fit at d = 512, n = 1024 (a 1.0 GiB half cache) exits 2
+        # naming the cover keys, not with a MemoryError traceback.
+        code = (
+            "import resource, sys\n"
+            "from ridgepursuit import cli\n"
+            "page = resource.getpagesize()\n"
+            "with open('/proc/self/statm') as fh:\n"
+            "    used = int(fh.read().split()[0]) * page\n"
+            "limit = used + 512 * 2**20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        freqs = ",".join(["1"] + ["0"] * 511)
+        argv = [sys.executable, "-c", code, "fit", "--out", str(tmp_path / "fit.csv")]
+        for kv in ("d=512", "n=1024", "m_max=2", f"freqs={freqs}", "strategy=cover-exhaustive"):
+            argv += ["--set", kv]
+        src = str(Path(ridgepursuit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 2, out.stderr
+        assert "'cover_m_grid' or 'cover_cap'" in out.stderr
+        assert "MemoryError" not in out.stderr and "Traceback" not in out.stderr
+
+
 class TestCoverStats:
     def test_counts_and_determinism(self, tmp_path):
         out = tmp_path / "cover.csv"
@@ -372,6 +401,28 @@ class TestCoverStats:
         _, _, data = read_csv_with_comments(out)
         assert int(data[0][3]) == math.comb(2050, 2)
         assert int(data[0][4]) == 1 + 2 * 1024 * 2 + 4 * math.comb(1024, 2)
+
+
+@pytest.mark.parametrize(
+    "subcommand, key, column, check",
+    [
+        ("cover-stats", "lam", "lam", None),
+        ("penalty-table", "v_f", "v_f", None),
+        ("concentration-check", "gamma", "constant", "symmetrization"),
+        ("concentration-check", "A", "constant", "noise"),
+    ],
+)
+def test_config_floats_in_data_rows_read_back_exactly(subcommand, key, column, check, tmp_path):
+    # Like every other float cell, these carry 17 significant digits, so the
+    # cell reads back as the value set, not rounded to six digits.
+    out = tmp_path / "out.csv"
+    argv = [subcommand, "--set", f"{key}=1.23456789012345", "--out", str(out)]
+    for flag in FUZZ_BASE[subcommand]:
+        argv += ["--set", flag]
+    assert main(argv) != 2
+    _, header, data = read_csv_with_comments(out)
+    cells = [row[header.index(column)] for row in data if check in (None, row[0])]
+    assert cells and all(cell == format(1.23456789012345, ".17g") for cell in cells)
 
 
 class TestPenaltyTable:

@@ -292,18 +292,20 @@ class TestEnumerateCover:
 
     @staticmethod
     def multiset_reference(d, m, lam):
-        """The cover as sums of m symbols from {0, +-e_j}, deduplicated by np.unique."""
-        scale = lam / m
+        """The cover as sums of m symbols from {0, +-e_j}, deduplicated by
+        np.unique and scaled by lam / m.  The symbols are summed as integer
+        counts: repeated float additions of lam / m would leave
+        near-duplicates such as 0.65 and 0.6500000000000001 at m >= 4."""
         rows = []
         for combo in itertools.combinations_with_replacement(range(2 * d + 1), m):
-            row = np.zeros(d)
+            row = np.zeros(d, dtype=int)
             for sym in combo:
                 if 1 <= sym <= d:
-                    row[sym - 1] += scale
+                    row[sym - 1] += 1
                 elif sym > d:
-                    row[sym - d - 1] -= scale
+                    row[sym - d - 1] -= 1
             rows.append(row)
-        return np.unique(np.array(rows), axis=0)
+        return np.unique(np.array(rows), axis=0) * (lam / m)
 
     @pytest.mark.parametrize("d", range(1, 7))
     @pytest.mark.parametrize("m", range(1, 6))
@@ -320,9 +322,26 @@ class TestEnumerateCover:
         # Lexicographic order of a symmetric set: row K-1-k is -(row k).
         np.testing.assert_array_equal(cover.thetas[::-1], -cover.thetas)
         assert not np.any(cover.thetas[expected // 2])
-        if m <= 3:
-            ref = self.multiset_reference(d, m, lam)
-            assert cover.thetas.tobytes() == ref.tobytes()
+        assert cover.thetas.tobytes() == self.multiset_reference(d, m, lam).tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("m", range(1, 5))
+    @pytest.mark.parametrize("lam", [2.0, 0.3])
+    def test_sparse_rows_match_reference(self, d, m, lam):
+        # The rows are decoded from at most m (coordinate, count) entries,
+        # bit for bit the scaled multiset sums, with no negative zero; the
+        # runs tile the rows in order.
+        cover = enumerate_cover(d, m, lam)
+        thetas = cover.thetas
+        assert thetas.tobytes() == self.multiset_reference(d, m, lam).tobytes()
+        assert not np.signbit(thetas[thetas == 0.0]).any()
+        assert cover.coords.shape == cover.counts.shape == (cover.n_distinct, m)
+        idx = np.random.default_rng(d * m).permutation(cover.n_distinct)
+        assert cover.rows(idx).tobytes() == thetas[idx].tobytes()
+        first, start = cover.runs.T
+        lengths = 2 * (d - start) + 1
+        np.testing.assert_array_equal(first, np.cumsum(lengths) - lengths)
+        assert lengths.sum() == cover.n_distinct
 
     @pytest.mark.parametrize("d", [17, 65, 257])
     def test_vertex_cover_closed_form_matches_reference(self, d):
