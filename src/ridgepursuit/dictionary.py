@@ -25,6 +25,7 @@ __all__ = [
     "eval_unit",
     "enumerate_cover",
     "cover_counts",
+    "cover_runs",
     "sparsify_theta",
     "cover_count_library",
     "cover_count_log_bound",
@@ -146,9 +147,11 @@ class SparseCover:
     K-1-k is the negation of row k and the middle row is 0.
 
     No row is stored densely.  Row k is the m_grid (coordinate, signed count)
-    entries ``coords[k]``, ``counts[k]``: a slot with count 0 is padding and
-    points at the column d, one past the last coordinate.  ``rows(idx)``
-    decodes the rows idx, and ``thetas`` decodes every row on each read.
+    entries ``coords[k]``, ``counts[k]``, whose float64 values count * (lam /
+    m_grid) are ``values[k]``: a slot with count 0 is padding, value +0.0,
+    and points at the column d, one past the last coordinate.  ``rows(idx)``
+    decodes the rows idx by one scatter, ``row(k)`` the row k, and
+    ``thetas`` every row on each read.
 
     The rows fall into runs, one per line of ``runs`` = (first row, start j):
     a run is a fixed prefix (its first row's entries below coordinate j)
@@ -163,6 +166,7 @@ class SparseCover:
     size: int
     coords: np.ndarray = field(repr=False)  # (K, m_grid) intp, padding at column d
     counts: np.ndarray = field(repr=False)  # (K, m_grid) signed counts, padding 0
+    values: np.ndarray = field(repr=False)  # (K, m_grid) float64 counts * lam / m_grid
     runs: np.ndarray = field(repr=False)  # (runs, 2) intp: first row, slice start j
 
     def __len__(self) -> int:
@@ -182,9 +186,14 @@ class SparseCover:
         """
         out = np.zeros((idx.shape[0], self.d + 1))
         at = np.arange(idx.shape[0])[:, None]
-        out[at, self.coords.take(idx, axis=0)] = self.counts.take(idx, axis=0)
-        out *= self.lam / self.m_grid
+        out[at, self.coords.take(idx, axis=0)] = self.values.take(idx, axis=0)
         return out[:, : self.d]
+
+    def row(self, k: int) -> np.ndarray:
+        """Row k as a (d,) float64 array, as ``rows`` decodes it."""
+        out = np.zeros(self.d + 1)
+        out[self.coords[k]] = self.values[k]
+        return out[: self.d]
 
     @property
     def thetas(self) -> np.ndarray:
@@ -259,6 +268,23 @@ def cover_counts(d: int, m_grid: int, lam: float, cap: int = 10**6) -> tuple[int
     return size, distinct
 
 
+def cover_runs(d: int, m_grid: int) -> int:
+    """The number of runs of ``enumerate_cover(d, m_grid, lam)`` (see
+    ``SparseCover``), with nothing enumerated.
+
+    A run is a leaf of the recursion of ``enumerate_cover``: budget r <= 1,
+    or no coordinate left.  With t coordinates left there are N_t(r) = 1
+    leaves for r <= 1 or t = 0, and otherwise N_{t-1}(r) (the value 0) plus
+    2 sum_{s=1}^{r} N_{t-1}(r - s) (the values +-s).
+    """
+    if d < 1 or m_grid < 1:
+        raise ValueError(f"need d >= 1 and m_grid >= 1, got d={d}, m_grid={m_grid}")
+    runs = [1] * (m_grid + 1)
+    for _ in range(d):
+        runs = runs[:2] + [runs[r] + 2 * sum(runs[:r]) for r in range(2, m_grid + 1)]
+    return runs[m_grid]
+
+
 def enumerate_cover(
     d: int, m_grid: int, lam: float, cap: int = 10**6
 ) -> SparseCover:
@@ -301,14 +327,26 @@ def enumerate_cover(
             pre_coords[row, slot], pre_counts[row, slot] = j, v
     coords = np.repeat(pre_coords, length, axis=0)
     counts = np.repeat(pre_counts, length, axis=0)
-    vertex = np.arange(distinct) - np.repeat(first - start, length)  # 0..2d
-    coords[:, -1] = np.where(vertex <= d, vertex, 2 * d - vertex)
-    counts[:, -1] = np.sign(vertex - d)
+    # The last slot's vertex, as its offset w in -d..d from the zero vertex:
+    # -e_{d+w} for w < 0, e_{d-w} for w > 0, so count sign(w) at d - |w|.
+    offset = np.repeat(start - first - d, length)
+    offset += np.arange(distinct)
+    np.sign(offset, out=counts[:, -1], casting="unsafe")
+    np.abs(offset, out=offset)
+    np.subtract(d, offset, out=coords[:, -1])
+    values = counts * (lam / m_grid)
     runs = np.column_stack([first, start])
-    for array in (coords, counts, runs):
+    for array in (coords, counts, values, runs):
         array.setflags(write=False)
     return SparseCover(
-        d=d, m_grid=m_grid, lam=float(lam), size=size, coords=coords, counts=counts, runs=runs
+        d=d,
+        m_grid=m_grid,
+        lam=float(lam),
+        size=size,
+        coords=coords,
+        counts=counts,
+        values=values,
+        runs=runs,
     )
 
 

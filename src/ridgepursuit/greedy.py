@@ -40,17 +40,18 @@ and no product (the cover is symmetric, so one row of each pair theta,
 test and the score error bound; one float32 product of R with each cached
 block for approximate scores of the K cover units (the scores of -R are
 the negated scores of +R); a float64 re-score of the few units a certified
-rounding bound cannot rule out of the decisions, whose rows are decoded
-once and ranked once per sign by one stable sort; one evaluation of the
-new unit, with phi and the sign applied in place; and a line search over
-six inner products of R, the fitted values and the new unit's values, of
-which R . R / n is the previous step's train MSE.  The fit keeps R and the
-fitted values and updates both in place.  Every decision taken from the
-cover scores (the exhaustive argmax, the ``cover_value`` diagnostic and the
-restart seeds) is therefore the one a float64 score of every unit gives.
-For the odd activations (sine, tanh) the -R search mirrors the +R one, so
-only +R is searched.  The line search is exact and in closed form for every
-kind of w.
+rounding bound cannot rule out of the decisions, each row decoded where it
+is scored, ranked once per sign by one stable sort, and the winner's row
+decoded once more; one evaluation of the new unit, with phi and the sign
+applied in place; and a line search over six inner products of R, the
+fitted values and the new unit's values, of which R . R / n is the
+previous step's train MSE.  The fit keeps R and the fitted values and
+updates both in place.  Every decision taken from the cover scores (the
+exhaustive argmax, the ``cover_value`` diagnostic and the restart seeds)
+is therefore the one a float64 score of every unit gives.  For the odd
+activations (sine, tanh) the -R search mirrors the +R one, so only +R is
+searched.  The line search is exact and in closed form for every kind of
+w.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .dictionary import (
     RidgeUnit,
     SparseCover,
     cover_counts,
+    cover_runs,
     enumerate_cover,
     lift,
 )
@@ -220,9 +222,10 @@ class GreedyConfig:
     ``_BLOCK_CELLS // n`` rows.  ``cover_m_grid`` sets the cover resolution
     used for exhaustive search, the restart inits, and the ``cover_value``
     diagnostic; ``cover_cap`` bounds its multiset count.  Over the cap, or
-    when its value cache would not fit the memory the process can allocate,
-    exhaustive search raises CoverSizeError and projected gradient seeds
-    from the vertex cover (m_grid = 1, 2D + 1 rows, built without the cap).
+    when a search over it (its value cache, entries and step arrays) would
+    not fit the memory the process can allocate, exhaustive search raises
+    CoverSizeError and projected gradient seeds from the vertex cover
+    (m_grid = 1, 2D + 1 rows, built without the cap).
     Each step searches both signs of the residual, except for the odd
     activations (sine, tanh), where the -R search is the +R one mirrored and
     only +R is searched.  ``c_report`` is inert: no code reads it, and every
@@ -364,8 +367,7 @@ class _CoverCache:
 
     cover: SparseCover
     values: tuple[np.ndarray, ...]  # float32 (K//2, <= _SCORE_ROWS) blocks, in design order
-    XT: np.ndarray  # (D, n) float64, contiguous: the design the values were taken on
-    weights: np.ndarray  # (K//2, m_grid) float64: the first rows' counts * lam / (m_grid n)
+    XT: np.ndarray  # (D + 1, n) float64, contiguous: the design's columns, then a zero row
     activation: Activation
     unit_error: float  # the certified score error per unit of ||R||_1 / n
     floor_error: float  # the certified score error from underflow, for any R
@@ -452,15 +454,48 @@ def _memory_budget() -> float:
     return budget
 
 
+def _rescore_rows(n: int, D: int) -> int:
+    """Units per block of a float64 re-score: the block's decoded rows and
+    its values on the design each take at most _BLOCK_CELLS cells."""
+    return max(1, _BLOCK_CELLS // max(n, D + 1))
+
+
+def _cover_bytes(n: int, D: int, m_grid: int, K: int, runs: int) -> float:
+    """An upper bound on the bytes a search over a cover of K rows in runs
+    runs (see ``SparseCover``) allocates on an n x D design.
+
+    It holds the half cache, the float64 design copy and the entries
+    (coordinates, counts and values); while it enumerates, two int64
+    columns over the rows and, per run, its prefix and a few Python
+    objects; while it builds the cache, a block's vertex rows (and their
+    float64 product by the step) and two float32 rows per run; and at each
+    step the scores, rankings and restart order over the cover (at most
+    ten float64 or int64 arrays of K entries and one gather of the first
+    half's entries) and one re-score block.  Projected gradient's restart
+    batches are not counted.
+    """
+    c = min(n, _SCORE_ROWS)
+    block = min(K, _rescore_rows(n, D))
+    return (
+        4.0 * n * (K // 2)
+        + 8.0 * n * (D + 1)
+        + 17.0 * K * m_grid
+        + 16.0 * K
+        + (256.0 * m_grid + 8.0 * c) * runs
+        + 4.0 * c * (4 * D + 1)
+        + (80.0 + 4.0 * m_grid) * K
+        + 8.0 * block * (D + 1 + n + 2 * m_grid)
+    )
+
+
 def _build_cover_cache(
     X: np.ndarray, activation: Activation, m_grid: int, lam: float, cap: int
 ) -> _CoverCache:
     """The cover of (D = X's columns, m_grid, lam) and its half cache on X.
 
-    Its bytes are known from ``cover_counts`` before any array exists: n
-    (K//2) float32 values, the n D float64 design copy, K m_grid entries and
-    (K//2) m_grid float64 weights.  Over the cap, or over the memory the
-    process can allocate (``_memory_budget``), it raises CoverSizeError.
+    Its bytes are bounded from ``cover_counts`` and ``cover_runs`` before
+    any array exists (``_cover_bytes``).  Over the cap, or over the memory
+    the process can allocate (``_memory_budget``), it raises CoverSizeError.
 
     The values are built from x~_j = float32(X_{:, j} lam / m_grid), the
     columns scaled by the cover's step.  Each run of the cover (see
@@ -472,7 +507,7 @@ def _build_cover_cache(
     """
     n, D = X.shape
     _, K = cover_counts(D, m_grid, lam, cap)
-    need = 4.0 * n * (K // 2) + 8.0 * n * D + 13.0 * K * m_grid
+    need = _cover_bytes(n, D, m_grid, K, cover_runs(D, m_grid))
     budget = _memory_budget()
     if need > budget:
         raise CoverSizeError(
@@ -482,7 +517,9 @@ def _build_cover_cache(
         )
     cover = enumerate_cover(D, m_grid, lam, cap=cap)
     half = K // 2
-    XT = np.ascontiguousarray(X.T)
+    # The design's columns and a zero row, the padding column D of the entries.
+    XT = np.zeros((D + 1, n))
+    XT[:D] = X.T
     first, start = cover.runs[cover.runs[:, 0] < half].T
     stop = np.minimum(first + 2 * (D - start) + 1, half)
     # A run's prefix is its first row's entries below its slice start; x~_j
@@ -494,14 +531,14 @@ def _build_cover_cache(
     blocks = []
     with np.errstate(over="ignore", invalid="ignore"):
         for row in range(0, n, _SCORE_ROWS):
-            cols = XT[:, row : row + _SCORE_ROWS]
+            cols = XT[:D, row : row + _SCORE_ROWS]
             vertex = np.empty((2 * D + 1, cols.shape[1]), dtype=np.float32)
             vertex[D + 1 :] = cols[::-1] * (lam / m_grid)
             vertex[D] = 0.0
             np.negative(vertex[:D:-1], out=vertex[:D])
             prefix = vertex[entry[:, 0]]
             prefix *= count[:, :1]
-            for slot in range(1, m_grid):
+            for slot in range(1, m_grid - 1):  # the last slot is the vertex
                 term = vertex[entry[:, slot]]
                 term *= count[:, slot : slot + 1]
                 prefix += term
@@ -510,10 +547,9 @@ def _build_cover_cache(
                 np.add(vertex[j : j + hi - lo], p, out=block[lo:hi])
             activation(block, out=block)
             blocks.append(block)
-    weights = cover.counts[:half] * (lam / m_grid / n)
     xmax = float(max(X.max(initial=0.0), -X.min(initial=0.0)))  # max |X_ij|, with no copy of X
     unit_error, floor_error = _score_error(n, D, m_grid, lam, xmax, activation)
-    return _CoverCache(cover, tuple(blocks), XT, weights, activation, unit_error, floor_error)
+    return _CoverCache(cover, tuple(blocks), XT, activation, unit_error, floor_error)
 
 
 def _cover_cache_for(X: np.ndarray, activation: Activation, config: GreedyConfig) -> _CoverCache:
@@ -544,13 +580,13 @@ def _score_cover(
     order, and a bound e on the error of each against ``_rescore_cover``.
     ``r_l1`` is ||R||_1, as ``inner_maximize`` computes it.
 
-    A float32 product of each cached block with R's rows scores the first
-    K/2 rows, and the partial sums are added in float64.  Row K-1-k is
-    -(row k): it scores -s_k for the odd activations (sine, tanh) and,
-    since ramp(-u) = ramp(u) - u, s_k - (row k) . (X^T R) / n for the ramp,
-    that term in float64 from the row's (coordinate, count) entries.  The
-    middle row is 0 and scores 0.  The scores are written into one array,
-    in place.
+    A float32 product of each cached block with R's rows gives the sums s_k
+    of the first K/2 rows, and the partial sums are added in float64.  Row
+    K-1-k is -(row k): its sum is -s_k for the odd activations (sine, tanh)
+    and, since ramp(-u) = ramp(u) - u, s_k - (row k) . (X^T R) for the
+    ramp, that term in float64 from the row's (coordinate, value) entries.
+    The middle row is 0 and sums to 0.  The sums are written into one array
+    and divided by n in place.
 
     The bound (Higham, Accuracy and Stability of Numerical Algorithms, 3.1
     and 2.1 for underflow).  Let u = 2^-24, gamma_k = k u / (1 - k u), D the
@@ -605,15 +641,15 @@ def _score_cover(
         R32 = R.astype(np.float32)
         for row, block in zip(range(0, n, _SCORE_ROWS), values):
             first += block @ R32[row : row + _SCORE_ROWS]
-        first /= n
         if cover_cache.activation.kind == "ramp":
-            XT = cover_cache.XT
-            g = np.zeros(XT.shape[0] + 1)  # the padding column D reads 0
-            np.matmul(XT, R, out=g[:-1])
-            entries = g.take(cover_cache.cover.coords[:half])
-            np.subtract(first, np.vecdot(cover_cache.weights, entries), out=mirror)
+            cover = cover_cache.cover
+            g = cover_cache.XT @ R  # the padding column D reads 0
+            terms = g.take(cover.coords[:half])
+            terms *= cover.values[:half]
+            np.subtract(first, terms @ np.ones(cover.m_grid), out=mirror)
         else:
             np.negative(first, out=mirror)
+        scores /= n
     err = cover_cache.unit_error * r_l1 / n + cover_cache.floor_error
     return scores, err
 
@@ -642,22 +678,26 @@ def _rescore_set(scores: np.ndarray, err: float, top: int, both: bool) -> np.nda
     return keep.nonzero()[0]
 
 
-def _rescore_cover(R: np.ndarray, cover_cache: _CoverCache, thetas: np.ndarray) -> np.ndarray:
-    """(1/n) sum_i R_i h(X_i) in float64 for the decoded cover rows ``thetas``.
+def _rescore_cover(R: np.ndarray, cover_cache: _CoverCache, idx: np.ndarray) -> np.ndarray:
+    """(1/n) sum_i R_i h(X_i) in float64 for the cover units idx.
 
     Each unit is evaluated directly, phi(theta . X_i) for every row and then
-    its dot product with R, in blocks of at most _BLOCK_CELLS // n units.
-    Both products run one unit at a time (the rows of one product, then a
-    stack of one dot product per row), so a unit's score does not depend on
-    which other units share its call: every re-scored set sees the same
-    values.
+    its dot product with R, in blocks of ``_rescore_rows`` units, each
+    decoded from the cover where it is scored, so no more than a block of
+    rows is held.  Both products run one unit at a time (the rows of one
+    product, then a stack of one dot product per row), so a unit's score
+    does not depend on which other units share its call: every re-scored set
+    sees the same values.
     """
     n = R.shape[0]
-    block = max(1, _BLOCK_CELLS // n)
-    if thetas.shape[0] > block:
-        parts = [thetas[start : start + block] for start in range(0, thetas.shape[0], block)]
-        return np.concatenate([_rescore_cover(R, cover_cache, part) for part in parts])
-    Z = thetas @ cover_cache.XT
+    block = _rescore_rows(n, cover_cache.cover.d)
+    if idx.shape[0] > block:
+        exact = np.empty(idx.shape[0])
+        for start in range(0, idx.shape[0], block):
+            part = idx[start : start + block]
+            exact[start : start + block] = _rescore_cover(R, cover_cache, part)
+        return exact
+    Z = cover_cache.cover.rows(idx) @ cover_cache.XT[:-1]
     return (cover_cache.activation(Z, out=Z)[:, None, :] @ R)[:, 0] / n
 
 
@@ -786,23 +826,7 @@ def inner_maximize(
     count = min(config.restarts, K) if config.strategy == "projected-gradient" else 0
     scores, err = _score_cover(R, cover_cache, r_l1)
     idx = _rescore_set(scores, err, max(count, 1), both)
-    # The re-scored rows are decoded once, for the re-score, the argmaxes and
-    # the restart seeds.  A set wider than one block (every unit, when the
-    # scores certify nothing, or restarts near K) is decoded a block at a
-    # time where it is used instead, so a step holds at most a block of rows.
-    block = max(1, _BLOCK_CELLS // n)
-    if idx.shape[0] <= block:
-        decoded = cover.rows(idx)
-        exact = _rescore_cover(R, cover_cache, decoded)
-    else:
-        decoded = None
-        parts = [idx[start : start + block] for start in range(0, idx.shape[0], block)]
-        exact = np.concatenate([_rescore_cover(R, cover_cache, cover.rows(p)) for p in parts])
-
-    def rows_at(pos):
-        """The re-scored rows at ``pos``, an index array or slice into idx."""
-        return cover.rows(idx[pos]) if decoded is None else decoded[pos]
-
+    exact = _rescore_cover(R, cover_cache, idx)
     # Per sign, the re-scored units best first, ties in cover order: the
     # first is the cover argmax, the first ``count`` are the restart seeds.
     # -R's scores are -exact, so its ranking is the ascending sort of exact.
@@ -816,12 +840,13 @@ def inner_maximize(
     diagnostics["n_candidates"] += len(ranks) * K + total
 
     def restarts():
-        order = np.concatenate([r[:count] for r in ranks])
+        order = np.concatenate([idx[r[:count]] for r in ranks])
         step0 = 1.0 / (float(abs_R @ np.einsum("ij,ij->i", X, X)) / n + 1e-12)
+        block = max(1, _BLOCK_CELLS // n)
         for start in range(0, total, block):
             stop = min(start + block, total)
             sign = np.where(np.arange(start, stop) < count, 1.0, -1.0)
-            inits = rows_at(order[start:stop])
+            inits = cover.rows(order[start:stop])
             values, thetas = _ascend_batch(R, X, act, inits, sign, config.lam, step0)
             yield from zip(values.tolist(), thetas)
 
@@ -829,8 +854,7 @@ def inner_maximize(
     best_value, best_theta, best_sign = 0.0, None, 1
     for sign, head, rank in zip((1, -1), heads, ranks):
         if head > best_value:
-            top = int(rank[0])
-            best_value, best_theta, best_sign = head, rows_at(slice(top, top + 1))[0], sign
+            best_value, best_theta, best_sign = head, cover.row(int(idx[rank[0]])), sign
         for value, theta in itertools.islice(rows, count):
             if value > best_value:
                 best_value, best_theta, best_sign = value, theta, sign

@@ -133,7 +133,7 @@ def _ascend_halving(R, X, act, inits, sign, lam, step0):
 
 def exact_scores(R: np.ndarray, cover_cache) -> np.ndarray:
     """The float64 score of every cover unit against R, in cover order."""
-    return _rescore_cover(R, cover_cache, cover_cache.cover.thetas)
+    return _rescore_cover(R, cover_cache, np.arange(cover_cache.cover.n_distinct))
 
 
 def score(R: np.ndarray, X: np.ndarray, act: Activation):

@@ -326,29 +326,45 @@ class TestMainPlumbing:
 
 
 class TestCoverMemoryBound:
-    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
-    def test_cache_over_address_space_limit_exits_2(self, tmp_path):
-        # The cover cache's bytes are known before any array exists.  Under
-        # an RLIMIT_AS of 512 MiB above what the process already maps, an
-        # exhaustive fit at d = 512, n = 1024 (a 1.0 GiB half cache) exits 2
-        # naming the cover keys, not with a MemoryError traceback.
+    """The cover's bytes are bounded before any array exists: a fit whose
+    cover would not fit the address space left under RLIMIT_AS exits 2
+    naming the cover keys, not with a MemoryError traceback."""
+
+    @staticmethod
+    def fit_under_address_limit(tmp_path, headroom_mib, d, settings):
         code = (
             "import resource, sys\n"
             "from ridgepursuit import cli\n"
             "page = resource.getpagesize()\n"
             "with open('/proc/self/statm') as fh:\n"
             "    used = int(fh.read().split()[0]) * page\n"
-            "limit = used + 512 * 2**20\n"
+            f"limit = used + {headroom_mib} * 2**20\n"
             "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
-        freqs = ",".join(["1"] + ["0"] * 511)
+        freqs = ",".join(["1"] + ["0"] * (d - 1))
         argv = [sys.executable, "-c", code, "fit", "--out", str(tmp_path / "fit.csv")]
-        for kv in ("d=512", "n=1024", "m_max=2", f"freqs={freqs}", "strategy=cover-exhaustive"):
+        for kv in (f"d={d}", f"freqs={freqs}", "m_max=2", "strategy=cover-exhaustive", *settings):
             argv += ["--set", kv]
         src = str(Path(ridgepursuit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
+    @pytest.mark.parametrize(
+        "headroom_mib, d, settings",
+        [
+            # A 1.0 GiB half cache at d = 512, n = 1024, under 512 MiB.
+            (512, 512, ("n=1024",)),
+            # At n = 8 the half cache of the 1.39 million rows of the
+            # m_grid = 3 cover at d = 100 takes 43 MiB, but the entries, the
+            # enumeration and a step's arrays over the cover take more: the
+            # fit maps about 170 MiB more than at its start, over 128 MiB.
+            (128, 100, ("n=8", "cover_m_grid=3", "cover_cap=2000000")),
+        ],
+    )
+    def test_cover_over_address_space_limit_exits_2(self, tmp_path, headroom_mib, d, settings):
+        out = self.fit_under_address_limit(tmp_path, headroom_mib, d, settings)
         assert out.returncode == 2, out.stderr
         assert "'cover_m_grid' or 'cover_cap'" in out.stderr
         assert "MemoryError" not in out.stderr and "Traceback" not in out.stderr

@@ -25,7 +25,7 @@ from ridgepursuit import (
     sparsify_theta,
 )
 from ridgepursuit import model as model_module
-from ridgepursuit.dictionary import ACTIVATION_KINDS
+from ridgepursuit.dictionary import ACTIVATION_KINDS, cover_runs
 
 import model_oracle
 from conftest import three_se
@@ -338,6 +338,9 @@ class TestEnumerateCover:
         assert cover.coords.shape == cover.counts.shape == (cover.n_distinct, m)
         idx = np.random.default_rng(d * m).permutation(cover.n_distinct)
         assert cover.rows(idx).tobytes() == thetas[idx].tobytes()
+        for k in idx[:5].tolist():
+            assert cover.row(k).tobytes() == thetas[k].tobytes()
+        assert cover.values.tobytes() == (cover.counts * (lam / m)).tobytes()
         first, start = cover.runs.T
         lengths = 2 * (d - start) + 1
         np.testing.assert_array_equal(first, np.cumsum(lengths) - lengths)
@@ -358,6 +361,7 @@ class TestEnumerateCover:
     def test_counts_without_enumerating(self, d, m):
         cover = enumerate_cover(d, m, 0.7)
         assert cover_counts(d, m, 0.7) == (len(cover), cover.n_distinct)
+        assert cover_runs(d, m) == cover.runs.shape[0]
 
     def test_counts_share_the_cap_and_checks(self):
         with pytest.raises(CoverSizeError):
