@@ -357,7 +357,7 @@ class TestCoverMemoryBound:
             # A 1.0 GiB half cache at d = 512, n = 1024, under 512 MiB.
             (512, 512, ("n=1024",)),
             # At n = 8 the half cache of the 1.39 million rows of the
-            # m_grid = 3 cover at d = 100 takes 43 MiB, but the entries, the
+            # m_grid = 3 cover at d = 100 takes 21 MiB, but the entries, the
             # enumeration and a step's arrays over the cover take more: the
             # fit maps about 170 MiB more than at its start, over 128 MiB.
             (128, 100, ("n=8", "cover_m_grid=3", "cover_cap=2000000")),
