@@ -26,6 +26,7 @@ __all__ = [
     "enumerate_cover",
     "cover_counts",
     "cover_runs",
+    "cover_bytes",
     "sparsify_theta",
     "cover_count_library",
     "cover_count_log_bound",
@@ -125,7 +126,8 @@ class RidgeUnit:
 
 
 class CoverSizeError(ValueError):
-    """Raised when full cover enumeration would exceed the configured cap."""
+    """Raised when a cover's multiset count exceeds its cap, or when a
+    search over it would not fit the memory the process can allocate."""
 
 
 class FieldError(ValueError):
@@ -154,10 +156,12 @@ class SparseCover:
     ``thetas`` every row on each read.
 
     The rows fall into runs, one per line of ``runs`` = (first row, start j):
-    a run is a fixed prefix (its first row's entries below coordinate j)
-    plus, in turn, each vector of the slice [j, 2d + 1 - j) of the vertex
-    list -e_0, ..., -e_{d-1}, 0, e_{d-1}, ..., e_0.  A run with j = d is the
-    prefix alone.  So run r holds 2 (d - j_r) + 1 rows.
+    a run is a fixed prefix, the first m_grid - 1 slots of its first row
+    (all below coordinate j), plus, in its last slot and in turn, each
+    vector of the slice [j, 2d + 1 - j) of the vertex list -e_0, ...,
+    -e_{d-1}, 0, e_{d-1}, ..., e_0.  A run with j = d is the prefix alone.
+    So run r holds 2 (d - j_r) + 1 rows.  ``half_values`` and ``half_dots``
+    evaluate the first K//2 rows from this layout, with no row decoded.
     """
 
     d: int
@@ -194,6 +198,46 @@ class SparseCover:
         out = np.zeros(self.d + 1)
         out[self.coords[k]] = self.values[k]
         return out[: self.d]
+
+    def half_values(self, cols: np.ndarray) -> np.ndarray:
+        """theta_k . x in float32 for the first K//2 rows, a (K//2, b) array,
+        on a (d, b) float64 block of design columns.
+
+        With x~_j = fl32(x_j (lam / m_grid)), the columns scaled by the step,
+        row k's value is sum_s fl32(count_s x~_j_s) over its slots, summed in
+        float32 in slot order.  Each run is its prefix, summed once per run,
+        plus a contiguous slice of the vertex rows [-x~_0, ..., -x~_{d-1}, 0,
+        x~_{d-1}, ..., x~_0]: one numpy add per run.  No row is decoded and
+        no product is taken.
+        """
+        d, m, half = self.d, self.m_grid, self.n_distinct // 2
+        vertex = np.empty((2 * d + 1, cols.shape[1]), dtype=np.float32)
+        vertex[d + 1 :] = cols[::-1] * (self.lam / m)
+        vertex[d] = 0.0
+        np.negative(vertex[:d:-1], out=vertex[:d])
+        first, start = self.runs[self.runs[:, 0] < half].T
+        # x~_j is vertex row 2d - j, so a padding slot (column d) reads the zero row.
+        entry = 2 * d - self.coords[first, : m - 1]
+        count = self.counts[first, : m - 1]
+        prefix = np.zeros((first.shape[0], cols.shape[1]), dtype=np.float32)  # m_grid = 1: none
+        for slot in range(m - 1):
+            term = vertex[entry[:, slot]]
+            term *= count[:, slot : slot + 1]
+            prefix = np.add(prefix, term, out=prefix) if slot else term
+        out = np.empty((half, cols.shape[1]), dtype=np.float32)
+        stop = np.minimum(first + 2 * (d - start) + 1, half)
+        for lo, hi, j, p in zip(first.tolist(), stop.tolist(), start.tolist(), prefix):
+            np.add(vertex[j : j + hi - lo], p, out=out[lo:hi])
+        return out
+
+    def half_dots(self, g: np.ndarray) -> np.ndarray:
+        """theta_k . g in float64 for the first K//2 rows and a (d,) g: each
+        row's slot values times g at their coordinates, 0 at a padding slot,
+        summed by one product with a vector of ones."""
+        half = self.n_distinct // 2
+        terms = np.append(g, 0.0).take(self.coords[:half])
+        terms *= self.values[:half]
+        return terms @ np.ones(self.m_grid)
 
     @property
     def thetas(self) -> np.ndarray:
@@ -283,6 +327,23 @@ def cover_runs(d: int, m_grid: int) -> int:
     for _ in range(d):
         runs = runs[:2] + [runs[r] + 2 * sum(runs[:r]) for r in range(2, m_grid + 1)]
     return runs[m_grid]
+
+
+def cover_bytes(d: int, m_grid: int, width: int) -> float:
+    """An upper bound on the bytes the cover of (d, m_grid) holds and
+    allocates, with nothing enumerated: its entries; while
+    ``enumerate_cover`` runs, two int64 columns over the rows and, per run,
+    its prefix and a few Python objects; per ``half_values`` call on
+    ``width`` columns, the vertex rows (and their float64 product by the
+    step) and two float32 rows per run; per ``half_dots`` call, g padded and
+    the gather of the half's entries.  Returned arrays are not counted."""
+    _, K = cover_counts(d, m_grid, 1.0, cap=math.inf)
+    return (
+        (21.0 * m_grid + 16.0) * K
+        + (256.0 * m_grid + 8.0 * width) * cover_runs(d, m_grid)
+        + 4.0 * width * (4 * d + 1)
+        + 8.0 * (d + 1)
+    )
 
 
 def enumerate_cover(

@@ -19,39 +19,22 @@ provided every dictionary unit has norm at most 1.
 
 The inner maximizer searches the signed dictionary {+-phi(theta . x)}: one
 call returns the best unit and its sign, by exhaustive search over an
-enumerated cover of the l1 ball or by projected-gradient ascent restarted from
-the best cover points of each sign.  Each ascent accepts a step only if it
-raises the value; its step length starts at 1/L (L bounding the gradient's
-Lipschitz constant), doubles after each accepted step and halves after each
-rejected one, for at most 50 iterations.  A restart stops sooner once it
-has settled, its value having gained at most 1e-7 relative over its last 6
-iterations.  Every search has a cover: the configured one or, when
+enumerated cover of the l1 ball (``dictionary.SparseCover``) or by
+projected-gradient ascent restarted from the best cover points of each sign
+(``_ascend_batch``).  Every search has a cover: the configured one or, when
 projected gradient's is over the cap, the vertex cover {+-lam e_j, 0}.  No
 random number is drawn, so a fit depends on its data and configuration
-alone.  The restarts of both signs run as one batch (in blocks of rows
-under a fixed cell budget, so a block may hold rows of both signs), with
-one product per gradient and per value and one row-wise l1 projection per
-iteration.  The cover is held sparsely, each of its K rows as at most
-m_grid (coordinate, count) entries, and its float32 values are built once
-per fit from the design's scaled columns, with no dense parameter matrix
-and no product (the cover is symmetric, so one row of each pair theta,
--theta is cached).  Each step computes every quantity once.  It takes
-||R||_1 of the residual R = Y - f_{m-1}(X) once, for the zero-residual
-test and the score error bound; one float32 product of R with each cached
-block for approximate scores of the K cover units (the scores of -R are
-the negated scores of +R); a float64 re-score of the few units a certified
-rounding bound cannot rule out of the decisions, each row decoded where it
-is scored, ranked once per sign by one stable sort, and the winner's row
-decoded once more; one evaluation of the new unit, with phi and the sign
-applied in place; and a line search over six inner products of R, the
-fitted values and the new unit's values, of which R . R / n is the
-previous step's train MSE.  The fit keeps R and the fitted values and
-updates both in place.  Every decision taken from the cover scores (the
-exhaustive argmax, the ``cover_value`` diagnostic and the restart seeds)
-is therefore the one a float64 score of every unit gives.  For the odd
-activations (sine, tanh) the -R search mirrors the +R one, so only +R is
-searched.  The line search is exact and in closed form for every kind of
-w.
+alone.
+
+Each step scores every cover unit once, approximately, from a float32 cache
+of half the cover's values built once per fit, and re-scores in float64
+only the units a certified rounding bound cannot rule out, so every
+decision taken from the cover scores (the exhaustive argmax, the
+``cover_value`` diagnostic and the restart seeds) is the one a float64
+score of every unit gives.  For the odd activations (sine, tanh) the -R
+search mirrors the +R one, so only +R is searched.  The line search is
+exact and in closed form for every kind of w, and takes its inner products
+from the residual and fitted values that the fit updates in place.
 """
 
 from __future__ import annotations
@@ -72,8 +55,8 @@ from .dictionary import (
     FieldError,
     RidgeUnit,
     SparseCover,
+    cover_bytes,
     cover_counts,
-    cover_runs,
     enumerate_cover,
     lift,
 )
@@ -351,23 +334,17 @@ class InnerResult:
 
 @dataclass(frozen=True)
 class _CoverCache:
-    """A search's cover and half of its unit values.
-
-    The cover rows are in lexicographic order, so row K-1-k is -(row k) and
-    the middle row is 0; only the first K//2 rows are evaluated, in float32,
-    from the design's columns (``_build_cover_cache``).  The values are
-    stored unit-major in blocks of _SCORE_ROWS design rows (the last block
-    may be shorter): ``values[b][k, i]`` = phi(theta_k . X_{b _SCORE_ROWS + i}).
-    No cover row is held densely; a step decodes the rows it uses from
-    ``cover``.  ``_score_cover`` derives approximate scores of every row
-    from the values, with the bound ``unit_error * ||R||_1 / n +
-    floor_error`` on their error against the float64 scores of
-    ``_rescore_cover``.
+    """A search's cover and the float32 values of its first K//2 rows (row
+    K-1-k is -(row k), the middle row 0), unit-major in blocks of
+    _SCORE_ROWS design rows: ``values[b][k, i]`` = phi(theta_k .
+    X_{b _SCORE_ROWS + i}).  ``_score_cover`` derives approximate scores of
+    every row from them, within ``unit_error * ||R||_1 / n + floor_error``
+    of the float64 scores of ``_rescore_cover``.
     """
 
     cover: SparseCover
     values: tuple[np.ndarray, ...]  # float32 (K//2, <= _SCORE_ROWS) blocks, in design order
-    XT: np.ndarray  # (D + 1, n) float64, contiguous: the design's columns, then a zero row
+    XT: np.ndarray  # (D, n) float64, contiguous: the design's columns
     activation: Activation
     unit_error: float  # the certified score error per unit of ||R||_1 / n
     floor_error: float  # the certified score error from underflow, for any R
@@ -434,14 +411,32 @@ def _score_error(
     return unit_error, (floor32 + floor64) * (1.0 + 2.0**-20)
 
 
+_MEMINFO = "/proc/meminfo"  # the kernel's memory counters
+
+
+def _available_memory() -> float | None:
+    """The kernel's estimate of the bytes new allocations can take without
+    swapping (MemAvailable in _MEMINFO), or None where it cannot be read."""
+    try:
+        with open(_MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return 1024.0 * int(line.split()[1])
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def _memory_budget() -> float:
-    """The bytes a new array may take: physical memory and, under a finite
-    RLIMIT_AS, the address space the process has left.  A bound the
+    """The bytes a new array may take: the memory available to new
+    allocations (``_available_memory``, else physical memory) and, under a
+    finite RLIMIT_AS, the address space the process has left.  A bound the
     platform cannot report is not applied."""
-    budget = math.inf
+    budget = _available_memory()
     try:
         page = os.sysconf("SC_PAGE_SIZE")
-        budget = float(page * os.sysconf("SC_PHYS_PAGES"))
+        if budget is None:
+            budget = float(page * os.sysconf("SC_PHYS_PAGES"))
         import resource
 
         limit = resource.getrlimit(resource.RLIMIT_AS)[0]
@@ -451,7 +446,7 @@ def _memory_budget() -> float:
             budget = min(budget, float(limit - used))
     except (AttributeError, ValueError, ImportError, OSError):
         pass
-    return budget
+    return math.inf if budget is None else budget
 
 
 def _rescore_rows(n: int, D: int) -> int:
@@ -460,30 +455,22 @@ def _rescore_rows(n: int, D: int) -> int:
     return max(1, _BLOCK_CELLS // max(n, D + 1))
 
 
-def _cover_bytes(n: int, D: int, m_grid: int, K: int, runs: int) -> float:
-    """An upper bound on the bytes a search over a cover of K rows in runs
-    runs (see ``SparseCover``) allocates on an n x D design.
+def _cover_bytes(n: int, D: int, m_grid: int, K: int) -> float:
+    """An upper bound on the bytes a search over the cover of (D, m_grid),
+    of K rows, allocates on an n x D design.
 
-    It holds the half cache, the float64 design copy and the entries
-    (coordinates, counts and values); while it enumerates, two int64
-    columns over the rows and, per run, its prefix and a few Python
-    objects; while it builds the cache, a block's vertex rows (and their
-    float64 product by the step) and two float32 rows per run; and at each
-    step the scores, rankings and restart order over the cover (at most
-    ten float64 or int64 arrays of K entries and one gather of the first
-    half's entries) and one re-score block.  Projected gradient's restart
-    batches are not counted.
+    It holds the half cache, the float64 design copy and what the cover
+    holds and allocates itself (``cover_bytes``); at each step the scores,
+    rankings and restart order over the cover (at most ten float64 or int64
+    arrays of K entries) and one re-score block, its decoded rows and their
+    values.  Projected gradient's restart batches are not counted.
     """
-    c = min(n, _SCORE_ROWS)
     block = min(K, _rescore_rows(n, D))
     return (
         4.0 * n * (K // 2)
-        + 8.0 * n * (D + 1)
-        + 17.0 * K * m_grid
-        + 16.0 * K
-        + (256.0 * m_grid + 8.0 * c) * runs
-        + 4.0 * c * (4 * D + 1)
-        + (80.0 + 4.0 * m_grid) * K
+        + 8.0 * n * D
+        + cover_bytes(D, m_grid, min(n, _SCORE_ROWS))
+        + 80.0 * K
         + 8.0 * block * (D + 1 + n + 2 * m_grid)
     )
 
@@ -493,21 +480,15 @@ def _build_cover_cache(
 ) -> _CoverCache:
     """The cover of (D = X's columns, m_grid, lam) and its half cache on X.
 
-    Its bytes are bounded from ``cover_counts`` and ``cover_runs`` before
-    any array exists (``_cover_bytes``).  Over the cap, or over the memory
-    the process can allocate (``_memory_budget``), it raises CoverSizeError.
-
-    The values are built from x~_j = float32(X_{:, j} lam / m_grid), the
-    columns scaled by the cover's step.  Each run of the cover (see
-    ``SparseCover``) is its prefix, sum_s count_s x~_{j_s} summed in float32
-    in entry order, plus a contiguous slice of the vertex rows
-    [-x~_0, ..., -x~_{D-1}, 0, x~_{D-1}, ..., x~_0]: one numpy add per run
-    and block of design rows, then phi in place.  No cover row is decoded,
-    and no product is taken.
+    Its bytes are bounded before any array exists (``_cover_bytes``).  Over
+    the cap, or over the memory the process can allocate
+    (``_memory_budget``), it raises CoverSizeError.  Each block of
+    _SCORE_ROWS design rows is the cover's ``half_values`` on those rows,
+    with phi applied in place.
     """
     n, D = X.shape
     _, K = cover_counts(D, m_grid, lam, cap)
-    need = _cover_bytes(n, D, m_grid, K, cover_runs(D, m_grid))
+    need = _cover_bytes(n, D, m_grid, K)
     budget = _memory_budget()
     if need > budget:
         raise CoverSizeError(
@@ -516,37 +497,12 @@ def _build_cover_cache(
             f"can allocate"
         )
     cover = enumerate_cover(D, m_grid, lam, cap=cap)
-    half = K // 2
-    # The design's columns and a zero row, the padding column D of the entries.
-    XT = np.zeros((D + 1, n))
-    XT[:D] = X.T
-    first, start = cover.runs[cover.runs[:, 0] < half].T
-    stop = np.minimum(first + 2 * (D - start) + 1, half)
-    # A run's prefix is its first row's entries below its slice start; x~_j
-    # is vertex row 2D - j, and every other slot reads the zero row D.
-    below = cover.coords[first] < start[:, None]
-    entry = np.where(below, 2 * D - cover.coords[first], D)
-    count = np.where(below, cover.counts[first], 0)
-    spans = list(zip(first.tolist(), stop.tolist(), start.tolist()))
+    XT = np.ascontiguousarray(X.T)
     blocks = []
     with np.errstate(over="ignore", invalid="ignore"):
         for row in range(0, n, _SCORE_ROWS):
-            cols = XT[:D, row : row + _SCORE_ROWS]
-            vertex = np.empty((2 * D + 1, cols.shape[1]), dtype=np.float32)
-            vertex[D + 1 :] = cols[::-1] * (lam / m_grid)
-            vertex[D] = 0.0
-            np.negative(vertex[:D:-1], out=vertex[:D])
-            prefix = vertex[entry[:, 0]]
-            prefix *= count[:, :1]
-            for slot in range(1, m_grid - 1):  # the last slot is the vertex
-                term = vertex[entry[:, slot]]
-                term *= count[:, slot : slot + 1]
-                prefix += term
-            block = np.empty((half, cols.shape[1]), dtype=np.float32)
-            for (lo, hi, j), p in zip(spans, prefix):
-                np.add(vertex[j : j + hi - lo], p, out=block[lo:hi])
-            activation(block, out=block)
-            blocks.append(block)
+            block = cover.half_values(XT[:, row : row + _SCORE_ROWS])
+            blocks.append(activation(block, out=block))
     xmax = float(max(X.max(initial=0.0), -X.min(initial=0.0)))  # max |X_ij|, with no copy of X
     unit_error, floor_error = _score_error(n, D, m_grid, lam, xmax, activation)
     return _CoverCache(cover, tuple(blocks), XT, activation, unit_error, floor_error)
@@ -584,7 +540,7 @@ def _score_cover(
     of the first K/2 rows, and the partial sums are added in float64.  Row
     K-1-k is -(row k): its sum is -s_k for the odd activations (sine, tanh)
     and, since ramp(-u) = ramp(u) - u, s_k - (row k) . (X^T R) for the
-    ramp, that term in float64 from the row's (coordinate, value) entries.
+    ramp, that term in float64 from the cover's ``half_dots``.
     The middle row is 0 and sums to 0.  The sums are written into one array
     and divided by n in place.
 
@@ -642,11 +598,7 @@ def _score_cover(
         for row, block in zip(range(0, n, _SCORE_ROWS), values):
             first += block @ R32[row : row + _SCORE_ROWS]
         if cover_cache.activation.kind == "ramp":
-            cover = cover_cache.cover
-            g = cover_cache.XT @ R  # the padding column D reads 0
-            terms = g.take(cover.coords[:half])
-            terms *= cover.values[:half]
-            np.subtract(first, terms @ np.ones(cover.m_grid), out=mirror)
+            np.subtract(first, cover_cache.cover.half_dots(cover_cache.XT @ R), out=mirror)
         else:
             np.negative(first, out=mirror)
         scores /= n
@@ -682,54 +634,42 @@ def _rescore_cover(R: np.ndarray, cover_cache: _CoverCache, idx: np.ndarray) -> 
     """(1/n) sum_i R_i h(X_i) in float64 for the cover units idx.
 
     Each unit is evaluated directly, phi(theta . X_i) for every row and then
-    its dot product with R, in blocks of ``_rescore_rows`` units, each
-    decoded from the cover where it is scored, so no more than a block of
-    rows is held.  Both products run one unit at a time (the rows of one
-    product, then a stack of one dot product per row), so a unit's score
-    does not depend on which other units share its call: every re-scored set
-    sees the same values.
+    its dot product with R, in blocks of ``_rescore_rows`` units decoded
+    where they are scored.  Both products run one unit at a time (the rows
+    of one product, then a stack of one dot product per row), so a unit's
+    score does not depend on which other units share its call or block.
     """
     n = R.shape[0]
     block = _rescore_rows(n, cover_cache.cover.d)
-    if idx.shape[0] > block:
-        exact = np.empty(idx.shape[0])
-        for start in range(0, idx.shape[0], block):
-            part = idx[start : start + block]
-            exact[start : start + block] = _rescore_cover(R, cover_cache, part)
-        return exact
-    Z = cover_cache.cover.rows(idx) @ cover_cache.XT[:-1]
-    return (cover_cache.activation(Z, out=Z)[:, None, :] @ R)[:, 0] / n
+    exact = np.empty(idx.shape[0])
+    for start in range(0, idx.shape[0], block):
+        Z = cover_cache.cover.rows(idx[start : start + block]) @ cover_cache.XT
+        cover_cache.activation(Z, out=Z)
+        exact[start : start + block] = (Z[:, None, :] @ R)[:, 0] / n
+    return exact
 
 
 def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the l1 ball of the given radius (sort-based).
 
     ``v`` is one vector or a (k, D) stack whose rows are projected one by
-    one (Duchi et al. 2008); rows already inside the ball are copied as is.
-    A stack with every row outside (the usual case in the ascent) is shrunk
-    directly, one with none outside is copied without a sort, and only a
-    mixed stack gathers its outside rows and scatters them back.  Each row's
-    arithmetic is the same on every path, so the result is too, bit for bit.
+    one (Duchi et al. 2008): every row is shrunk, and the rows already
+    inside the ball are then copied back as they are.
     """
     v = np.asarray(v, dtype=float)
     rows = np.atleast_2d(v)
     mag = np.abs(rows)
-    outside = mag.sum(axis=1) > radius
-    if not outside.any():
-        out = rows.copy()
-    elif outside.all():
-        out = _shrink_l1(rows, mag, radius)
-    else:
-        out = rows.copy()
-        out[outside] = _shrink_l1(rows[outside], mag[outside], radius)
+    inside = ~(mag.sum(axis=1) > radius)
+    out = _shrink_l1(rows, mag, radius)
+    np.copyto(out, rows, where=inside[:, None])
     return out if v.ndim > 1 else out[0]
 
 
 def _shrink_l1(rows: np.ndarray, mag: np.ndarray, radius: float) -> np.ndarray:
-    """Soft-threshold each row of a non-empty stack onto the l1 sphere.
+    """Soft-threshold each row of a stack onto the l1 sphere.
 
-    ``mag`` is ``abs(rows)`` and every row's l1 norm exceeds ``radius``; it
-    is overwritten with the result.  The arithmetic runs in place, and the
+    ``mag`` is ``abs(rows)``; it is overwritten with the result, which is
+    the projection for the rows whose l1 norm exceeds ``radius``.  The arithmetic runs in place, and the
     sign is np.sign(rows) times the shrunk magnitude, so a zero keeps the
     sign that product gives (np.copysign would carry the input's instead).
     """
@@ -908,10 +848,9 @@ def _ascend_batch(
     halves from step0 = 1/L (L bounding the gradient's Lipschitz constant)
     ran to the 200-iteration cap in most batches, and its value is matched
     in far fewer iterations (see ``_PG_STEPS``).  Per iteration the live
-    rows share one gradient product, one row-wise projection (usually of a
-    stack with every row outside the ball, which ``project_l1`` shrinks
-    without a gather) and one product for the candidates' values, whose
-    Z = Theta X^T is kept for the next gradient.  The candidate arrays
+    rows share one gradient product, one row-wise projection and one
+    product for the candidates' values, whose Z = Theta X^T is kept for the
+    next gradient.  The candidate arrays
     become the current ones; only rejected rows are copied back from the old
     ones, and an iteration that accepts every row copies nothing.  Returns
     the accepted values (k,) and parameters (k, D).

@@ -363,6 +363,72 @@ class TestEnumerateCover:
         assert cover_counts(d, m, 0.7) == (len(cover), cover.n_distinct)
         assert cover_runs(d, m) == cover.runs.shape[0]
 
+    @staticmethod
+    def slot_reference(theta, m, q, cols):
+        """float32 theta . x for one decoded row theta, from the recursion of
+        ``enumerate_cover``: a nonzero entry taken with budget 1 left is the
+        vertex, in the last slot; the others are the prefix, in coordinate
+        order, padded with zero slots to m - 1.  Slot s adds fl32(c_s x~_j_s)
+        with x~_j = fl32(x_j q), in slot order; a padding slot adds +0.0,
+        and so does the empty prefix of m = 1."""
+        scaled = (cols * q).astype(np.float32)
+        zero = np.zeros(cols.shape[1], dtype=np.float32)
+        prefix, vertex, budget = [], zero, m
+        for j in np.flatnonzero(theta).tolist():
+            c = int(round(theta[j] / q))
+            term = scaled[j] * np.float32(c)
+            if budget == 1:
+                vertex = term
+            else:
+                prefix.append(term)
+            budget -= abs(c)
+        slots = prefix + [zero] * (m - 1 - len(prefix))
+        total = slots[0] if slots else zero
+        for term in slots[1:]:
+            total = total + term
+        return total + vertex
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("m", range(1, 5))
+    @pytest.mark.parametrize("lam", [2.0, 0.3])
+    def test_half_values_match_slot_sums(self, d, m, lam):
+        # On a block of 300 columns (not a multiple of 1024) with entries at
+        # +-1 and 0 and uniform ones, bit for bit, signed zeros included.
+        rng = np.random.default_rng(10 * d + m)
+        cols = rng.uniform(-1, 1, size=(d, 300))
+        cols[:, :90] = rng.choice([-1.0, 0.0, 1.0], size=(d, 90))
+        cover = enumerate_cover(d, m, lam)
+        half = cover.n_distinct // 2
+        got = cover.half_values(cols)
+        assert got.shape == (half, 300) and got.dtype == np.float32
+        thetas = cover.rows(np.arange(half))
+        want = np.array([self.slot_reference(t, m, lam / m, cols) for t in thetas])
+        assert got.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("m", range(1, 5))
+    @pytest.mark.parametrize("lam", [2.0, 0.3])
+    def test_half_dots_match_decoded_rows(self, d, m, lam):
+        # Each row's products theta_j g_j, rounded, summed in coordinate
+        # (slot) order from +0.0: bit for bit with at most two nonzero
+        # entries per row, within a few ulps with more.  The decoded rows'
+        # BLAS product may fuse a multiply into its sum, so it is only
+        # within an ulp or two.
+        rng = np.random.default_rng(10 * d + m)
+        cover = enumerate_cover(d, m, lam)
+        thetas = cover.rows(np.arange(cover.n_distinct // 2))
+        for g in (rng.normal(size=d), rng.choice([-1.0, 0.0, 1.0], size=d)):
+            got = cover.half_dots(g)
+            products = [(t * g)[t != 0.0].tolist() for t in thetas]
+            want = np.array([sum(p, 0.0) for p in products])
+            assert got.shape == want.shape and got.dtype == np.float64
+            ulp = np.spacing(np.abs(thetas) @ np.abs(g))
+            if m <= 2:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.all(np.abs(got - want) <= 4 * ulp)
+            assert np.all(np.abs(got - thetas @ g) <= 4 * ulp)
+
     def test_counts_share_the_cap_and_checks(self):
         with pytest.raises(CoverSizeError):
             cover_counts(40, 2, 2.0, cap=10)

@@ -294,8 +294,8 @@ class TestProjectL1:
     )
     def test_matches_oracle_bit_for_bit(self, seed, k, D, radius, layout):
         # Stacks with every row outside the ball, with none, and with both
-        # reach the three paths of project_l1; each must give the earlier
-        # projection's bits, signed zeros included.
+        # must each give the earlier projection's bits, signed zeros
+        # included.
         rng = np.random.default_rng(seed)
         k = max(k, 2) if layout == "mixed" else k
         V = rng.normal(scale=rng.uniform(0.01, 5.0), size=(k, D))
@@ -1745,6 +1745,41 @@ class TestSparseCoverPursuit:
         monkeypatch.setattr(greedy, "_memory_budget", lambda: 5e3)
         with pytest.raises(CoverSizeError):
             greedy._cover_cache_for(X, act, inner_config(strategy="projected-gradient"))
+
+    @staticmethod
+    def fake_meminfo(tmp_path, monkeypatch, text):
+        """Point the budget at a meminfo file holding text (none if None),
+        with no RLIMIT_AS."""
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "meminfo"
+        if text is not None:
+            path.write_text(text, encoding="ascii")
+        monkeypatch.setattr(greedy, "_MEMINFO", str(path))
+        infinite = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+        monkeypatch.setattr(resource, "getrlimit", lambda which: infinite)
+
+    def test_budget_is_the_available_memory(self, tmp_path, monkeypatch):
+        # The same search as above under 195 kB of MemAvailable, well below
+        # MemTotal: exhaustive search refuses, projected gradient falls back.
+        meminfo = "MemTotal:        8211568 kB\nMemFree:  100 kB\nMemAvailable:  195 kB\n"
+        self.fake_meminfo(tmp_path, monkeypatch, meminfo)
+        assert greedy._memory_budget() == 195 * 1024
+        X = np.random.default_rng(0).uniform(-1, 1, size=(10, 40))
+        act = Activation("ramp")
+        with pytest.raises(CoverSizeError, match="bytes"):
+            greedy._cover_cache_for(X, act, inner_config(strategy="cover-exhaustive"))
+        cache = greedy._cover_cache_for(X, act, inner_config(strategy="projected-gradient"))
+        assert (cache.cover.m_grid, cache.cover.n_distinct) == (1, 81)
+
+    @pytest.mark.parametrize(
+        "text", [None, "", "MemTotal:        8211568 kB\n", "MemAvailable: many kB\n"]
+    )
+    def test_budget_without_available_memory_is_physical(self, tmp_path, monkeypatch, text):
+        # A missing file, or one without a readable MemAvailable line.
+        self.fake_meminfo(tmp_path, monkeypatch, text)
+        assert greedy._available_memory() is None
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert greedy._memory_budget() == float(physical)
 
     @staticmethod
     def fit_in_subprocess(d, n, m_max, **config):
