@@ -4,182 +4,25 @@ Fits one-hidden-layer combinations of ridge units x -> phi(theta . (x, 1))
 by l1-penalized greedy pursuit, evaluates the certified penalty schedules and
 risk diagnostics that come with them, and samples random ramp networks whose
 approximation error against smooth targets decays at the 1/m rate.
+
+Each library module's ``__all__`` is its public surface, and the package
+re-exports their union; ``cli`` is the command-line front door and is not
+imported here.
 """
 
-from .approx import (
-    BestDraw,
-    best_of,
-    combined_unit_distance,
-    farthest_point_cells,
-    maurey_sample,
-    quantize_to_net,
-    stratified_maurey,
-)
-from .dictionary import (
-    ACTIVATION_KINDS,
-    Activation,
-    CoverSizeError,
-    FieldError,
-    RidgeUnit,
-    SparseCover,
-    cover_count_library,
-    cover_count_log_bound,
-    cover_counts,
-    enumerate_cover,
-    eval_unit,
-    lift,
-    sparsify_theta,
-)
-from .greedy import (
-    INNER_STRATEGIES,
-    CoefficientPenalty,
-    GreedyConfig,
-    GreedyPath,
-    GreedyStep,
-    InnerResult,
-    fit_lpgp,
-    greedy_b_f,
-    greedy_bound_rhs,
-    inner_maximize,
-    line_search,
-    project_l1,
-    w_custom,
-    w_linear,
-    w_power,
-    write_path_csv,
-)
-from .model import RidgeModel
-from .penalty import (
-    REGIMES,
-    TAIL_CLASSES,
-    PenaltyConfig,
-    PenValue,
-    gamma_tau,
-    pen_highdim,
-    pen_mixed,
-    pen_moderate,
-    pen_nonoise,
-    penalty_for_regime,
-    resolvability_factors,
-    select_Bn,
-    tail_tn,
-    truncate,
-    tuning_highdim,
-)
-from .risk import (
-    CountableClassSpec,
-    LossReport,
-    RiskRow,
-    TruncatedModel,
-    default_m_grid,
-    fit_and_select,
-    losses,
-    mc_noise_check,
-    mc_symmetrization_check,
-    risk_curve,
-    shipped_class_specs,
-    write_risk_csv,
-)
-from .targets import (
-    DESIGN_LAWS,
-    NOISE_KINDS,
-    Dataset,
-    Noise,
-    SpectralTarget,
-    eval_target,
-    gen_dataset,
-    mc_l2_sq_distance,
-    mc_l2_sq_distance_to,
-    ramp_sampler_normalizer,
-    read_dataset_csv,
-    sample_ramp_model,
-    spectral_norm,
-    target_gradient_at_zero,
-    write_csv,
-    write_dataset_csv,
-)
+from . import approx, dictionary, greedy, model, penalty, risk, targets
+from .approx import *  # noqa: F401,F403
+from .dictionary import *  # noqa: F401,F403
+from .greedy import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .penalty import *  # noqa: F401,F403
+from .risk import *  # noqa: F401,F403
+from .targets import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVATION_KINDS",
-    "Activation",
-    "BestDraw",
-    "CoefficientPenalty",
-    "CountableClassSpec",
-    "CoverSizeError",
-    "DESIGN_LAWS",
-    "Dataset",
-    "FieldError",
-    "GreedyConfig",
-    "GreedyPath",
-    "GreedyStep",
-    "INNER_STRATEGIES",
-    "InnerResult",
-    "LossReport",
-    "NOISE_KINDS",
-    "Noise",
-    "PenValue",
-    "PenaltyConfig",
-    "REGIMES",
-    "RidgeModel",
-    "RidgeUnit",
-    "RiskRow",
-    "SparseCover",
-    "SpectralTarget",
-    "TAIL_CLASSES",
-    "TruncatedModel",
-    "best_of",
-    "combined_unit_distance",
-    "cover_count_library",
-    "cover_count_log_bound",
-    "cover_counts",
-    "default_m_grid",
-    "enumerate_cover",
-    "eval_target",
-    "eval_unit",
-    "farthest_point_cells",
-    "fit_and_select",
-    "fit_lpgp",
-    "gamma_tau",
-    "gen_dataset",
-    "greedy_b_f",
-    "greedy_bound_rhs",
-    "inner_maximize",
-    "lift",
-    "line_search",
-    "losses",
-    "maurey_sample",
-    "mc_l2_sq_distance",
-    "mc_l2_sq_distance_to",
-    "mc_noise_check",
-    "mc_symmetrization_check",
-    "pen_highdim",
-    "pen_mixed",
-    "pen_moderate",
-    "pen_nonoise",
-    "penalty_for_regime",
-    "project_l1",
-    "quantize_to_net",
-    "ramp_sampler_normalizer",
-    "read_dataset_csv",
-    "resolvability_factors",
-    "risk_curve",
-    "sample_ramp_model",
-    "select_Bn",
-    "shipped_class_specs",
-    "sparsify_theta",
-    "spectral_norm",
-    "stratified_maurey",
-    "tail_tn",
-    "target_gradient_at_zero",
-    "truncate",
-    "tuning_highdim",
-    "w_custom",
-    "w_linear",
-    "w_power",
-    "write_csv",
-    "write_dataset_csv",
-    "write_path_csv",
-    "write_risk_csv",
+    name
+    for module in (approx, dictionary, greedy, model, penalty, risk, targets)
+    for name in module.__all__
 ]

@@ -27,6 +27,7 @@ __all__ = [
     "quantize_to_net",
     "combined_unit_distance",
     "best_of",
+    "BestDraw",
 ]
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "ACTIVATION_KINDS",
     "Activation",
     "RidgeUnit",
     "SparseCover",
@@ -172,9 +173,6 @@ class SparseCover:
     counts: np.ndarray = field(repr=False)  # (K, m_grid) signed counts, padding 0
     values: np.ndarray = field(repr=False)  # (K, m_grid) float64 counts * lam / m_grid
     runs: np.ndarray = field(repr=False)  # (runs, 2) intp: first row, slice start j
-
-    def __len__(self) -> int:
-        return self.size
 
     @property
     def n_distinct(self) -> int:

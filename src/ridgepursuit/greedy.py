@@ -202,9 +202,10 @@ class GreedyConfig:
     ascents per search, started from the ``restarts`` best-scoring cover
     points (all of them if the cover is smaller) per sign of the residual;
     the restarts of both signs run as one batch in blocks of at most
-    ``_BLOCK_CELLS // n`` rows.  ``cover_m_grid`` sets the cover resolution
-    used for exhaustive search, the restart inits, and the ``cover_value``
-    diagnostic; ``cover_cap`` bounds its multiset count.  Over the cap, or
+    ``_BLOCK_CELLS // max(n, D + 1)`` rows on an n x D design.
+    ``cover_m_grid`` sets the cover resolution used for exhaustive search,
+    the restart inits, and the ``cover_value`` diagnostic; ``cover_cap``
+    bounds its multiset count (C(2D + m_grid, m_grid)).  Over the cap, or
     when a search over it (its value cache, entries and step arrays) would
     not fit the memory the process can allocate, exhaustive search raises
     CoverSizeError and projected gradient seeds from the vertex cover
@@ -450,8 +451,9 @@ def _memory_budget() -> float:
 
 
 def _rescore_rows(n: int, D: int) -> int:
-    """Units per block of a float64 re-score: the block's decoded rows and
-    its values on the design each take at most _BLOCK_CELLS cells."""
+    """Rows per block of a float64 re-score or of the restart batch: the
+    block's parameters (D entries per row) and its values on the design
+    (n per row) each take at most _BLOCK_CELLS cells."""
     return max(1, _BLOCK_CELLS // max(n, D + 1))
 
 
@@ -463,7 +465,9 @@ def _cover_bytes(n: int, D: int, m_grid: int, K: int) -> float:
     holds and allocates itself (``cover_bytes``); at each step the scores,
     rankings and restart order over the cover (at most ten float64 or int64
     arrays of K entries) and one re-score block, its decoded rows and their
-    values.  Projected gradient's restart batches are not counted.
+    values.  Projected gradient's restart blocks are not counted: they have
+    the re-score block's rows, so each of ``_ascend_batch``'s working arrays
+    takes at most _BLOCK_CELLS cells, whatever ``restarts`` is.
     """
     block = min(K, _rescore_rows(n, D))
     return (
@@ -735,8 +739,8 @@ def inner_maximize(
     float64 score of every cover unit gives.
 
     Projected gradient runs the +R restarts and then the -R restarts as one
-    batch (``_ascend_batch``, one sign per row), in blocks of at most
-    ``_BLOCK_CELLS // n`` rows, so a block may straddle the two signs.  A
+    batch (``_ascend_batch``, one sign per row), in blocks of
+    ``_rescore_rows`` rows, so a block may straddle the two signs.  A
     block's inits are taken when it runs, so memory is bounded by the block
     and the cover, not by ``restarts``.  The winner is the first strict
     maximum over the zero unit, the +R cover argmax, the +R restarts, the -R
@@ -782,7 +786,7 @@ def inner_maximize(
     def restarts():
         order = np.concatenate([idx[r[:count]] for r in ranks])
         step0 = 1.0 / (float(abs_R @ np.einsum("ij,ij->i", X, X)) / n + 1e-12)
-        block = max(1, _BLOCK_CELLS // n)
+        block = _rescore_rows(n, D)
         for start in range(0, total, block):
             stop = min(start + block, total)
             sign = np.where(np.arange(start, stop) < count, 1.0, -1.0)
@@ -1043,8 +1047,8 @@ def line_search(
 def fit_lpgp(data: Dataset, config: GreedyConfig) -> GreedyPath:
     """Run the pursuit for config.m_max steps on the dataset.
 
-    The path depends on X, Y and config alone: no random number is drawn,
-    so ``data.seed`` does not enter the fit.  Each step records its unit,
+    The path depends on X, Y and config alone: no random number is drawn.
+    Each step records its unit,
     (alpha, beta) and diagnostics, and carries the fitted values, the
     residual, its train MSE and the mass forward; the line search takes the
     residual and the train MSE as R and R . R / n.  No model is built here.

@@ -21,7 +21,7 @@ satisfying the codelength (Kraft) inequality sum_g e^{-L(g)} <= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import IO, Callable, Sequence
 
 import numpy as np
@@ -48,19 +48,6 @@ __all__ = [
     "shipped_class_specs",
 ]
 
-RISK_CSV_COLUMNS = (
-    "n",
-    "d",
-    "trial",
-    "regime",
-    "m_hat",
-    "v_hat",
-    "test_mse",
-    "pen_per_n",
-    "resolvability_proxy",
-)
-
-
 # ----------------------------------------------------------------------------
 # Types
 # ----------------------------------------------------------------------------
@@ -86,13 +73,14 @@ class TruncatedModel:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Empirical loss summary for one fitted model against a known target."""
+    """Empirical loss summary for one fitted model against a known target;
+    the losses are nan where no target or test design was given."""
 
-    D_n: float
-    D_n_prime: float
-    P_n: float
-    P_n_prime: float
-    test_mse: float
+    D_n: float = math.nan
+    D_n_prime: float = math.nan
+    P_n: float = math.nan
+    P_n_prime: float = math.nan
+    test_mse: float = math.nan
     m_hat: int | None = None
     pen_per_n: float = math.nan
 
@@ -144,6 +132,9 @@ class RiskRow:
     test_mse: float
     pen_per_n: float
     resolvability_proxy: float
+
+
+RISK_CSV_COLUMNS = tuple(f.name for f in fields(RiskRow))
 
 
 # ----------------------------------------------------------------------------
@@ -242,18 +233,9 @@ def fit_and_select(
     truncated = TruncatedModel(model=model_hat, level=penalty_config.B_n)
     if target is not None and data.X_prime is not None:
         report = losses(model_hat, target, data, B_n=penalty_config.B_n)
-        report = replace(report, m_hat=best_m, pen_per_n=best_pen)
     else:
-        report = LossReport(
-            D_n=math.nan,
-            D_n_prime=math.nan,
-            P_n=math.nan,
-            P_n_prime=math.nan,
-            test_mse=math.nan,
-            m_hat=best_m,
-            pen_per_n=best_pen,
-        )
-    return truncated, report
+        report = LossReport()
+    return truncated, replace(report, m_hat=best_m, pen_per_n=best_pen)
 
 
 # ----------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from .dictionary import Activation, RidgeUnit
 from .model import RidgeModel
 
 __all__ = [
+    "DESIGN_LAWS",
+    "NOISE_KINDS",
     "SpectralTarget",
     "Noise",
     "Dataset",
@@ -130,12 +132,11 @@ class Noise:
 
 @dataclass
 class Dataset:
-    """Design X in [-1,1]^(n x d), responses Y, and an independent copy X'."""
+    """Design X in [-1,1]^(n x d), responses Y, and optionally an independent
+    test design X'."""
 
     X: np.ndarray
     Y: np.ndarray
-    noise: Noise
-    seed: int
     X_prime: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -321,7 +322,6 @@ def gen_dataset(
     noise: Noise,
     seed: int,
     design: str = "uniform",
-    with_test: bool = True,
 ) -> Dataset:
     """Sample X and Y = f*(X) + eps from seed, and X' from a child of seed.
 
@@ -336,11 +336,9 @@ def gen_dataset(
     rng = np.random.default_rng(seed)
     X = _draw_design(n, d, rng, design)
     Y = np.asarray(target(X), dtype=float) + noise.draw(n, rng)
-    X_prime = None
-    if with_test:
-        rng_test = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        X_prime = _draw_design(n, d, rng_test, design)
-    return Dataset(X=X, Y=Y, noise=noise, seed=seed, X_prime=X_prime)
+    rng_test = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    X_prime = _draw_design(n, d, rng_test, design)
+    return Dataset(X=X, Y=Y, X_prime=X_prime)
 
 
 def mc_l2_sq_distance(

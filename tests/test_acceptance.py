@@ -154,7 +154,7 @@ def test_c2_sampling_distortion_exact_value_and_mean_bound():
 def test_c3_cover_counts_and_sparsify_distortion():
     for (d, m_grid), expected in (((1, 1), 3), ((2, 2), 15), ((3, 2), 28)):
         cover = enumerate_cover(d, m_grid, 2.0)
-        assert len(cover) == expected == math.comb(2 * d + m_grid, m_grid)
+        assert cover.size == expected == math.comb(2 * d + m_grid, m_grid)
     print("criterion 3: cover sizes 3/15/28 exact")
 
     d, n, m_grid, lam = 20, 200, 4, 2.0
@@ -250,7 +250,7 @@ def test_c5_pursuit_guarantee_noiseless_cover_targets():
         X = rng.uniform(-1, 1, size=(n, d))
         Y = np.asarray(fstar(X))
         path = fit_lpgp(
-            data=Dataset(X=X, Y=Y, noise=Noise("zero"), seed=seed, X_prime=None),
+            data=Dataset(X=X, Y=Y),
             config=cfg,
         )
         # c = 1: f*'s units are m_grid = 2 cover points, and every step takes

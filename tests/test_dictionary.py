@@ -275,7 +275,7 @@ class TestEnumerateCover:
                     continue
                 cover = enumerate_cover(d, m, 1.5)
                 assert cover.size == expected, (d, m)
-                assert len(cover) == expected
+                assert cover.size == expected
 
     def test_elements_respect_radius(self):
         cover = enumerate_cover(3, 3, 1.7)
@@ -360,7 +360,7 @@ class TestEnumerateCover:
     @pytest.mark.parametrize("m", range(1, 5))
     def test_counts_without_enumerating(self, d, m):
         cover = enumerate_cover(d, m, 0.7)
-        assert cover_counts(d, m, 0.7) == (len(cover), cover.n_distinct)
+        assert cover_counts(d, m, 0.7) == (cover.size, cover.n_distinct)
         assert cover_runs(d, m) == cover.runs.shape[0]
 
     @staticmethod

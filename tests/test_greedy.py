@@ -668,7 +668,7 @@ class TestBatchedAscent:
         K = 2 * D + 1
         X = rng.uniform(-1, 1, size=(n, D))
         R = rng.normal(size=n)
-        monkeypatch.setattr(greedy, "_BLOCK_CELLS", 16 * n)
+        monkeypatch.setattr(greedy, "_BLOCK_CELLS", 16 * (D + 1))
         monkeypatch.setattr(
             greedy,
             "_ascend_batch",
@@ -702,7 +702,7 @@ def cosine_fit_data(d, n=1024, seed=7):
     freqs = np.zeros((1, d))
     freqs[0, :4] = [1.0, -1.0, 0.5, 0.5]
     target = SpectralTarget(freqs=freqs, amps=np.array([1.0]), phases=np.array([0.0]))
-    return gen_dataset(target, n, d, Noise("gaussian", 0.5), seed, with_test=False)
+    return gen_dataset(target, n, d, Noise("gaussian", 0.5), seed)
 
 
 def ascent_config(kind, m_max):
@@ -1110,7 +1110,7 @@ class TestCertifiedScores:
         # there; ramp scores scale with lam, and so does the bound.
         rng = np.random.default_rng(21)
         X = rng.uniform(-1, 1, size=(200, 4))
-        data = make_dataset(X, np.cos(X @ np.array([1.0, -1.0, 0.5, 0.5])), seed=4)
+        data = make_dataset(X, np.cos(X @ np.array([1.0, -1.0, 0.5, 0.5])))
         cfg = GreedyConfig(lam=1e12, m_max=8, activation=kind)
         sizes = []
         rescore = greedy._rescore_cover
@@ -1402,8 +1402,8 @@ class TestPowerStationarity:
 # ---------------------------------------------------------------------------
 
 
-def make_dataset(X, Y, seed=0):
-    return Dataset(X=X, Y=Y, noise=Noise("zero"), seed=seed, X_prime=None)
+def make_dataset(X, Y):
+    return Dataset(X=X, Y=Y)
 
 
 def sine_cover_target(rng, n=150, d=3):
@@ -1463,7 +1463,7 @@ class TestFitLpgp:
         rng = np.random.default_rng(21)
         X = rng.uniform(-1, 1, size=(120, 3))
         Y = np.sin(2.0 * X[:, 0] - X[:, 1]) + 0.3 * rng.normal(size=120)
-        data = make_dataset(X, Y, seed=4)
+        data = make_dataset(X, Y)
         cfg = GreedyConfig(lam=2.0, m_max=6, activation=kind, **kwargs)
         calls, rows = [], []
         search, ascend = greedy.inner_maximize, greedy._ascend_batch
@@ -1510,7 +1510,7 @@ class TestFitLpgp:
         # cover score of the step's residual.
         rng = np.random.default_rng(8)
         X = rng.uniform(-1, 1, size=(80, 2))
-        data = make_dataset(X, np.cos(3.0 * X[:, 0]) - X[:, 1], seed=2)
+        data = make_dataset(X, np.cos(3.0 * X[:, 0]) - X[:, 1])
         cfg = GreedyConfig(lam=2.0, m_max=4, activation=kind, **kwargs)
         path = fit_lpgp(data, cfg)
         X_lift = greedy.lift(X)
@@ -1598,8 +1598,8 @@ class TestFitLpgp:
         X = rng.uniform(-1, 1, size=(60, 2))
         Y = rng.normal(size=60)
         cfg = GreedyConfig(lam=2.0, m_max=4, strategy="projected-gradient", restarts=6)
-        a = fit_lpgp(make_dataset(X, Y, seed=5), cfg)
-        b = fit_lpgp(make_dataset(X, Y, seed=5), cfg)
+        a = fit_lpgp(make_dataset(X, Y), cfg)
+        b = fit_lpgp(make_dataset(X, Y), cfg)
         for ra, rb in zip(a.records, b.records):
             assert ra.v_m == rb.v_m
             assert ra.train_mse == rb.train_mse
@@ -1673,11 +1673,11 @@ class TestCoverSeeding:
     and depends on X, Y and the config alone."""
 
     @staticmethod
-    def data(seed=0):
+    def data():
         rng = np.random.default_rng(31)
         X = rng.uniform(-1, 1, size=(60, 3))
         Y = np.sin(2.0 * X[:, 0] - X[:, 1]) + 0.2 * rng.normal(size=60)
-        return make_dataset(X, Y, seed=seed)
+        return make_dataset(X, Y)
 
     @pytest.mark.parametrize("search", list(SEARCHES))
     @pytest.mark.parametrize("kind", ["ramp", "sine", "tanh"])
@@ -1694,8 +1694,9 @@ class TestCoverSeeding:
 
     @pytest.mark.parametrize("search", list(SEARCHES))
     def test_dataset_seed_does_not_enter_the_fit(self, search):
+        # A Dataset holds no seed: two fits of the same data write one CSV.
         cfg = GreedyConfig(lam=2.0, m_max=4, **SEARCHES[search])
-        assert path_csv(self.data(seed=1), cfg) == path_csv(self.data(seed=2), cfg)
+        assert path_csv(self.data(), cfg) == path_csv(self.data(), cfg)
 
     @pytest.mark.parametrize("kind", ["ramp", "sine"])
     def test_over_cap_fallback_is_the_vertex_cover_run(self, kind):
@@ -1790,14 +1791,14 @@ class TestSparseCoverPursuit:
         code = f"""
 import time
 import numpy as np
-from ridgepursuit import Dataset, GreedyConfig, Noise, fit_lpgp
+from ridgepursuit import Dataset, GreedyConfig, fit_lpgp
 def peak():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
 rng = np.random.default_rng(0)
 X = rng.uniform(-1, 1, size=({n}, {d}))
 Y = np.maximum(X[:, 0] + X[:, 1], 0.0) + 0.1 * rng.normal(size={n})
-data = Dataset(X=X, Y=Y, noise=Noise("zero"), seed=0)
+data = Dataset(X=X, Y=Y)
 cfg = GreedyConfig(lam=2.0, m_max={m_max}, **{config!r})
 before = peak()
 start = time.perf_counter()
@@ -1830,6 +1831,17 @@ print(seconds, before, peak())
         # the ascent).
         _, before, after = self.fit_in_subprocess(2048, 256, 2, strategy="projected-gradient")
         assert after - before < 48.0
+
+    @needs_proc
+    def test_restart_blocks_are_bounded_by_d(self):
+        # 2,000 restarts per sign from the vertex cover at D = 2001, n = 8.
+        # Blocks of _BLOCK_CELLS // n rows held all 4,000 as one batch of
+        # (4000, D) arrays, and the fit's peak RSS grew by about 600 MiB;
+        # blocks of _BLOCK_CELLS // (D + 1) rows keep each array at 8 MiB.
+        _, before, after = self.fit_in_subprocess(
+            2000, 8, 1, strategy="projected-gradient", restarts=2000
+        )
+        assert after - before < 160.0
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def dataset_for(target, n, d, sigma, seed):
     noise = Noise("gaussian", sigma) if sigma > 0 else Noise("zero")
     Y = np.asarray(target(X), dtype=float) + noise.draw(n, rng)
     Xp = np.random.default_rng(seed + 1).uniform(-1, 1, size=(n, d))
-    return Dataset(X=X, Y=Y, noise=noise, seed=seed, X_prime=Xp)
+    return Dataset(X=X, Y=Y, X_prime=Xp)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ class TestLosses:
     def test_requires_test_design(self):
         target = tanh_target()
         data = dataset_for(target, 20, 2, 0.0, seed=7)
-        bare = Dataset(X=data.X, Y=data.Y, noise=data.noise, seed=7, X_prime=None)
+        bare = Dataset(X=data.X, Y=data.Y)
         with pytest.raises(ValueError):
             losses(target, target, bare)
 
@@ -199,7 +199,7 @@ class TestFitAndSelect:
         X = rng.uniform(-1, 1, size=(n, d))
         Y = np.full(n, 0.6)
         Xp = np.random.default_rng(seed + 1).uniform(-1, 1, size=(n, d))
-        data = Dataset(X=X, Y=Y, noise=Noise("zero"), seed=seed, X_prime=Xp)
+        data = Dataset(X=X, Y=Y, X_prime=Xp)
         gcfg = GreedyConfig(lam=2.0, m_max=2)
         pcfg = PenaltyConfig(
             B=0.6, B_n=0.6, sigma_sq=0.0, eta=0.0, nu=1.0, lam=2.0, regime="no-noise"
@@ -224,7 +224,7 @@ class TestFitAndSelect:
         noise = Noise("gaussian", 1.0)
         Y = noise.draw(n, rng)
         Xp = np.random.default_rng(seed + 1).uniform(-1, 1, size=(n, d))
-        data = Dataset(X=X, Y=Y, noise=noise, seed=seed, X_prime=Xp)
+        data = Dataset(X=X, Y=Y, X_prime=Xp)
         gcfg = GreedyConfig(lam=2.0, m_max=4)
         pcfg = PenaltyConfig(
             B=1.0, B_n=1.0, sigma_sq=1.0, eta=1.0, nu=1.0, lam=2.0,

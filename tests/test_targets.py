@@ -389,16 +389,12 @@ class TestGenDataset:
         with pytest.raises(ValueError):
             gen_dataset(t, 10, 2, Noise("zero"), seed=1, design="clustered")
 
-    def test_without_test_design(self):
-        data = gen_dataset(one_atom_target(), 10, 2, Noise("zero"), seed=1, with_test=False)
-        assert data.X_prime is None
-
 
 class TestDatasetValidation:
     """Bad data is rejected when the Dataset is built, not deep inside a fit."""
 
     def make(self, X, Y, X_prime=None):
-        return Dataset(X=X, Y=Y, noise=Noise("zero"), seed=0, X_prime=X_prime)
+        return Dataset(X=X, Y=Y, X_prime=X_prime)
 
     def test_nan_response_rejected(self):
         Y = np.ones(5)
