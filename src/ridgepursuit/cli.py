@@ -33,6 +33,7 @@ from .dictionary import (
 from .greedy import (
     INNER_STRATEGIES,
     GreedyConfig,
+    _memory_budget,
     fit_lpgp,
     w_linear,
     w_power,
@@ -46,6 +47,7 @@ from .penalty import (
     select_Bn,
 )
 from .risk import (
+    _mc_check_bytes,
     mc_noise_check,
     mc_symmetrization_check,
     risk_curve,
@@ -392,6 +394,18 @@ def _out_path(config: RunConfig, subcommand: str) -> str:
     return config["out"] or f"{subcommand.replace('-', '_')}.csv"
 
 
+def _check_memory(key: str, need: float) -> None:
+    """Raise ConfigError naming ``key`` when a run's arrays, ``need`` bytes
+    in all, exceed the memory the process can allocate (``_memory_budget``);
+    called before the run draws anything."""
+    budget = _memory_budget()
+    if need > budget:
+        raise ConfigError(
+            f"bad value for key '{key}': the run needs {need:.3g} bytes, above the "
+            f"{budget:.3g} this process can allocate"
+        )
+
+
 def _write_out(
     config: RunConfig,
     subcommand: str,
@@ -427,6 +441,10 @@ def _cmd_fit(config: RunConfig) -> str | None:
 def _cmd_approx_rate(config: RunConfig) -> str | None:
     target = _build_target(config)
     d = config["d"]
+    # The arrays that grow with mc_points: the design, the target's values,
+    # one draw's values and their difference, and the two mc_points x atoms
+    # arrays of the target's evaluation.
+    _check_memory("mc_points", 8.0 * config["mc_points"] * (d + 3 + 2 * target.n_atoms))
     v2 = spectral_norm(target, 2.0)
     # One Monte Carlo design and one evaluation of the target for every draw.
     distance = mc_l2_sq_distance_to(
@@ -494,6 +512,9 @@ def _cmd_concentration_check(config: RunConfig) -> str | None:
     specs = shipped_class_specs(d=d)
     noise = _build_noise(config)
     n, trials = config["n"], config["cc_trials"]
+    _check_memory(
+        "cc_trials", max(_mc_check_bytes(len(s.functions), n, trials, d) for s in specs.values())
+    )
     rng = np.random.default_rng(config["seed"])
     rows = []
     failed = False

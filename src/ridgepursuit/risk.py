@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,7 +89,9 @@ class LossReport:
 class CountableClassSpec:
     """A finite function class with codelength complexities.
 
-    ``functions`` are batch callables (N, d) -> (N,); ``complexities`` L(g)
+    ``functions`` are batch callables (N, d) -> (N,) that act row by row:
+    the value at a row depends on that row alone, so the Monte Carlo checks
+    may evaluate them on any block of rows.  ``complexities`` L(g)
     must satisfy sum_g e^{-L(g)} <= 1; ``sup_bound`` bounds sup |g| over the
     class (used as the level K in the noise-correlation constant).
     """
@@ -242,6 +244,74 @@ def fit_and_select(
 # Monte Carlo concentration checks
 # ----------------------------------------------------------------------------
 
+# Design cells per block of the Monte Carlo checks.  A block holds whole
+# trials, one at least, so a check keeps its class's values and one block,
+# whatever d is.  At n = 256 and 2,000 trials, d = 4 and d = 64, blocks of
+# 2^16 cells ran as fast as 2^18 with a 45 MiB peak against 50 MiB; 2^20
+# peaked at 62-68 MiB and spent twice the CPU, its products large enough
+# for BLAS to start a thread; 2^14 ran twice as long at d = 64.
+_BLOCK_CELLS = 2**16
+
+
+def _trials_per_block(n: int, d: int) -> int:
+    """Whole trials (n x d design cells each) per block: as many as fit in
+    _BLOCK_CELLS cells, and one if a trial is larger."""
+    return max(1, _BLOCK_CELLS // (n * d))
+
+
+def _trial_blocks(trials: int, n: int, d: int) -> Iterator[slice]:
+    """Consecutive slices of ``_trials_per_block`` trials covering all."""
+    step = _trials_per_block(n, d)
+    for lo in range(0, trials, step):
+        yield slice(lo, min(lo + step, trials))
+
+
+def _mc_check_bytes(size: int, n: int, trials: int, d: int) -> float:
+    """An upper bound on the bytes a Monte Carlo check over a class of
+    ``size`` functions allocates: every function's values on the design
+    (trials x n float64 each), the per-trial statistics, and one block of
+    rows: its design or copy, twice over (a Rademacher draw makes an index
+    array of the same size first), and eight float64 temporaries a row."""
+    rows = min(trials, _trials_per_block(n, d)) * n
+    return 8.0 * (size * trials * n + 2 * trials + rows * (2 * d + 8))
+
+
+def _sup_over_class(
+    spec: CountableClassSpec,
+    n: int,
+    trials: int,
+    d: int,
+    design: str,
+    rng: np.random.Generator,
+    draw: Callable[[int], np.ndarray],
+    stat: Callable[..., np.ndarray],
+) -> tuple[float, float]:
+    """(mean, SE) over trials of the supremum over the class of a per-trial
+    statistic, drawn in blocks of whole trials (``_trial_blocks``).
+
+    The first pass draws the trials * n x d design block by block, taking
+    from ``rng`` exactly what one draw of the whole design takes, and keeps
+    only each function's values on it, a (trials, n) array each.  The second
+    pass calls ``draw(rows)`` for each block's second sample (the design's
+    independent copy, or the noise), again in the order of one whole draw,
+    and folds ``stat(g, L, G, sample)``, a block's per-trial statistic with
+    G the block's rows of g's values, into the running per-trial maximum.
+    """
+    values = [np.empty((trials, n)) for _ in spec.functions]
+    # Each block is deleted before the next is drawn, so one is held at a time.
+    for block in _trial_blocks(trials, n, d):
+        X = _draw_design((block.stop - block.start) * n, d, rng, design)
+        for G, g in zip(values, spec.functions):
+            G[block] = np.asarray(g(X), dtype=float).reshape(-1, n)
+        del X
+    best = np.full(trials, -math.inf)
+    for block in _trial_blocks(trials, n, d):
+        sample = draw((block.stop - block.start) * n)
+        for G, g, L in zip(values, spec.functions, spec.complexities):
+            np.maximum(best[block], stat(g, L, G[block], sample), out=best[block])
+        del sample
+    return float(best.mean()), float(best.std(ddof=1) / math.sqrt(trials))
+
 
 def mc_symmetrization_check(
     spec: CountableClassSpec,
@@ -257,26 +327,34 @@ def mc_symmetrization_check(
     D_n(g) and D'_n(g) average g^2 over a design and an independent copy;
     s^2(g) = (1/n) sum_i (g^2(X_i) - g^2(X'_i))^2.  The theory gives a
     nonpositive expectation for any positive gamma; returns (mean, SE).
+
+    ``rng`` gives the trials * n x d design X, then its copy X', each in the
+    order one draw of the whole array takes.  Both are drawn in blocks of
+    whole trials (``_sup_over_class``), so the check holds the class's
+    values, |class| x trials x n floats, and one block, however large d is.
     """
     if gamma <= 0:
         raise ValueError(f"need gamma > 0, got {gamma}")
     if trials < 2:
         raise ValueError(f"need trials >= 2 for a standard error, got {trials}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     rng = rng if rng is not None else np.random.default_rng()
-    X = _draw_design(trials * n, d, rng, design)
-    Xp = _draw_design(trials * n, d, rng, design)
-    best = np.full(trials, -math.inf)
-    for g, L in zip(spec.functions, spec.complexities):
-        gsq = np.asarray(g(X), dtype=float).reshape(trials, n) ** 2
-        gsq_p = np.asarray(g(Xp), dtype=float).reshape(trials, n) ** 2
-        stat = (
+
+    def stat(g, L, G, Xp):
+        gsq = G**2
+        gsq_p = np.asarray(g(Xp), dtype=float).reshape(-1, n) ** 2
+        return (
             gsq_p.mean(axis=1)
             - gsq.mean(axis=1)
             - gamma * L / n
             - ((gsq - gsq_p) ** 2).mean(axis=1) / (2.0 * gamma)
         )
-        np.maximum(best, stat, out=best)
-    return float(best.mean()), float(best.std(ddof=1) / math.sqrt(trials))
+
+    def draw(rows):
+        return _draw_design(rows, d, rng, design)
+
+    return _sup_over_class(spec, n, trials, d, design, rng, draw, stat)
 
 
 def mc_noise_check(
@@ -294,21 +372,29 @@ def mc_noise_check(
     gamma = A sigma^2 / 2 + K eta, with sigma^2 and eta the noise variance and
     moment-growth parameter and K the class sup bound.  Nonpositive in
     expectation for any A > 0; returns (mean, SE).
+
+    ``rng`` gives the trials * n x d design X, then the trials * n noise
+    draws, each in the order one draw of the whole array takes.  Both are
+    drawn in blocks of whole trials (``_sup_over_class``), so the check
+    holds the class's values, |class| x trials x n floats, and one block,
+    however large d is.
     """
     if A <= 0:
         raise ValueError(f"need A > 0, got {A}")
     if trials < 2:
         raise ValueError(f"need trials >= 2 for a standard error, got {trials}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     rng = rng if rng is not None else np.random.default_rng()
     gamma = A * noise.variance / 2.0 + spec.sup_bound * noise.bernstein_eta
-    X = _draw_design(trials * n, d, rng, design)
-    eps = noise.draw(trials * n, rng).reshape(trials, n)
-    best = np.full(trials, -math.inf)
-    for g, L in zip(spec.functions, spec.complexities):
-        G = np.asarray(g(X), dtype=float).reshape(trials, n)
-        stat = (eps * G).mean(axis=1) - gamma * L / n - (G * G).mean(axis=1) / A
-        np.maximum(best, stat, out=best)
-    return float(best.mean()), float(best.std(ddof=1) / math.sqrt(trials))
+
+    def stat(g, L, G, eps):
+        return (eps * G).mean(axis=1) - gamma * L / n - (G * G).mean(axis=1) / A
+
+    def draw(rows):
+        return noise.draw(rows, rng).reshape(-1, n)
+
+    return _sup_over_class(spec, n, trials, d, design, rng, draw, stat)
 
 
 def shipped_class_specs(d: int = 1) -> dict[str, CountableClassSpec]:

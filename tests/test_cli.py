@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridgepursuit
-from ridgepursuit import cli
+from ridgepursuit import cli, risk
 from ridgepursuit.cli import ConfigError, RunConfig, SUBCOMMANDS, main, parse_config
 from ridgepursuit.penalty import REGIMES, PenaltyConfig, penalty_for_regime
 
@@ -247,6 +247,55 @@ class TestHostileValues:
         if value in past_bounds(key):
             assert code == 2 and f"'{key}'" in err.getvalue(), err.getvalue()
 
+    @pytest.mark.parametrize(
+        "subcommand, key", [("concentration-check", "cc_trials"), ("approx-rate", "mc_points")]
+    )
+    def test_monte_carlo_size_is_bounded_before_it_draws(
+        self, subcommand, key, tmp_path, monkeypatch, capsys
+    ):
+        if subcommand == "concentration-check":
+            # The pair class's values and one block, at n = 16, d = 2, 8 trials.
+            need = risk._mc_check_bytes(2, 16, 8, 2)
+            settings = []
+        else:
+            # The design, the target's values, one draw's values and their
+            # difference, and two arrays for each of the target's 3 atoms.
+            need = 8.0 * 64 * (2 + 3 + 2 * 3)
+            settings = ["freqs=1,1;2,0;0,3", "amps=1,0.5,0.25", "phases=0,0,0"]
+        out = tmp_path / "out.csv"
+        argv = [subcommand, "--out", str(out), "--set", "d=2"]
+        for pair in FUZZ_BASE[subcommand] + settings:
+            argv += ["--set", pair]
+        monkeypatch.setattr(cli, "_memory_budget", lambda: need - 1.0)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{key}'" in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
+        monkeypatch.setattr(cli, "_memory_budget", lambda: need)
+        assert main(argv) == 0
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
+    @pytest.mark.parametrize(
+        "subcommand, key, sizes",
+        [
+            # 2 x 200,000 x 256 float64 of class values: 819 MB.
+            ("concentration-check", "cc_trials", ("d=64", "n=256", "cc_trials=200000")),
+            # 400 million points x (2 + 3 + 2) float64: 22 GB.
+            ("approx-rate", "mc_points", ("mc_points=400000000",)),
+        ],
+    )
+    def test_monte_carlo_size_over_address_space_limit_exits_2(
+        self, subcommand, key, sizes, tmp_path
+    ):
+        argv = [subcommand, "--out", str(tmp_path / "out.csv")]
+        for pair in sizes:
+            argv += ["--set", pair]
+        out = run_main_in_subprocess(argv, headroom_mib=256)
+        assert out.returncode == 2, out.stderr
+        assert f"'{key}'" in out.stderr
+        assert "MemoryError" not in out.stderr and "Traceback" not in out.stderr
+
     def test_range_checked_keys_expose_their_bounds(self):
         checked = [key for key in cli._KEYS if past_bounds(key)]
         assert {"n", "lam", "phases", "amps", "cc_trials"} <= set(checked)
@@ -325,6 +374,35 @@ class TestMainPlumbing:
 # ---------------------------------------------------------------------------
 
 
+def run_main_in_subprocess(argv, headroom_mib=None):
+    """``main(argv)`` in a fresh interpreter, under an RLIMIT_AS of
+    ``headroom_mib`` above what the interpreter maps at start if given.  Its
+    stdout ends with the VmHWM before and after the run, in MiB."""
+    code = (
+        "import resource, sys\n"
+        "from ridgepursuit import cli\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:')) / 1024\n"
+        f"headroom = {headroom_mib!r}\n"
+        "if headroom is not None:\n"
+        "    page = resource.getpagesize()\n"
+        "    with open('/proc/self/statm') as fh:\n"
+        "        used = int(fh.read().split()[0]) * page\n"
+        "    limit = used + headroom * 2**20\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "before = peak()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(before, peak())\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(ridgepursuit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 class TestCoverMemoryBound:
     """The cover's bytes are bounded before any array exists: a fit whose
     cover would not fit the address space left under RLIMIT_AS exits 2
@@ -332,23 +410,11 @@ class TestCoverMemoryBound:
 
     @staticmethod
     def fit_under_address_limit(tmp_path, headroom_mib, d, settings):
-        code = (
-            "import resource, sys\n"
-            "from ridgepursuit import cli\n"
-            "page = resource.getpagesize()\n"
-            "with open('/proc/self/statm') as fh:\n"
-            "    used = int(fh.read().split()[0]) * page\n"
-            f"limit = used + {headroom_mib} * 2**20\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
-            "sys.exit(cli.main(sys.argv[1:]))\n"
-        )
         freqs = ",".join(["1"] + ["0"] * (d - 1))
-        argv = [sys.executable, "-c", code, "fit", "--out", str(tmp_path / "fit.csv")]
+        argv = ["fit", "--out", str(tmp_path / "fit.csv")]
         for kv in (f"d={d}", f"freqs={freqs}", "m_max=2", "strategy=cover-exhaustive", *settings):
             argv += ["--set", kv]
-        src = str(Path(ridgepursuit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        return run_main_in_subprocess(argv, headroom_mib)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
     @pytest.mark.parametrize(
@@ -616,6 +682,19 @@ class TestConcentrationCheck:
         assert {row[0] for row in data} == {"symmetrization", "noise"}
         assert {row[1] for row in data} == {"zero", "singleton", "pair"}
         assert all(row[7] == "true" for row in data)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_peak_memory_does_not_grow_with_d(self, tmp_path):
+        # At d = 64, n = 256 and 2,000 trials the whole design and its copy
+        # took 262 MB each, and the run's peak RSS grew by about 520 MiB.
+        # Blocks of whole trials keep the class's values (8 MB) and one block.
+        argv = ["concentration-check", "--out", str(tmp_path / "cc.csv")]
+        for pair in ("d=64", "n=256", "cc_trials=2000"):
+            argv += ["--set", pair]
+        out = run_main_in_subprocess(argv)
+        assert out.returncode == 0, out.stderr
+        before, after = map(float, out.stdout.split())
+        assert after - before < 64.0
 
     def test_failure_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(

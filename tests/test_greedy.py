@@ -32,6 +32,7 @@ from ridgepursuit import (
     RidgeUnit,
     SparseCover,
     SpectralTarget,
+    cover_counts,
     enumerate_cover,
     eval_unit,
     fit_lpgp,
@@ -1733,11 +1734,12 @@ class TestSparseCoverPursuit:
     def test_memory_budget_bounds_the_cache(self, monkeypatch):
         # At d = 40, n = 10 a search over the m_grid = 2 cover may take
         # about 2.1 MB (a re-score of every unit decodes 3,281 rows) and one
-        # over the vertex cover about 55 kB: under a 200 kB budget exhaustive
-        # search refuses, and projected gradient seeds from the vertex cover.
+        # over the vertex cover about 0.39 MB (mostly its block of 2 x 32
+        # restarts): under a 1 MB budget exhaustive search refuses, and
+        # projected gradient seeds from the vertex cover.
         rng = np.random.default_rng(0)
         X = rng.uniform(-1, 1, size=(10, 40))
-        monkeypatch.setattr(greedy, "_memory_budget", lambda: 200e3)
+        monkeypatch.setattr(greedy, "_memory_budget", lambda: 1e6)
         act = Activation("ramp")
         with pytest.raises(CoverSizeError, match="bytes"):
             greedy._cover_cache_for(X, act, inner_config(strategy="cover-exhaustive"))
@@ -1746,6 +1748,28 @@ class TestSparseCoverPursuit:
         monkeypatch.setattr(greedy, "_memory_budget", lambda: 5e3)
         with pytest.raises(CoverSizeError):
             greedy._cover_cache_for(X, act, inner_config(strategy="projected-gradient"))
+
+    def test_only_restarts_move_the_memory_bound(self, monkeypatch):
+        # Exhaustive search runs no restart blocks, so its bound is the one
+        # without them whatever ``restarts`` says; projected gradient's grows
+        # with its restart block until the block reaches _rescore_rows.
+        X = np.random.default_rng(0).uniform(-1, 1, size=(10, 40))
+        _, K = cover_counts(40, 2, 2.0)
+        needs = []
+        bytes_of = greedy._cover_bytes
+
+        def recorded(*args):
+            needs.append(bytes_of(*args))
+            return needs[-1]
+
+        monkeypatch.setattr(greedy, "_cover_bytes", recorded)
+        for strategy in ("cover-exhaustive", "projected-gradient"):
+            for restarts in (1, 500):
+                cfg = inner_config(strategy=strategy, restarts=restarts)
+                greedy._cover_cache_for(X, Activation("ramp"), cfg)
+        exhaustive_1, exhaustive_500, pg_1, pg_500 = needs
+        assert exhaustive_1 == exhaustive_500 == bytes_of(10, 40, 2, K)
+        assert exhaustive_1 < pg_1 < pg_500
 
     @staticmethod
     def fake_meminfo(tmp_path, monkeypatch, text):
@@ -1760,11 +1784,11 @@ class TestSparseCoverPursuit:
         monkeypatch.setattr(resource, "getrlimit", lambda which: infinite)
 
     def test_budget_is_the_available_memory(self, tmp_path, monkeypatch):
-        # The same search as above under 195 kB of MemAvailable, well below
+        # The same search as above under 977 kB of MemAvailable, well below
         # MemTotal: exhaustive search refuses, projected gradient falls back.
-        meminfo = "MemTotal:        8211568 kB\nMemFree:  100 kB\nMemAvailable:  195 kB\n"
+        meminfo = "MemTotal:        8211568 kB\nMemFree:  100 kB\nMemAvailable:  977 kB\n"
         self.fake_meminfo(tmp_path, monkeypatch, meminfo)
-        assert greedy._memory_budget() == 195 * 1024
+        assert greedy._memory_budget() == 977 * 1024
         X = np.random.default_rng(0).uniform(-1, 1, size=(10, 40))
         act = Activation("ramp")
         with pytest.raises(CoverSizeError, match="bytes"):
@@ -1838,10 +1862,15 @@ print(seconds, before, peak())
         # Blocks of _BLOCK_CELLS // n rows held all 4,000 as one batch of
         # (4000, D) arrays, and the fit's peak RSS grew by about 600 MiB;
         # blocks of _BLOCK_CELLS // (D + 1) rows keep each array at 8 MiB.
+        # The search's memory bound, restart blocks included, covers the
+        # growth (it read 8.9 MiB when they were left out).
         _, before, after = self.fit_in_subprocess(
             2000, 8, 1, strategy="projected-gradient", restarts=2000
         )
         assert after - before < 160.0
+        D = 2001
+        bound = greedy._cover_bytes(8, D, 1, 2 * D + 1, restarts=2000) / 2**20
+        assert after - before <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ checks, and the risk-curve experiment driver."""
 import io
 import math
 import threading
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
+import mc_oracle
 import numpy as np
 import pytest
 
+from ridgepursuit import risk
 from ridgepursuit import (
     Activation,
     CountableClassSpec,
@@ -402,6 +405,68 @@ class TestNoiseCheck:
             mc_noise_check(spec, A=0.0, n=10, trials=10, noise=Noise("gaussian", 1.0))
         with pytest.raises(ValueError):
             mc_noise_check(spec, A=1.0, n=10, trials=1, noise=Noise("gaussian", 1.0))
+
+
+def blocked_shape(d, shape):
+    """(n, trials) at dimension d: several blocks with a partial last one,
+    or one trial per block with n d above one block's cells."""
+    if shape == "partial-block":
+        n = 100
+        per_block = risk._trials_per_block(n, d)
+        trials = 2 * per_block + 3
+        assert per_block > 3 and trials % per_block
+        return n, trials
+    n = risk._BLOCK_CELLS // d + 1
+    assert risk._trials_per_block(n, d) == 1
+    return n, 3
+
+
+CHECK_NOISES = (Noise("gaussian", 0.5), Noise("laplace", 0.4), Noise("gaussian", 0.0))
+
+
+class TestBlockedChecksMatchOracle:
+    """The blocked checks return the whole-array ones' (mean, se) bit for
+    bit, and leave the generator in the same state."""
+
+    @pytest.mark.parametrize("shape", ["partial-block", "wide-trial"])
+    @pytest.mark.parametrize("design", ["uniform", "rademacher"])
+    @pytest.mark.parametrize("d", [1, 4, 64])
+    def test_bit_identical_to_whole_array_checks(self, d, design, shape):
+        n, trials = blocked_shape(d, shape)
+        for name, spec in shipped_class_specs(d).items():
+            for seed in (0, 1):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                args = (spec, 0.7, n, trials, design, d)
+                got = [mc_symmetrization_check(*args, got_rng)]
+                want = [mc_oracle.mc_symmetrization_check(*args, want_rng)]
+                for noise in CHECK_NOISES:
+                    got.append(mc_noise_check(spec, 2.0, n, trials, noise, design, d, got_rng))
+                    want.append(
+                        mc_oracle.mc_noise_check(spec, 2.0, n, trials, noise, design, d, want_rng)
+                    )
+                assert got == want, (name, seed)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state, (name, seed)
+
+    @pytest.mark.parametrize("design", ["uniform", "rademacher"])
+    @pytest.mark.parametrize(
+        "d, n, trials", [(4, 256, 2000), (64, 256, 300), (64, 1100, 3), (1, 7, 5000)]
+    )
+    def test_byte_bound_covers_each_check(self, d, n, trials, design):
+        spec = shipped_class_specs(d)["pair"]
+        rng = np.random.default_rng(3)
+        checks = [
+            lambda: mc_symmetrization_check(spec, 1.0, n, trials, design, d, rng),
+            lambda: mc_noise_check(spec, 2.0, n, trials, Noise("laplace", 0.4), design, d, rng),
+        ]
+        bound = risk._mc_check_bytes(len(spec.functions), n, trials, d)
+        for check in checks:
+            tracemalloc.start()
+            try:
+                check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
 
 
 # ---------------------------------------------------------------------------
