@@ -539,6 +539,12 @@ def _cmd_concentration_check(config: RunConfig) -> str | None:
 
 
 def _cmd_risk_curve(config: RunConfig) -> str | None:
+    m_grid, m_max = config["m_grid"], config["m_max"]
+    if m_grid and max(m_grid) > m_max:
+        # fit_and_select would fit to max(m_grid), past the echoed m_max.
+        raise ConfigError(
+            f"bad value for key 'm_grid': need entries <= m_max={m_max}, got {max(m_grid)}"
+        )
     target = _build_target(config)
     noise = _build_noise(config)
     n_grid = config["n_grid"]
@@ -554,7 +560,7 @@ def _cmd_risk_curve(config: RunConfig) -> str | None:
         noise,
         seed=config["seed"],
         design=config["design"],
-        m_grid=config["m_grid"] or None,
+        m_grid=m_grid or None,
         oracle_v=None,
     )
     with open(_out_path(config, "risk-curve"), "w", encoding="utf-8") as fh:

@@ -20,6 +20,7 @@ satisfying the codelength (Kraft) inequality sum_g e^{-L(g)} <= 1.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields, replace
 from typing import IO, Callable, Iterator, Sequence
@@ -245,11 +246,11 @@ def fit_and_select(
 # ----------------------------------------------------------------------------
 
 # Design cells per block of the Monte Carlo checks.  A block holds whole
-# trials, one at least, so a check keeps its class's values and one block,
-# whatever d is.  At n = 256 and 2,000 trials, d = 4 and d = 64, blocks of
-# 2^16 cells ran as fast as 2^18 with a 45 MiB peak against 50 MiB; 2^20
-# peaked at 62-68 MiB and spent twice the CPU, its products large enough
-# for BLAS to start a thread; 2^14 ran twice as long at d = 64.
+# trials, one at least, so a check holds one block, whatever d is.  At
+# n = 256 and 2,000 trials, d = 4 and d = 64, blocks of 2^16 cells ran as
+# fast as 2^18 with a 45 MiB peak against 50 MiB; 2^20 peaked at 62-68 MiB
+# and spent twice the CPU, its products large enough for BLAS to start a
+# thread; 2^14 ran twice as long at d = 64.
 _BLOCK_CELLS = 2**16
 
 
@@ -268,12 +269,39 @@ def _trial_blocks(trials: int, n: int, d: int) -> Iterator[slice]:
 
 def _mc_check_bytes(size: int, n: int, trials: int, d: int) -> float:
     """An upper bound on the bytes a Monte Carlo check over a class of
-    ``size`` functions allocates: every function's values on the design
-    (trials x n float64 each), the per-trial statistics, and one block of
-    rows: its design or copy, twice over (a Rademacher draw makes an index
-    array of the same size first), and eight float64 temporaries a row."""
+    ``size`` functions allocates: the per-trial maxima and their ``std``
+    temporary, and one block of rows: its design or copy, twice over (a
+    Rademacher draw makes an index array of the same size first), the
+    class's values on it, and eight float64 temporaries a row."""
     rows = min(trials, _trials_per_block(n, d)) * n
-    return 8.0 * (size * trials * n + 2 * trials + rows * (2 * d + 8))
+    return 8.0 * (2 * trials + rows * (2 * d + size + 8))
+
+
+def _twin_past_design(
+    rng: np.random.Generator, trials: int, n: int, d: int, design: str
+) -> np.random.Generator:
+    """A twin of ``rng`` at its current state, and ``rng`` moved past one
+    draw of the trials * n x d design.
+
+    A PCG64 or PCG64DXSM bit generator takes one 64-bit step per uniform
+    value, so ``advance`` jumps it in O(log(trials n d)); ``advance`` drops a
+    pending 32-bit half, which is put back.  Any other bit generator (Philox's
+    ``advance`` counts 4-word blocks; MT19937 and SFC64 have none), and the
+    Rademacher design (32-bit integer draws, whose count numpy's sampler
+    does not promise), draws the design in blocks of whole trials and drops
+    each block.
+    """
+    twin = np.random.Generator(copy.deepcopy(rng.bit_generator))
+    bit_generator = rng.bit_generator
+    jumps = isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
+    if design == "uniform" and jumps:
+        pending = {k: bit_generator.state[k] for k in ("has_uint32", "uinteger")}
+        bit_generator.advance(trials * n * d)
+        bit_generator.state = {**bit_generator.state, **pending}
+    else:
+        for block in _trial_blocks(trials, n, d):
+            _draw_design((block.stop - block.start) * n, d, rng, design)
+    return twin
 
 
 def _sup_over_class(
@@ -287,29 +315,36 @@ def _sup_over_class(
     stat: Callable[..., np.ndarray],
 ) -> tuple[float, float]:
     """(mean, SE) over trials of the supremum over the class of a per-trial
-    statistic, drawn in blocks of whole trials (``_trial_blocks``).
+    statistic, in one pass over blocks of whole trials (``_trial_blocks``).
 
-    The first pass draws the trials * n x d design block by block, taking
-    from ``rng`` exactly what one draw of the whole design takes, and keeps
-    only each function's values on it, a (trials, n) array each.  The second
-    pass calls ``draw(rows)`` for each block's second sample (the design's
-    independent copy, or the noise), again in the order of one whole draw,
-    and folds ``stat(g, L, G, sample)``, a block's per-trial statistic with
-    G the block's rows of g's values, into the running per-trial maximum.
+    ``rng`` gives the trials * n x d design, then the second sample (the
+    design's independent copy, or the noise).  A twin of ``rng`` draws the
+    design block by block while ``rng``, moved past the design at entry
+    (``_twin_past_design``: a jump, or a draw it drops), gives each block's
+    second sample by ``draw(rows)``.  Both are taken in the order one whole
+    draw takes, and ``rng`` ends where one whole draw of each leaves it.
+    Each block keeps the class's values on its design, drops the design,
+    and folds ``stat(g, L, G, sample)``, the block's per-trial statistic
+    with G the (trials, n) values of g on the block's design, into the
+    running per-trial maximum.  So the check holds that maximum and one
+    block, and no value of the class outside it.
     """
-    values = [np.empty((trials, n)) for _ in spec.functions]
-    # Each block is deleted before the next is drawn, so one is held at a time.
-    for block in _trial_blocks(trials, n, d):
-        X = _draw_design((block.stop - block.start) * n, d, rng, design)
-        for G, g in zip(values, spec.functions):
-            G[block] = np.asarray(g(X), dtype=float).reshape(-1, n)
-        del X
+    twin = _twin_past_design(rng, trials, n, d, design)
     best = np.full(trials, -math.inf)
+    # The design is deleted before the second sample is drawn, and both
+    # before the next block, so one n x d array is held at a time.  Held
+    # together, a design and its copy freed enough per block for the heap
+    # to be trimmed and faulted back in: at d = 64, n = 256 and 2,000
+    # trials, 112,000 page faults a check and up to half again the time.
     for block in _trial_blocks(trials, n, d):
-        sample = draw((block.stop - block.start) * n)
+        rows = (block.stop - block.start) * n
+        X = _draw_design(rows, d, twin, design)
+        values = [np.asarray(g(X), dtype=float).reshape(-1, n) for g in spec.functions]
+        del X
+        sample = draw(rows)
         for G, g, L in zip(values, spec.functions, spec.complexities):
-            np.maximum(best[block], stat(g, L, G[block], sample), out=best[block])
-        del sample
+            np.maximum(best[block], stat(g, L, G, sample), out=best[block])
+        del values, sample
     return float(best.mean()), float(best.std(ddof=1) / math.sqrt(trials))
 
 
@@ -329,12 +364,15 @@ def mc_symmetrization_check(
     nonpositive expectation for any positive gamma; returns (mean, SE).
 
     ``rng`` gives the trials * n x d design X, then its copy X', each in the
-    order one draw of the whole array takes.  Both are drawn in blocks of
-    whole trials (``_sup_over_class``), so the check holds the class's
-    values, |class| x trials x n floats, and one block, however large d is.
+    order one draw of the whole array takes, and ends where those two draws
+    leave it.  One pass over blocks of whole trials (``_sup_over_class``)
+    draws X from a twin of ``rng`` while ``rng``, jumped past X (PCG64 and
+    PCG64DXSM with the uniform design) or drawn past it block by block
+    (otherwise), draws X'.  So the check holds the per-trial maxima,
+    trials floats, and one block, however large d and the class are.
     """
-    if gamma <= 0:
-        raise ValueError(f"need gamma > 0, got {gamma}")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError(f"need a finite gamma > 0, got {gamma}")
     if trials < 2:
         raise ValueError(f"need trials >= 2 for a standard error, got {trials}")
     if n < 1:
@@ -374,13 +412,16 @@ def mc_noise_check(
     expectation for any A > 0; returns (mean, SE).
 
     ``rng`` gives the trials * n x d design X, then the trials * n noise
-    draws, each in the order one draw of the whole array takes.  Both are
-    drawn in blocks of whole trials (``_sup_over_class``), so the check
-    holds the class's values, |class| x trials x n floats, and one block,
-    however large d is.
+    draws, each in the order one draw of the whole array takes, and ends
+    where those two draws leave it.  One pass over blocks of whole trials
+    (``_sup_over_class``) draws X from a twin of ``rng`` while ``rng``,
+    jumped past X (PCG64 and PCG64DXSM with the uniform design) or drawn
+    past it block by block (otherwise), draws the noise.  So the check
+    holds the per-trial maxima, trials floats, and one block, however large
+    d and the class are.
     """
-    if A <= 0:
-        raise ValueError(f"need A > 0, got {A}")
+    if not (A > 0 and math.isfinite(A)):
+        raise ValueError(f"need a finite A > 0, got {A}")
     if trials < 2:
         raise ValueError(f"need trials >= 2 for a standard error, got {trials}")
     if n < 1:

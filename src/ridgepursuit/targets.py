@@ -106,8 +106,8 @@ class Noise:
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected {NOISE_KINDS}")
-        if self.scale < 0:
-            raise ValueError(f"noise scale must be nonnegative, got {self.scale}")
+        if not (self.scale >= 0 and math.isfinite(self.scale)):
+            raise ValueError(f"noise scale must be finite and nonnegative, got {self.scale}")
 
     @property
     def variance(self) -> float:

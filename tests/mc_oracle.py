@@ -1,11 +1,14 @@
-"""The whole-array Monte Carlo concentration checks that the blocked ones in
+"""The whole-array Monte Carlo concentration checks that the one-pass ones in
 ``ridgepursuit.risk`` replaced, kept as a test oracle.
 
 Both functions below are the earlier implementations unchanged: each draws
 the whole trials * n x d design, and its independent copy or the noise, in
-one call, evaluates every class function on it at once and reduces the
-(trials, n) arrays trial by trial.  The blocked checks must return the same
-(mean, se) bit for bit and leave the generator in the same state.
+one call from one generator, evaluates every class function on it at once
+and reduces the (trials, n) arrays trial by trial.  The one-pass checks draw
+the design from a twin of the generator, block by block, while the generator
+itself, jumped or drawn past the design, draws the second sample.  They must
+return the same (mean, se) bit for bit and leave the generator in the same
+state, whatever its bit generator.
 """
 
 import math

@@ -152,6 +152,7 @@ class TestConfigErrors:
             ("cover-stats", "cover_m_grid", "0"),
             ("concentration-check", "d", "0"),
             ("risk-curve", "m_grid", "0,-1"),
+            ("risk-curve", "m_grid", "0,50"),
             ("fit", "noise_scale", "-1"),
             ("approx-rate", "mc_points", "0"),
             ("fit", "lam", "nan"),
@@ -254,7 +255,7 @@ class TestHostileValues:
         self, subcommand, key, tmp_path, monkeypatch, capsys
     ):
         if subcommand == "concentration-check":
-            # The pair class's values and one block, at n = 16, d = 2, 8 trials.
+            # The per-trial maxima and one block, at n = 16, d = 2, 8 trials.
             need = risk._mc_check_bytes(2, 16, 8, 2)
             settings = []
         else:
@@ -279,8 +280,8 @@ class TestHostileValues:
     @pytest.mark.parametrize(
         "subcommand, key, sizes",
         [
-            # 2 x 200,000 x 256 float64 of class values: 819 MB.
-            ("concentration-check", "cc_trials", ("d=64", "n=256", "cc_trials=200000")),
+            # 10^8 per-trial maxima and their std temporary: 1.6 GB.
+            ("concentration-check", "cc_trials", ("d=64", "n=256", "cc_trials=100000000")),
             # 400 million points x (2 + 3 + 2) float64: 22 GB.
             ("approx-rate", "mc_points", ("mc_points=400000000",)),
         ],
@@ -687,7 +688,8 @@ class TestConcentrationCheck:
     def test_peak_memory_does_not_grow_with_d(self, tmp_path):
         # At d = 64, n = 256 and 2,000 trials the whole design and its copy
         # took 262 MB each, and the run's peak RSS grew by about 520 MiB.
-        # Blocks of whole trials keep the class's values (8 MB) and one block.
+        # One pass over blocks of whole trials keeps the per-trial maxima
+        # (16 kB) and one block.
         argv = ["concentration-check", "--out", str(tmp_path / "cc.csv")]
         for pair in ("d=64", "n=256", "cc_trials=2000"):
             argv += ["--set", pair]

@@ -377,6 +377,12 @@ class TestSymmetrizationCheck:
         with pytest.raises(ValueError):
             mc_symmetrization_check(spec, gamma=1.0, n=10, trials=1)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        spec = shipped_class_specs()["pair"]
+        with pytest.raises(ValueError, match=f"got {gamma}"):
+            mc_symmetrization_check(spec, gamma=gamma, n=10, trials=10)
+
 
 class TestNoiseCheck:
     def test_zero_class_is_exactly_zero(self):
@@ -406,6 +412,12 @@ class TestNoiseCheck:
         with pytest.raises(ValueError):
             mc_noise_check(spec, A=1.0, n=10, trials=1, noise=Noise("gaussian", 1.0))
 
+    @pytest.mark.parametrize("A", [math.nan, math.inf])
+    def test_non_finite_A_rejected(self, A):
+        spec = shipped_class_specs()["pair"]
+        with pytest.raises(ValueError, match=f"got {A}"):
+            mc_noise_check(spec, A=A, n=10, trials=10, noise=Noise("gaussian", 1.0))
+
 
 def blocked_shape(d, shape):
     """(n, trials) at dimension d: several blocks with a partial last one,
@@ -424,28 +436,103 @@ def blocked_shape(d, shape):
 CHECK_NOISES = (Noise("gaussian", 0.5), Noise("laplace", 0.4), Noise("gaussian", 0.0))
 
 
+def checks_against_oracle(make_rng, d, design, n, trials):
+    """Both checks on every shipped class, run in turn on one generator
+    from ``make_rng()`` and by the oracle on another: the (mean, se) lists
+    and the two generators' end states."""
+    got_rng, want_rng = make_rng(), make_rng()
+    got, want = [], []
+    for spec in shipped_class_specs(d).values():
+        args = (spec, 0.7, n, trials, design, d)
+        got.append(mc_symmetrization_check(*args, got_rng))
+        want.append(mc_oracle.mc_symmetrization_check(*args, want_rng))
+        for noise in CHECK_NOISES:
+            got.append(mc_noise_check(spec, 2.0, n, trials, noise, design, d, got_rng))
+            want.append(mc_oracle.mc_noise_check(spec, 2.0, n, trials, noise, design, d, want_rng))
+    return got, want, plain(got_rng.bit_generator.state), plain(want_rng.bit_generator.state)
+
+
+def plain(state):
+    """A bit generator's state with its arrays as lists, so == compares it."""
+    if isinstance(state, dict):
+        return {key: plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def pending_uint32_pcg64(seed):
+    """A PCG64 generator holding the unused half of a 64-bit draw."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rng.integers(0, 10, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
 class TestBlockedChecksMatchOracle:
-    """The blocked checks return the whole-array ones' (mean, se) bit for
-    bit, and leave the generator in the same state."""
+    """The one-pass checks return the whole-array ones' (mean, se) bit for
+    bit, and leave the generator in the same state: a twin draws the design
+    while the generator, jumped or drawn past it, draws the second sample."""
 
     @pytest.mark.parametrize("shape", ["partial-block", "wide-trial"])
     @pytest.mark.parametrize("design", ["uniform", "rademacher"])
     @pytest.mark.parametrize("d", [1, 4, 64])
     def test_bit_identical_to_whole_array_checks(self, d, design, shape):
         n, trials = blocked_shape(d, shape)
-        for name, spec in shipped_class_specs(d).items():
-            for seed in (0, 1):
-                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                args = (spec, 0.7, n, trials, design, d)
-                got = [mc_symmetrization_check(*args, got_rng)]
-                want = [mc_oracle.mc_symmetrization_check(*args, want_rng)]
-                for noise in CHECK_NOISES:
-                    got.append(mc_noise_check(spec, 2.0, n, trials, noise, design, d, got_rng))
-                    want.append(
-                        mc_oracle.mc_noise_check(spec, 2.0, n, trials, noise, design, d, want_rng)
-                    )
-                assert got == want, (name, seed)
-                assert got_rng.bit_generator.state == want_rng.bit_generator.state, (name, seed)
+        for seed in (0, 1):
+            got, want, got_state, want_state = checks_against_oracle(
+                lambda: np.random.default_rng(seed), d, design, n, trials
+            )
+            assert got == want, seed
+            assert got_state == want_state, seed
+
+    @pytest.mark.parametrize("design", ["uniform", "rademacher"])
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937, np.random.SFC64],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_twin_matches_oracle_for_every_bit_generator(self, bit_generator, design):
+        # PCG64 and PCG64DXSM jump past a uniform design; the others, and
+        # the Rademacher design, draw it and drop it.
+        n, trials = blocked_shape(4, "partial-block")
+        got, want, got_state, want_state = checks_against_oracle(
+            lambda: np.random.Generator(bit_generator(5)), 4, design, n, trials
+        )
+        assert got == want
+        assert got_state == want_state
+
+    def test_jump_keeps_a_pending_32_bit_value(self):
+        # No uniform, normal or Laplace draw takes the pending half, so it
+        # must survive every jump.
+        n, trials = blocked_shape(4, "partial-block")
+        got, want, got_state, want_state = checks_against_oracle(
+            lambda: pending_uint32_pcg64(6), 4, "uniform", n, trials
+        )
+        assert got == want
+        assert got_state == want_state
+        assert got_state["has_uint32"] == 1
+
+    @pytest.mark.parametrize("design", ["uniform", "rademacher"])
+    def test_peak_grows_by_the_per_trial_arrays_alone(self, design):
+        # At n = 256, d = 4 a block is 64 trials, so 2,000 and 8,000 trials
+        # hold blocks of one size; only the per-trial maxima and their std
+        # temporary grow with trials.
+        spec = shipped_class_specs(4)["pair"]
+        noise = Noise("laplace", 0.4)
+        peaks = {}
+        for trials in (2000, 8000):
+            rng = np.random.default_rng(4)
+            for name, check in (
+                ("sym", lambda: mc_symmetrization_check(spec, 1.0, 256, trials, design, 4, rng)),
+                ("noise", lambda: mc_noise_check(spec, 2.0, 256, trials, noise, design, 4, rng)),
+            ):
+                tracemalloc.start()
+                try:
+                    check()
+                    peaks[name, trials] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        for name in ("sym", "noise"):
+            assert peaks[name, 8000] - peaks[name, 2000] <= 2 * 8 * (8000 - 2000), peaks
 
     @pytest.mark.parametrize("design", ["uniform", "rademacher"])
     @pytest.mark.parametrize(

@@ -306,6 +306,12 @@ class TestNoise:
         with pytest.raises(ValueError):
             Noise("gaussian", -0.1)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["gaussian", "laplace", "zero"])
+    def test_non_finite_scale_rejected(self, kind, scale):
+        with pytest.raises(ValueError, match=f"got {scale}"):
+            Noise(kind, scale)
+
     def test_laplace_bernstein_moment_condition(self):
         # E|eps|^k <= (1/2) k! eta^{k-2} Var holds with equality at k=3,4 for
         # Laplace(eta), so the sample moment sits within 3 SE of the bound.
