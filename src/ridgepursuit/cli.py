@@ -59,8 +59,9 @@ from .targets import (
     NOISE_KINDS,
     Noise,
     SpectralTarget,
+    _ramp_distance_bytes,
     gen_dataset,
-    mc_l2_sq_distance_to,
+    ramp_sample_distance_to,
     sample_ramp_model,
     spectral_norm,
     write_csv,
@@ -441,14 +442,15 @@ def _cmd_fit(config: RunConfig) -> str | None:
 def _cmd_approx_rate(config: RunConfig) -> str | None:
     target = _build_target(config)
     d = config["d"]
-    # The arrays that grow with mc_points: the design, the target's values,
-    # one draw's values and their difference, and the two mc_points x atoms
-    # arrays of the target's evaluation.
-    _check_memory("mc_points", 8.0 * config["mc_points"] * (d + 3 + 2 * target.n_atoms))
+    # The design, the target's values, two frame arrays and two cosine
+    # arrays an atom, and one draw's temporaries.
+    _check_memory("mc_points", _ramp_distance_bytes(config["mc_points"], d, target.n_atoms))
     v2 = spectral_norm(target, 2.0)
-    # One Monte Carlo design and one evaluation of the target for every draw.
-    distance = mc_l2_sq_distance_to(
-        target, d, n_points=config["mc_points"], seed=config["seed"] + 7919
+    # One Monte Carlo design, one evaluation of the target and one sorted
+    # frame per atom, for every draw.
+    distance = ramp_sample_distance_to(
+        target, d, n_points=config["mc_points"], seed=config["seed"] + 7919,
+        design=config["design"],
     )
     rows = []
     for m in config["ar_m_grid"]:

@@ -92,9 +92,10 @@ class CountableClassSpec:
 
     ``functions`` are batch callables (N, d) -> (N,) that act row by row:
     the value at a row depends on that row alone, so the Monte Carlo checks
-    may evaluate them on any block of rows.  ``complexities`` L(g)
-    must satisfy sum_g e^{-L(g)} <= 1; ``sup_bound`` bounds sup |g| over the
-    class (used as the level K in the noise-correlation constant).
+    may evaluate them on any block of rows.  ``complexities`` L(g), finite
+    and nonnegative, must satisfy sum_g e^{-L(g)} <= 1; ``sup_bound``, finite
+    and nonnegative, bounds sup |g| over the class (used as the level K in
+    the noise-correlation constant).
     """
 
     functions: tuple[Callable[[np.ndarray], np.ndarray], ...]
@@ -108,10 +109,11 @@ class CountableClassSpec:
             raise ValueError(
                 f"{len(self.functions)} functions but {len(self.complexities)} complexities"
             )
-        if any(L < 0 for L in self.complexities):
-            raise ValueError("complexities must be nonnegative")
-        if self.sup_bound < 0:
-            raise ValueError(f"need sup_bound >= 0, got {self.sup_bound}")
+        bad = [L for L in self.complexities if not (L >= 0 and math.isfinite(L))]
+        if bad:
+            raise ValueError(f"complexities must be finite and nonnegative, got {bad[0]}")
+        if not (self.sup_bound >= 0 and math.isfinite(self.sup_bound)):
+            raise ValueError(f"need a finite sup_bound >= 0, got {self.sup_bound}")
         if self.kraft_sum > 1.0 + 1e-12:
             raise ValueError(
                 f"codelength inequality violated: sum e^-L = {self.kraft_sum} > 1"
@@ -283,25 +285,52 @@ def _twin_past_design(
     """A twin of ``rng`` at its current state, and ``rng`` moved past one
     draw of the trials * n x d design.
 
-    A PCG64 or PCG64DXSM bit generator takes one 64-bit step per uniform
-    value, so ``advance`` jumps it in O(log(trials n d)); ``advance`` drops a
-    pending 32-bit half, which is put back.  Any other bit generator (Philox's
-    ``advance`` counts 4-word blocks; MT19937 and SFC64 have none), and the
-    Rademacher design (32-bit integer draws, whose count numpy's sampler
-    does not promise), draws the design in blocks of whole trials and drops
-    each block.
+    A PCG64 or PCG64DXSM bit generator jumps in O(log(trials n d)).  It takes
+    one 64-bit step per uniform value, so ``advance`` moves it past a
+    uniform design; ``advance`` drops a pending 32-bit half, which is put
+    back.  A Rademacher value takes one 32-bit half (``_skip_uint32``).  Any
+    other bit generator (Philox's ``advance`` counts 4-word blocks; MT19937
+    and SFC64 have none) draws the design in blocks of whole trials and
+    drops each block.
     """
     twin = np.random.Generator(copy.deepcopy(rng.bit_generator))
     bit_generator = rng.bit_generator
-    jumps = isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
-    if design == "uniform" and jumps:
-        pending = {k: bit_generator.state[k] for k in ("has_uint32", "uinteger")}
-        bit_generator.advance(trials * n * d)
-        bit_generator.state = {**bit_generator.state, **pending}
-    else:
-        for block in _trial_blocks(trials, n, d):
-            _draw_design((block.stop - block.start) * n, d, rng, design)
+    values = trials * n * d
+    if isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        if design == "uniform":
+            pending = {k: bit_generator.state[k] for k in ("has_uint32", "uinteger")}
+            bit_generator.advance(values)
+            bit_generator.state = {**bit_generator.state, **pending}
+            return twin
+        if design == "rademacher":
+            _skip_uint32(bit_generator, values)
+            return twin
+    for block in _trial_blocks(trials, n, d):
+        _draw_design((block.stop - block.start) * n, d, rng, design)
     return twin
+
+
+def _skip_uint32(bit_generator: np.random.PCG64 | np.random.PCG64DXSM, count: int) -> None:
+    """Move the bit generator past ``count`` 32-bit halves, as ``count``
+    Rademacher values leave it.
+
+    numpy draws a value of ``choice`` over two items by Lemire's method on
+    one 32-bit half, and never rejects one: the threshold (2^32 - 2) mod 2
+    is 0.  A half is the pending one, if any, and then the low and the high
+    half of each next 64-bit word.  So the pending half goes first; the
+    generator then advances past all but the last word it needs and draws
+    that word, whose high half stays as ``uinteger`` (pending if an odd
+    number of halves was left, stale otherwise, as numpy leaves it).
+    """
+    state = bit_generator.state
+    if state["has_uint32"] and count > 0:
+        count -= 1
+        bit_generator.state = {**state, "has_uint32": 0}
+    if count == 0:
+        return
+    bit_generator.advance((count + 1) // 2 - 1)
+    word = int(bit_generator.random_raw())
+    bit_generator.state = {**bit_generator.state, "has_uint32": count % 2, "uinteger": word >> 32}
 
 
 def _sup_over_class(
@@ -367,8 +396,8 @@ def mc_symmetrization_check(
     order one draw of the whole array takes, and ends where those two draws
     leave it.  One pass over blocks of whole trials (``_sup_over_class``)
     draws X from a twin of ``rng`` while ``rng``, jumped past X (PCG64 and
-    PCG64DXSM with the uniform design) or drawn past it block by block
-    (otherwise), draws X'.  So the check holds the per-trial maxima,
+    PCG64DXSM) or drawn past it block by block (any other bit generator),
+    draws X'.  So the check holds the per-trial maxima,
     trials floats, and one block, however large d and the class are.
     """
     if not (gamma > 0 and math.isfinite(gamma)):
@@ -415,8 +444,8 @@ def mc_noise_check(
     draws, each in the order one draw of the whole array takes, and ends
     where those two draws leave it.  One pass over blocks of whole trials
     (``_sup_over_class``) draws X from a twin of ``rng`` while ``rng``,
-    jumped past X (PCG64 and PCG64DXSM with the uniform design) or drawn
-    past it block by block (otherwise), draws the noise.  So the check
+    jumped past X (PCG64 and PCG64DXSM) or drawn past it block by block
+    (any other bit generator), draws the noise.  So the check
     holds the per-trial maxima, trials floats, and one block, however large
     d and the class are.
     """

@@ -33,6 +33,7 @@ __all__ = [
     "gen_dataset",
     "mc_l2_sq_distance",
     "mc_l2_sq_distance_to",
+    "ramp_sample_distance_to",
     "write_csv",
     "write_dataset_csv",
     "read_dataset_csv",
@@ -370,6 +371,141 @@ def mc_l2_sq_distance_to(
         return float(np.mean(diff**2))
 
     return distance
+
+
+def _ramp_distance_bytes(n_points: int, d: int, n_atoms: int) -> float:
+    """An upper bound on the bytes ``ramp_sample_distance_to`` allocates that
+    grow with ``n_points``: the design (d values a point) and the target's
+    values, two arrays per atom for the frames (the sorted projection and
+    the int64 inverse of its order), the target's evaluation at set-up (two arrays per
+    atom: the cosines' arguments and the cosines), and three per-draw
+    temporaries (the network's values, one atom's values, and the gather
+    that adds them in)."""
+    return 8.0 * n_points * (d + 1 + 2 * n_atoms + 2 * n_atoms + 3)
+
+
+def ramp_sample_distance_to(
+    target: SpectralTarget,
+    d: int,
+    n_points: int = 10**5,
+    seed: int = 20_000,
+    design: str = "uniform",
+) -> Callable[[RidgeModel], float]:
+    """``mc_l2_sq_distance_to(target, ...)`` for the networks that
+    ``sample_ramp_model`` draws from ``target``, at O(n_points + m log m)
+    a network of m terms in place of O(n_points m).
+
+    The design and the target's values are drawn as ``mc_l2_sq_distance_to``
+    draws them.  The sampler's units lie on the directions +-alpha_j with
+    alpha_j = omega_j / ||omega_j||_1, bitwise, so each atom's direction
+    gets a frame at set-up: the projections p = X alpha_j, sorted stably,
+    and the inverse of their order.  Per network, the terms on one direction
+    are one piecewise-linear function of p: a z = +1 unit w (p - t)_+ is
+    active where p > t, and a z = -1 unit w (-p - t)_+ where p < -t.
+    ``searchsorted`` finds each unit's kink in the sorted frame, the slopes
+    and offsets are summed over the sorted kinks, and ``np.repeat`` expands
+    them over the frame, whose values slope * p + offset are added into the
+    affine part in the design's order.  The sums run in another order than
+    ``RidgeModel.evaluate``'s, so the values agree with it to rounding, not
+    bit for bit.
+
+    A nonzero term that is not a ramp unit on one of the target's atom
+    directions raises ``ValueError``: the function scores the sampler's
+    networks only, and ``mc_l2_sq_distance_to`` scores any callable.
+    ``_ramp_distance_bytes`` bounds its memory.
+    """
+    rng = np.random.default_rng(seed)
+    X = _draw_design(n_points, d, rng, design)
+    X.setflags(write=False)
+    g_values = np.asarray(target(X), dtype=float)
+    g_values.setflags(write=False)
+    values = _ramp_network_values(target, X)
+
+    def distance(model: RidgeModel) -> float:
+        diff = values(model)
+        diff -= g_values
+        np.square(diff, out=diff)
+        return float(diff.mean())
+
+    return distance
+
+
+def _ramp_network_values(
+    target: SpectralTarget, X: np.ndarray
+) -> Callable[[RidgeModel], np.ndarray]:
+    """model -> its values at the read-only design X, for a network on the
+    target's atom directions, by the frames of ``ramp_sample_distance_to``."""
+    n_points, d = X.shape
+    c = np.abs(target.freqs).sum(axis=1)
+    # Direction bytes (signed zeros made +0.0) -> (frame, z); atoms on one
+    # line share a frame.
+    directions: dict[bytes, tuple[int, float]] = {}
+    frames: list[tuple[np.ndarray, np.ndarray]] = []
+    for j in np.flatnonzero(c > 0.0):
+        alpha = target.freqs[j] / c[j]
+        key = (alpha + 0.0).tobytes()
+        if key in directions:
+            continue
+        directions[key] = (len(frames), 1.0)
+        directions[(-alpha + 0.0).tobytes()] = (len(frames), -1.0)
+        p = X @ alpha
+        order = np.argsort(p, kind="stable")
+        q = p[order]
+        del p
+        rank = np.empty_like(order)  # the inverse of order: q[rank] is p
+        rank[order] = np.arange(n_points)
+        del order
+        frames.append((q, rank))
+
+    def values(model: RidgeModel) -> np.ndarray:
+        if model.slope is None:
+            out = np.full(n_points, model.intercept, dtype=float)
+        else:
+            out = X @ model.slope
+            out += model.intercept
+        live = [(beta, unit) for beta, unit in model.terms if beta != 0.0]
+        if not live:
+            return out
+        thetas = np.array([unit.theta for _, unit in live])
+        if thetas.shape[1] != d + 1:
+            raise ValueError(f"theta has {thetas.shape[1]} coordinates, need d + 1 = {d + 1}")
+        keys = np.ascontiguousarray(thetas[:, :d] + 0.0).view(f"V{8 * d}").ravel().tolist()
+        hits = [directions.get(key) for key in keys]
+        for (_, unit), hit in zip(live, hits):
+            if hit is None or unit.activation.kind != "ramp":
+                raise ValueError(
+                    f"a {unit.activation.kind} unit with theta {unit.theta.tolist()} is not "
+                    "a ramp unit on one of the target's atom directions"
+                )
+        frame_of, z = np.array(hits).T
+        w = np.array([beta * unit.sign for beta, unit in live])
+        t = -thetas[:, d]
+        for f, (q, rank) in enumerate(frames):
+            on = frame_of == f
+            if not on.any():
+                continue
+            zf, wf, tf = z[on], w[on], t[on]
+            up = zf > 0
+            # Every kink adds w to the slope; a z = +1 unit turns on there
+            # (offset -w t) and a z = -1 unit, on from the frame's start,
+            # turns off (offset +w t).
+            kinks = np.where(
+                up, np.searchsorted(q, tf, side="right"), np.searchsorted(q, -tf)
+            )
+            by_kink = np.argsort(kinks, kind="stable")
+            slopes = np.concatenate(([-wf[~up].sum()], wf[by_kink]))
+            offsets = np.concatenate(([-(wf[~up] @ tf[~up])], (-zf * wf * tf)[by_kink]))
+            np.cumsum(slopes, out=slopes)
+            np.cumsum(offsets, out=offsets)
+            lengths = np.diff(kinks[by_kink], prepend=0, append=n_points)
+            frame_values = np.repeat(slopes, lengths)
+            frame_values *= q
+            frame_values += np.repeat(offsets, lengths)
+            out += frame_values[rank]
+            del frame_values  # before the next frame's, so one is held at a time
+        return out
+
+    return values
 
 
 # ----------------------------------------------------------------------------

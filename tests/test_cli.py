@@ -259,9 +259,10 @@ class TestHostileValues:
             need = risk._mc_check_bytes(2, 16, 8, 2)
             settings = []
         else:
-            # The design, the target's values, one draw's values and their
-            # difference, and two arrays for each of the target's 3 atoms.
-            need = 8.0 * 64 * (2 + 3 + 2 * 3)
+            # The design, the target's values, one draw's three temporaries,
+            # and for each of the target's 3 atoms its two frame arrays and
+            # its two arrays of the target's evaluation at set-up.
+            need = 8.0 * 64 * (2 + 1 + 3 + 4 * 3)
             settings = ["freqs=1,1;2,0;0,3", "amps=1,0.5,0.25", "phases=0,0,0"]
         out = tmp_path / "out.csv"
         argv = [subcommand, "--out", str(out), "--set", "d=2"]
@@ -282,7 +283,7 @@ class TestHostileValues:
         [
             # 10^8 per-trial maxima and their std temporary: 1.6 GB.
             ("concentration-check", "cc_trials", ("d=64", "n=256", "cc_trials=100000000")),
-            # 400 million points x (2 + 3 + 2) float64: 22 GB.
+            # 400 million points x (2 + 1 + 3 + 4) float64: 32 GB.
             ("approx-rate", "mc_points", ("mc_points=400000000",)),
         ],
     )
@@ -660,6 +661,24 @@ class TestApproxRate:
         _, _, data = read_csv_with_comments(out)
         assert len(data) == 1 and all(math.isfinite(float(x)) for x in data[0])
         assert len(recwarn) == 0
+
+    def test_design_key_picks_the_monte_carlo_design(self, tmp_path):
+        # The Monte Carlo points follow ``design``; before, approx-rate drew
+        # a uniform design whatever the header echoed.
+        argv = ["approx-rate", "--set", "ar_m_grid=8,16", "--set", "draws=4"]
+        argv += ["--set", "mc_points=2000"]
+        rows = {}
+        for name, extra in (
+            ("unset", []),
+            ("uniform", ["--set", "design=uniform"]),
+            ("rademacher", ["--set", "design=rademacher"]),
+        ):
+            out = tmp_path / f"{name}.csv"
+            assert main(argv + extra + ["--out", str(out)]) == 0
+            rows[name] = read_csv_with_comments(out)[2]
+        assert rows["uniform"] == rows["unset"]
+        assert [r[0] for r in rows["rademacher"]] == [r[0] for r in rows["uniform"]]
+        assert [r[1] for r in rows["rademacher"]] != [r[1] for r in rows["uniform"]]
 
     def test_rejects_nonpositive_m(self, capsys):
         assert main(["approx-rate", "--set", "ar_m_grid=0,8"]) == 2

@@ -330,6 +330,21 @@ class TestCountableClassSpec:
                 functions=(constant_target(0.0),), complexities=(0.0,), sup_bound=-1.0
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constants_rejected(self, bad):
+        # A nan complexity passed the codelength test (nan > 1 is False) and
+        # both checks returned (nan, nan); inf gave (-inf, nan).
+        with pytest.raises(ValueError, match="complexities"):
+            CountableClassSpec(
+                functions=(constant_target(0.0), constant_target(0.0)),
+                complexities=(1.0, bad),
+                sup_bound=1.0,
+            )
+        with pytest.raises(ValueError, match="sup_bound"):
+            CountableClassSpec(
+                functions=(constant_target(0.0),), complexities=(0.0,), sup_bound=bad
+            )
+
 
 class TestShippedSpecs:
     def test_inventory(self):
@@ -491,8 +506,8 @@ class TestBlockedChecksMatchOracle:
         ids=lambda cls: cls.__name__,
     )
     def test_twin_matches_oracle_for_every_bit_generator(self, bit_generator, design):
-        # PCG64 and PCG64DXSM jump past a uniform design; the others, and
-        # the Rademacher design, draw it and drop it.
+        # PCG64 and PCG64DXSM jump past either design; the others draw it
+        # and drop it.
         n, trials = blocked_shape(4, "partial-block")
         got, want, got_state, want_state = checks_against_oracle(
             lambda: np.random.Generator(bit_generator(5)), 4, design, n, trials
@@ -510,6 +525,44 @@ class TestBlockedChecksMatchOracle:
         assert got == want
         assert got_state == want_state
         assert got_state["has_uint32"] == 1
+
+    @pytest.mark.parametrize("pending", [False, True], ids=["aligned", "pending-half"])
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.PCG64, np.random.PCG64DXSM], ids=lambda cls: cls.__name__
+    )
+    @pytest.mark.parametrize("n, trials, d", [(7, 5, 1), (9, 3, 3), (100, 35, 4)])
+    def test_rademacher_jump_matches_oracle(self, n, trials, d, bit_generator, pending):
+        # trials * n * d is odd in the first two shapes and even in the
+        # last: a jump then leaves a pending half, or none and a stale one.
+        def make_rng():
+            rng = np.random.Generator(bit_generator(8))
+            if pending:
+                rng.integers(0, 10, dtype=np.uint32)
+            return rng
+
+        got, want, got_state, want_state = checks_against_oracle(
+            make_rng, d, "rademacher", n, trials
+        )
+        assert got == want
+        assert got_state == want_state
+
+    @pytest.mark.parametrize("pending", [False, True], ids=["aligned", "pending-half"])
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.PCG64, np.random.PCG64DXSM], ids=lambda cls: cls.__name__
+    )
+    def test_skip_uint32_leaves_the_state_a_rademacher_draw_leaves(
+        self, bit_generator, pending
+    ):
+        # State for state, the stale 32-bit half included: a change in how
+        # numpy draws a choice over two items fails here first.
+        for count in (0, 1, 2, 3, 4, 1001, 65536, 65537):
+            drawn, jumped = (np.random.Generator(bit_generator(9)) for _ in range(2))
+            if pending:
+                for rng in (drawn, jumped):
+                    rng.integers(0, 10, dtype=np.uint32)
+            drawn.choice([-1.0, 1.0], size=count)
+            risk._skip_uint32(jumped.bit_generator, count)
+            assert jumped.bit_generator.state == drawn.bit_generator.state, count
 
     @pytest.mark.parametrize("design", ["uniform", "rademacher"])
     def test_peak_grows_by_the_per_trial_arrays_alone(self, design):

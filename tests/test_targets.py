@@ -4,6 +4,7 @@ three noise laws, and CSV interchange."""
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ridgepursuit import (
     gen_dataset,
     mc_l2_sq_distance,
     mc_l2_sq_distance_to,
+    ramp_sample_distance_to,
     ramp_sampler_normalizer,
     read_dataset_csv,
     sample_ramp_model,
@@ -26,7 +28,13 @@ from ridgepursuit import (
     write_csv,
     write_dataset_csv,
 )
-from ridgepursuit.targets import _abs_cos_integral, _draw_design
+from ridgepursuit import Activation, RidgeUnit, best_of
+from ridgepursuit.targets import (
+    _abs_cos_integral,
+    _draw_design,
+    _ramp_distance_bytes,
+    _ramp_network_values,
+)
 
 import model_oracle
 from conftest import three_se
@@ -462,6 +470,97 @@ class TestMcDistance:
             diff = np.asarray(model(X), dtype=float) - np.asarray(t(X), dtype=float)
             assert distance(model) == float(np.mean(diff**2))
             assert distance(model) == mc_l2_sq_distance(model, t, 2, 3000, 11, design)
+
+
+def atoms_target(J, d, seed):
+    """J atoms with integer frequencies in [-3, 3]^d (none all zero) and
+    random amplitudes and phases."""
+    rng = np.random.default_rng(seed)
+    freqs = rng.integers(-3, 4, size=(J, d)).astype(float)
+    freqs[:, 0] = np.where(freqs[:, 0] == 0.0, 1.0, freqs[:, 0])
+    return SpectralTarget(freqs, rng.uniform(0.2, 1.0, J), rng.uniform(-3.0, 3.0, J))
+
+
+class TestRampSampleDistance:
+    """The frame scorer of the sampler's networks against the generic one."""
+
+    @pytest.mark.parametrize("design", ["uniform", "rademacher"])
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    @pytest.mark.parametrize("J", [1, 3])
+    def test_values_within_the_evaluation_bound(self, J, d, design):
+        target = atoms_target(J, d, seed=10 * J + d)
+        X = _draw_design(2000, d, np.random.default_rng(3), design)
+        values = _ramp_network_values(target, X)
+        for m in (1, 7, 64, 512):
+            model = sample_ramp_model(target, m, np.random.default_rng(m))
+            got = values(model)
+            assert np.all(np.abs(got - model_oracle.evaluate(model, X))
+                          <= model_oracle.evaluation_bound(model, X)), m
+
+    def test_zero_frequency_atom_shared_directions_and_signed_zeros(self):
+        # An atom with omega = 0 gets no frame and no units; atoms on one
+        # line (omega and -2 omega) share one; a -0.0 frequency gives units
+        # whose directions hold -0.0 or +0.0 by their sign z.
+        target = SpectralTarget(
+            [[1.0, -2.0], [0.0, 0.0], [-2.0, 4.0], [-0.0, 3.0]],
+            [0.5, 0.7, 0.3, 0.4],
+            [0.4, 1.0, -2.0, 0.1],
+        )
+        X = _draw_design(3000, 2, np.random.default_rng(5), "uniform")
+        values = _ramp_network_values(target, X)
+        for m in (1, 7, 64, 512):
+            model = sample_ramp_model(target, m, np.random.default_rng(m))
+            assert np.all(np.abs(values(model) - model_oracle.evaluate(model, X))
+                          <= model_oracle.evaluation_bound(model, X)), m
+
+    def test_constant_target_scores_its_affine_part(self):
+        target = SpectralTarget([[0.0, 0.0]], [0.8], [0.5])
+        model = sample_ramp_model(target, 16, np.random.default_rng(0))
+        assert model.n_terms == 0
+        want = mc_l2_sq_distance_to(target, 2, n_points=500, seed=2)(model)
+        assert ramp_sample_distance_to(target, 2, n_points=500, seed=2)(model) == want
+
+    @pytest.mark.parametrize("design", ["uniform", "rademacher"])
+    def test_best_of_picks_the_generic_scorers_winner(self, design):
+        target = atoms_target(2, 3, seed=7)
+        generic = mc_l2_sq_distance_to(target, 3, n_points=4000, seed=9, design=design)
+        frames = ramp_sample_distance_to(target, 3, n_points=4000, seed=9, design=design)
+        for seed in range(4):
+            for m in (8, 16, 32, 64):
+                draw = lambda rng, m=m: sample_ramp_model(target, m, rng)
+                want = best_of(draw, generic, k=8, seed=seed)
+                got = best_of(draw, frames, k=8, seed=seed)
+                assert got.index == want.index, (seed, m)
+                assert got.distortion == pytest.approx(want.distortion, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "unit",
+        [
+            RidgeUnit(Activation("tanh"), np.array([0.5, 0.5, -0.2])),
+            RidgeUnit(Activation("ramp"), np.array([0.6, 0.4, -0.2])),
+            RidgeUnit(Activation("ramp"), np.array([0.5, 0.5, 0.5, -0.2])),
+        ],
+        ids=["tanh-on-direction", "ramp-off-direction", "ramp-wrong-length"],
+    )
+    def test_rejects_a_term_off_the_atom_directions(self, unit):
+        target = one_atom_target()
+        distance = ramp_sample_distance_to(target, 2, n_points=100, seed=1)
+        model = sample_ramp_model(target, 4, np.random.default_rng(0))
+        model.terms.append((0.1, unit))
+        with pytest.raises(ValueError):
+            distance(model)
+
+    def test_peak_memory_within_the_byte_bound(self):
+        target = atoms_target(3, 2, seed=4)
+        model = sample_ramp_model(target, 64, np.random.default_rng(0))
+        n = 20_000
+        tracemalloc.start()
+        try:
+            ramp_sample_distance_to(target, 2, n_points=n, seed=1)(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _ramp_distance_bytes(n, 2, 3)
 
 
 class TestWriteCsv:
