@@ -23,13 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .approx import best_of
-from .dictionary import (
-    ACTIVATION_KINDS,
-    CoverSizeError,
-    FieldError,
-    cover_count_log_bound,
-    cover_counts,
-)
+from .dictionary import ACTIVATION_KINDS, FieldError, cover_count_log_bound, cover_counts
 from .greedy import (
     INNER_STRATEGIES,
     GreedyConfig,
@@ -59,7 +53,9 @@ from .targets import (
     NOISE_KINDS,
     Noise,
     SpectralTarget,
+    _dataset_bytes,
     _ramp_distance_bytes,
+    _ramp_draws_bytes,
     gen_dataset,
     ramp_sample_distance_to,
     sample_ramp_model,
@@ -195,7 +191,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     "w_kind": (_choice("linear", "power"), "linear"),
     "w_rate": (_float, "0"),
     "cover_m_grid": (_at_least(int, 1), "2"),
-    "cover_cap": (int, "1000000"),
+    "cover_cap": (_at_least(int, 1), "1000000"),
     # penalty
     "B": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
     "B_n": (_at_least(_auto_float, 0.0, at_most=_MAX_SCALE), "auto"),
@@ -354,21 +350,18 @@ def _build_penalty_config(config: RunConfig, target: SpectralTarget, n: int) -> 
     B_n = config["B_n"]
     if B_n == "auto":
         B_n = select_Bn(B, nu, n, _resolved_tail(config))
-    try:
-        return PenaltyConfig(
-            B=B,
-            B_n=max(B_n, B),
-            sigma_sq=sigma_sq,
-            eta=eta,
-            nu=nu,
-            lam=config["lam"],
-            delta1=config["delta1"],
-            delta2=config["delta2"],
-            regime=config["regime"],
-            mixed_C=config["mixed_C"],
-        )
-    except FieldError as exc:
-        raise ConfigError(f"bad value for key '{exc.field}': {exc}") from exc
+    return PenaltyConfig(
+        B=B,
+        B_n=max(B_n, B),
+        sigma_sq=sigma_sq,
+        eta=eta,
+        nu=nu,
+        lam=config["lam"],
+        delta1=config["delta1"],
+        delta2=config["delta2"],
+        regime=config["regime"],
+        mixed_C=config["mixed_C"],
+    )
 
 
 def _build_greedy_config(config: RunConfig) -> GreedyConfig:
@@ -376,19 +369,16 @@ def _build_greedy_config(config: RunConfig) -> GreedyConfig:
         w = (w_linear if config["w_kind"] == "linear" else w_power)(config["w_rate"])
     except ValueError as exc:
         raise ConfigError(f"bad value for key 'w_rate': {exc}") from exc
-    try:
-        return GreedyConfig(
-            lam=config["lam"],
-            m_max=config["m_max"],
-            activation=config["activation"],
-            w=w,
-            strategy=config["strategy"],
-            restarts=config["restarts"],
-            cover_m_grid=config["cover_m_grid"],
-            cover_cap=config["cover_cap"],
-        )
-    except FieldError as exc:
-        raise ConfigError(f"bad value for key '{exc.field}': {exc}") from exc
+    return GreedyConfig(
+        lam=config["lam"],
+        m_max=config["m_max"],
+        activation=config["activation"],
+        w=w,
+        strategy=config["strategy"],
+        restarts=config["restarts"],
+        cover_m_grid=config["cover_m_grid"],
+        cover_cap=config["cover_cap"],
+    )
 
 
 def _out_path(config: RunConfig, subcommand: str) -> str:
@@ -427,9 +417,9 @@ def _write_out(
 def _cmd_fit(config: RunConfig) -> str | None:
     target = _build_target(config)
     noise = _build_noise(config)
-    data = gen_dataset(
-        target, config["n"], config["d"], noise, config["seed"], design=config["design"]
-    )
+    n, d = config["n"], config["d"]
+    _check_memory("n", _dataset_bytes(n, d, target.n_atoms))
+    data = gen_dataset(target, n, d, noise, config["seed"], design=config["design"])
     path = fit_lpgp(data, _build_greedy_config(config))
     with open(_out_path(config, "fit"), "w", encoding="utf-8") as fh:
         write_path_csv(path, fh, header_lines=config.header_lines("fit"))
@@ -445,6 +435,7 @@ def _cmd_approx_rate(config: RunConfig) -> str | None:
     # The design, the target's values, two frame arrays and two cosine
     # arrays an atom, and one draw's temporaries.
     _check_memory("mc_points", _ramp_distance_bytes(config["mc_points"], d, target.n_atoms))
+    _check_memory("ar_m_grid", _ramp_draws_bytes(max(config["ar_m_grid"]), d))
     v2 = spectral_norm(target, 2.0)
     # One Monte Carlo design, one evaluation of the target and one sorted
     # frame per atom, for every draw.
@@ -550,6 +541,7 @@ def _cmd_risk_curve(config: RunConfig) -> str | None:
     target = _build_target(config)
     noise = _build_noise(config)
     n_grid = config["n_grid"]
+    _check_memory("n_grid", _dataset_bytes(max(n_grid), config["d"], target.n_atoms))
     pconfig = _build_penalty_config(config, target, max(n_grid))
     rows = risk_curve(
         target,
@@ -597,11 +589,8 @@ def dispatch(subcommand: str, path: str | None, flags: Sequence[str]) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except CoverSizeError as exc:
-        print(
-            f"config error: bad value for key 'cover_m_grid' or 'cover_cap': {exc}",
-            file=sys.stderr,
-        )
+    except FieldError as exc:  # a library check on one key, a cover's size among them
+        print(f"config error: bad value for key '{exc.field}': {exc}", file=sys.stderr)
         return 2
     if failure is not None:
         print(f"property failure: {failure}", file=sys.stderr)

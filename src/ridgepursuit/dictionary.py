@@ -101,10 +101,6 @@ class RidgeUnit:
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
 
-    @property
-    def input_dim(self) -> int:
-        return self.theta.shape[0] - 1
-
     def key(self) -> tuple:
         """Deterministic sort key (activation, sign, coordinates)."""
         return (self.activation.kind, self.sign, tuple(self.theta))
@@ -126,17 +122,18 @@ class RidgeUnit:
         return values
 
 
-class CoverSizeError(ValueError):
-    """Raised when a cover's multiset count exceeds its cap, or when a
-    search over it would not fit the memory the process can allocate."""
-
-
 class FieldError(ValueError):
     """A bad value for one configuration field, named in ``field``."""
 
     def __init__(self, field: str, message: str) -> None:
         super().__init__(message)
         self.field = field
+
+
+class CoverSizeError(FieldError):
+    """Raised when a cover's multiset count exceeds its cap (field
+    ``cover_cap``), or when a search over it would not fit the memory the
+    process can allocate (field ``cover_m_grid``)."""
 
 
 @dataclass(frozen=True)
@@ -244,13 +241,6 @@ class SparseCover:
         thetas.setflags(write=False)
         return thetas
 
-    def contains(self, theta: np.ndarray, tol: float = 1e-9) -> bool:
-        """Whether theta coincides with some cover vector up to tol."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.d,):
-            return False
-        return bool(np.any(np.all(np.abs(self.thetas - theta) <= tol, axis=1)))
-
 
 # ----------------------------------------------------------------------------
 # Operations
@@ -271,7 +261,7 @@ def eval_unit(unit: RidgeUnit, x: np.ndarray) -> float | np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
-    d = unit.input_dim
+    d = unit.theta.shape[0] - 1
     if X.shape[1] != d:
         raise ValueError(
             f"dimension mismatch: x has {X.shape[1]} coordinates, theta expects {d}"
@@ -301,8 +291,8 @@ def cover_counts(d: int, m_grid: int, lam: float, cap: int = 10**6) -> tuple[int
     size = math.comb(2 * d + m_grid, m_grid)
     if size > cap:
         raise CoverSizeError(
-            f"cover has C({2 * d + m_grid},{m_grid}) = {size} elements, above the "
-            f"cap {cap}; use sampled covers (sparsify_theta) instead"
+            "cover_cap",
+            f"cover has C({2 * d + m_grid},{m_grid}) = {size} elements, above the cap {cap}",
         )
     distinct = sum(
         2**k * math.comb(d, k) * math.comb(m_grid, k) for k in range(min(d, m_grid) + 1)

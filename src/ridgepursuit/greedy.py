@@ -504,6 +504,7 @@ def _build_cover_cache(
     budget = _memory_budget()
     if need > budget:
         raise CoverSizeError(
+            "cover_m_grid",
             f"the cover of m_grid = {m_grid} at D = {D} has {K} rows, and its value cache "
             f"on n = {n} rows needs {need:.3g} bytes, above the {budget:.3g} this process "
             f"can allocate"

@@ -82,9 +82,6 @@ class PenaltyConfig:
         if self.mixed_C <= 0:
             raise FieldError("mixed_C", f"need mixed_C > 0, got {self.mixed_C}")
 
-    def with_Bn(self, B_n: float) -> PenaltyConfig:
-        return replace(self, B_n=B_n)
-
 
 @dataclass(frozen=True)
 class PenValue:

@@ -20,7 +20,6 @@ satisfying the codelength (Kraft) inequality sum_g e^{-L(g)} <= 1.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, fields, replace
 from typing import IO, Callable, Iterator, Sequence
@@ -279,60 +278,6 @@ def _mc_check_bytes(size: int, n: int, trials: int, d: int) -> float:
     return 8.0 * (2 * trials + rows * (2 * d + size + 8))
 
 
-def _twin_past_design(
-    rng: np.random.Generator, trials: int, n: int, d: int, design: str
-) -> np.random.Generator:
-    """A twin of ``rng`` at its current state, and ``rng`` moved past one
-    draw of the trials * n x d design.
-
-    A PCG64 or PCG64DXSM bit generator jumps in O(log(trials n d)).  It takes
-    one 64-bit step per uniform value, so ``advance`` moves it past a
-    uniform design; ``advance`` drops a pending 32-bit half, which is put
-    back.  A Rademacher value takes one 32-bit half (``_skip_uint32``).  Any
-    other bit generator (Philox's ``advance`` counts 4-word blocks; MT19937
-    and SFC64 have none) draws the design in blocks of whole trials and
-    drops each block.
-    """
-    twin = np.random.Generator(copy.deepcopy(rng.bit_generator))
-    bit_generator = rng.bit_generator
-    values = trials * n * d
-    if isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
-        if design == "uniform":
-            pending = {k: bit_generator.state[k] for k in ("has_uint32", "uinteger")}
-            bit_generator.advance(values)
-            bit_generator.state = {**bit_generator.state, **pending}
-            return twin
-        if design == "rademacher":
-            _skip_uint32(bit_generator, values)
-            return twin
-    for block in _trial_blocks(trials, n, d):
-        _draw_design((block.stop - block.start) * n, d, rng, design)
-    return twin
-
-
-def _skip_uint32(bit_generator: np.random.PCG64 | np.random.PCG64DXSM, count: int) -> None:
-    """Move the bit generator past ``count`` 32-bit halves, as ``count``
-    Rademacher values leave it.
-
-    numpy draws a value of ``choice`` over two items by Lemire's method on
-    one 32-bit half, and never rejects one: the threshold (2^32 - 2) mod 2
-    is 0.  A half is the pending one, if any, and then the low and the high
-    half of each next 64-bit word.  So the pending half goes first; the
-    generator then advances past all but the last word it needs and draws
-    that word, whose high half stays as ``uinteger`` (pending if an odd
-    number of halves was left, stale otherwise, as numpy leaves it).
-    """
-    state = bit_generator.state
-    if state["has_uint32"] and count > 0:
-        count -= 1
-        bit_generator.state = {**state, "has_uint32": 0}
-    if count == 0:
-        return
-    bit_generator.advance((count + 1) // 2 - 1)
-    word = int(bit_generator.random_raw())
-    bit_generator.state = {**bit_generator.state, "has_uint32": count % 2, "uinteger": word >> 32}
-
-
 def _sup_over_class(
     spec: CountableClassSpec,
     n: int,
@@ -340,25 +285,27 @@ def _sup_over_class(
     d: int,
     design: str,
     rng: np.random.Generator,
-    draw: Callable[[int], np.ndarray],
+    draw: Callable[[int, np.random.Generator], np.ndarray],
     stat: Callable[..., np.ndarray],
 ) -> tuple[float, float]:
     """(mean, SE) over trials of the supremum over the class of a per-trial
     statistic, in one pass over blocks of whole trials (``_trial_blocks``).
 
-    ``rng`` gives the trials * n x d design, then the second sample (the
-    design's independent copy, or the noise).  A twin of ``rng`` draws the
-    design block by block while ``rng``, moved past the design at entry
-    (``_twin_past_design``: a jump, or a draw it drops), gives each block's
-    second sample by ``draw(rows)``.  Both are taken in the order one whole
-    draw takes, and ``rng`` ends where one whole draw of each leaves it.
-    Each block keeps the class's values on its design, drops the design,
-    and folds ``stat(g, L, G, sample)``, the block's per-trial statistic
-    with G the (trials, n) values of g on the block's design, into the
-    running per-trial maximum.  So the check holds that maximum and one
-    block, and no value of the class outside it.
+    ``rng`` gives two 64-bit words (``random_raw(2)``, which leaves a
+    pending 32-bit half where it is) and nothing else.  They seed a
+    SeedSequence whose two children seed two generators of ``rng``'s bit
+    generator class: the first draws the trials * n x d design, and the
+    second the second sample (the design's independent copy, or the noise)
+    by ``draw(rows, second)``.  The checks need no more than that the two
+    are independent.  Each generator draws its rows block by block, as one
+    whole draw would give them.  Each block keeps the class's values on
+    its design, drops the design, and folds ``stat(g, L, G, sample)``, the
+    block's per-trial statistic with G the (trials, n) values of g on the
+    block's design, into the running per-trial maximum.  So the check
+    holds that maximum and one block, and no value of the class outside it.
     """
-    twin = _twin_past_design(rng, trials, n, d, design)
+    seeds = np.random.SeedSequence(rng.bit_generator.random_raw(2)).spawn(2)
+    first, second = (np.random.Generator(type(rng.bit_generator)(s)) for s in seeds)
     best = np.full(trials, -math.inf)
     # The design is deleted before the second sample is drawn, and both
     # before the next block, so one n x d array is held at a time.  Held
@@ -367,10 +314,10 @@ def _sup_over_class(
     # trials, 112,000 page faults a check and up to half again the time.
     for block in _trial_blocks(trials, n, d):
         rows = (block.stop - block.start) * n
-        X = _draw_design(rows, d, twin, design)
+        X = _draw_design(rows, d, first, design)
         values = [np.asarray(g(X), dtype=float).reshape(-1, n) for g in spec.functions]
         del X
-        sample = draw(rows)
+        sample = draw(rows, second)
         for G, g, L in zip(values, spec.functions, spec.complexities):
             np.maximum(best[block], stat(g, L, G, sample), out=best[block])
         del values, sample
@@ -392,13 +339,10 @@ def mc_symmetrization_check(
     s^2(g) = (1/n) sum_i (g^2(X_i) - g^2(X'_i))^2.  The theory gives a
     nonpositive expectation for any positive gamma; returns (mean, SE).
 
-    ``rng`` gives the trials * n x d design X, then its copy X', each in the
-    order one draw of the whole array takes, and ends where those two draws
-    leave it.  One pass over blocks of whole trials (``_sup_over_class``)
-    draws X from a twin of ``rng`` while ``rng``, jumped past X (PCG64 and
-    PCG64DXSM) or drawn past it block by block (any other bit generator),
-    draws X'.  So the check holds the per-trial maxima,
-    trials floats, and one block, however large d and the class are.
+    ``rng`` gives two 64-bit words, which seed the independent generators
+    of X and X' (``_sup_over_class``).  One pass over blocks of whole trials
+    holds the per-trial maxima, trials floats, and one block, however large
+    d and the class are.
     """
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ValueError(f"need a finite gamma > 0, got {gamma}")
@@ -418,8 +362,8 @@ def mc_symmetrization_check(
             - ((gsq - gsq_p) ** 2).mean(axis=1) / (2.0 * gamma)
         )
 
-    def draw(rows):
-        return _draw_design(rows, d, rng, design)
+    def draw(rows, second):
+        return _draw_design(rows, d, second, design)
 
     return _sup_over_class(spec, n, trials, d, design, rng, draw, stat)
 
@@ -440,14 +384,10 @@ def mc_noise_check(
     moment-growth parameter and K the class sup bound.  Nonpositive in
     expectation for any A > 0; returns (mean, SE).
 
-    ``rng`` gives the trials * n x d design X, then the trials * n noise
-    draws, each in the order one draw of the whole array takes, and ends
-    where those two draws leave it.  One pass over blocks of whole trials
-    (``_sup_over_class``) draws X from a twin of ``rng`` while ``rng``,
-    jumped past X (PCG64 and PCG64DXSM) or drawn past it block by block
-    (any other bit generator), draws the noise.  So the check
-    holds the per-trial maxima, trials floats, and one block, however large
-    d and the class are.
+    ``rng`` gives two 64-bit words, which seed the independent generators
+    of X and the noise (``_sup_over_class``).  One pass over blocks of whole
+    trials holds the per-trial maxima, trials floats, and one block, however
+    large d and the class are.
     """
     if not (A > 0 and math.isfinite(A)):
         raise ValueError(f"need a finite A > 0, got {A}")
@@ -461,8 +401,8 @@ def mc_noise_check(
     def stat(g, L, G, eps):
         return (eps * G).mean(axis=1) - gamma * L / n - (G * G).mean(axis=1) / A
 
-    def draw(rows):
-        return noise.draw(rows, rng).reshape(-1, n)
+    def draw(rows, second):
+        return noise.draw(rows, second).reshape(-1, n)
 
     return _sup_over_class(spec, n, trials, d, design, rng, draw, stat)
 

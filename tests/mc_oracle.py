@@ -1,14 +1,14 @@
-"""The whole-array Monte Carlo concentration checks that the one-pass ones in
-``ridgepursuit.risk`` replaced, kept as a test oracle.
+"""Whole-array Monte Carlo concentration checks, kept as a test oracle for
+the one-pass ones in ``ridgepursuit.risk``.
 
-Both functions below are the earlier implementations unchanged: each draws
-the whole trials * n x d design, and its independent copy or the noise, in
-one call from one generator, evaluates every class function on it at once
-and reduces the (trials, n) arrays trial by trial.  The one-pass checks draw
-the design from a twin of the generator, block by block, while the generator
-itself, jumped or drawn past the design, draws the second sample.  They must
-return the same (mean, se) bit for bit and leave the generator in the same
-state, whatever its bit generator.
+Each function below takes two 64-bit words from the generator, seeds a
+SeedSequence with them and builds a generator of the same bit generator
+class from each of its two children.  It draws the whole trials * n x d
+design from the first, and the whole independent copy or the noise from
+the second, evaluates every class function on it at once and reduces the
+(trials, n) arrays trial by trial.  The one-pass checks draw the same
+arrays block by block, so they must return the same (mean, se) bit for
+bit and leave the generator in the same state, whatever its bit generator.
 """
 
 import math
@@ -18,14 +18,21 @@ import numpy as np
 from ridgepursuit.targets import _draw_design
 
 
+def split(rng):
+    """The two child generators the checks draw from."""
+    seeds = np.random.SeedSequence(rng.bit_generator.random_raw(2)).spawn(2)
+    return [np.random.Generator(type(rng.bit_generator)(s)) for s in seeds]
+
+
 def mc_symmetrization_check(spec, gamma, n, trials, design="uniform", d=1, rng=None):
     if gamma <= 0:
         raise ValueError(f"need gamma > 0, got {gamma}")
     if trials < 2:
         raise ValueError(f"need trials >= 2 for a standard error, got {trials}")
     rng = rng if rng is not None else np.random.default_rng()
-    X = _draw_design(trials * n, d, rng, design)
-    Xp = _draw_design(trials * n, d, rng, design)
+    first, second = split(rng)
+    X = _draw_design(trials * n, d, first, design)
+    Xp = _draw_design(trials * n, d, second, design)
     best = np.full(trials, -math.inf)
     for g, L in zip(spec.functions, spec.complexities):
         gsq = np.asarray(g(X), dtype=float).reshape(trials, n) ** 2
@@ -47,8 +54,9 @@ def mc_noise_check(spec, A, n, trials, noise, design="uniform", d=1, rng=None):
         raise ValueError(f"need trials >= 2 for a standard error, got {trials}")
     rng = rng if rng is not None else np.random.default_rng()
     gamma = A * noise.variance / 2.0 + spec.sup_bound * noise.bernstein_eta
-    X = _draw_design(trials * n, d, rng, design)
-    eps = noise.draw(trials * n, rng).reshape(trials, n)
+    first, second = split(rng)
+    X = _draw_design(trials * n, d, first, design)
+    eps = noise.draw(trials * n, second).reshape(trials, n)
     best = np.full(trials, -math.inf)
     for g, L in zip(spec.functions, spec.complexities):
         G = np.asarray(g(X), dtype=float).reshape(trials, n)

@@ -118,7 +118,12 @@ class TestConfigErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
-        assert "'cover_m_grid'" in err and "'cover_cap'" in err
+        assert "'cover_cap'" in err and "'cover_m_grid'" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_cover_cap_below_one_is_rejected_where_it_is_parsed(self, value):
+        with pytest.raises(ConfigError, match="'cover_cap'"):
+            parse_config(None, [("cover_cap", value)])
 
     def test_greedy_error_names_restarts(self, tmp_path, capsys):
         argv = ["fit", "--set", "strategy=projected-gradient", "--set", "restarts=0"]
@@ -285,6 +290,12 @@ class TestHostileValues:
             ("concentration-check", "cc_trials", ("d=64", "n=256", "cc_trials=100000000")),
             # 400 million points x (2 + 1 + 3 + 4) float64: 32 GB.
             ("approx-rate", "mc_points", ("mc_points=400000000",)),
+            # A dataset of 10^11 rows: X alone takes 1.6 TB.
+            ("fit", "n", ("n=100000000000", "m_max=1")),
+            # A dataset of 10^14 rows at the largest n_grid entry.
+            ("risk-curve", "n_grid", ("trials=1", "m_max=1", "n_grid=100000000000000")),
+            # Two sampled networks of 10^14 terms.
+            ("approx-rate", "ar_m_grid", ("draws=1", "ar_m_grid=100000000000000")),
         ],
     )
     def test_monte_carlo_size_over_address_space_limit_exits_2(
@@ -434,7 +445,7 @@ class TestCoverMemoryBound:
     def test_cover_over_address_space_limit_exits_2(self, tmp_path, headroom_mib, d, settings):
         out = self.fit_under_address_limit(tmp_path, headroom_mib, d, settings)
         assert out.returncode == 2, out.stderr
-        assert "'cover_m_grid' or 'cover_cap'" in out.stderr
+        assert "'cover_m_grid'" in out.stderr
         assert "MemoryError" not in out.stderr and "Traceback" not in out.stderr
 
 

@@ -91,13 +91,6 @@ class TestPenaltyConfig:
         with pytest.raises(ValueError):
             base_config(mixed_C=0.0)
 
-    def test_with_Bn(self):
-        cfg = base_config()
-        updated = cfg.with_Bn(3.5)
-        assert updated.B_n == 3.5
-        assert cfg.B_n == 1.0
-        assert updated.B == cfg.B
-
 
 # ---------------------------------------------------------------------------
 # Truncation level, operator, and tail quantity

@@ -482,10 +482,16 @@ def pending_uint32_pcg64(seed):
     return rng
 
 
+BIT_GENERATORS = (
+    np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937, np.random.SFC64
+)
+
+
 class TestBlockedChecksMatchOracle:
     """The one-pass checks return the whole-array ones' (mean, se) bit for
-    bit, and leave the generator in the same state: a twin draws the design
-    while the generator, jumped or drawn past it, draws the second sample."""
+    bit, and leave the generator in the same state: two words of the
+    generator seed one generator for the design and one for the second
+    sample, and each draws its rows block by block."""
 
     @pytest.mark.parametrize("shape", ["partial-block", "wide-trial"])
     @pytest.mark.parametrize("design", ["uniform", "rademacher"])
@@ -499,25 +505,27 @@ class TestBlockedChecksMatchOracle:
             assert got == want, seed
             assert got_state == want_state, seed
 
+    @pytest.mark.parametrize("pending", [False, True], ids=["aligned", "pending-half"])
     @pytest.mark.parametrize("design", ["uniform", "rademacher"])
-    @pytest.mark.parametrize(
-        "bit_generator",
-        [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937, np.random.SFC64],
-        ids=lambda cls: cls.__name__,
-    )
-    def test_twin_matches_oracle_for_every_bit_generator(self, bit_generator, design):
-        # PCG64 and PCG64DXSM jump past either design; the others draw it
-        # and drop it.
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda cls: cls.__name__)
+    def test_twin_matches_oracle_for_every_bit_generator(self, bit_generator, design, pending):
+        # One path for every bit generator: its own class builds both child
+        # generators.  MT19937 draws 32-bit values natively, so a 32-bit
+        # draw leaves it no pending half.
+        def make_rng():
+            rng = np.random.Generator(bit_generator(5))
+            if pending:
+                rng.integers(0, 10, dtype=np.uint32)
+            return rng
+
         n, trials = blocked_shape(4, "partial-block")
-        got, want, got_state, want_state = checks_against_oracle(
-            lambda: np.random.Generator(bit_generator(5)), 4, design, n, trials
-        )
+        got, want, got_state, want_state = checks_against_oracle(make_rng, 4, design, n, trials)
         assert got == want
         assert got_state == want_state
 
     def test_jump_keeps_a_pending_32_bit_value(self):
-        # No uniform, normal or Laplace draw takes the pending half, so it
-        # must survive every jump.
+        # The checks take two 64-bit words from the generator and no 32-bit
+        # value, so a pending half is still there after every check.
         n, trials = blocked_shape(4, "partial-block")
         got, want, got_state, want_state = checks_against_oracle(
             lambda: pending_uint32_pcg64(6), 4, "uniform", n, trials
@@ -533,7 +541,8 @@ class TestBlockedChecksMatchOracle:
     @pytest.mark.parametrize("n, trials, d", [(7, 5, 1), (9, 3, 3), (100, 35, 4)])
     def test_rademacher_jump_matches_oracle(self, n, trials, d, bit_generator, pending):
         # trials * n * d is odd in the first two shapes and even in the
-        # last: a jump then leaves a pending half, or none and a stale one.
+        # last, so the Rademacher draws leave the design's generator with a
+        # pending half, or with none and a stale one.
         def make_rng():
             rng = np.random.Generator(bit_generator(8))
             if pending:
@@ -546,23 +555,37 @@ class TestBlockedChecksMatchOracle:
         assert got == want
         assert got_state == want_state
 
-    @pytest.mark.parametrize("pending", [False, True], ids=["aligned", "pending-half"])
-    @pytest.mark.parametrize(
-        "bit_generator", [np.random.PCG64, np.random.PCG64DXSM], ids=lambda cls: cls.__name__
-    )
-    def test_skip_uint32_leaves_the_state_a_rademacher_draw_leaves(
-        self, bit_generator, pending
-    ):
-        # State for state, the stale 32-bit half included: a change in how
-        # numpy draws a choice over two items fails here first.
-        for count in (0, 1, 2, 3, 4, 1001, 65536, 65537):
-            drawn, jumped = (np.random.Generator(bit_generator(9)) for _ in range(2))
+    @pytest.mark.parametrize("design", ["uniform", "rademacher"])
+    def test_a_pending_half_leaves_both_checks_unchanged(self, design):
+        # The same generator state, with and without a pending 32-bit half:
+        # the checks never read the half, so they return the same values.
+        spec = shipped_class_specs(4)["pair"]
+        results = []
+        for pending in (0, 1):
+            rng = np.random.default_rng(12)
             if pending:
-                for rng in (drawn, jumped):
-                    rng.integers(0, 10, dtype=np.uint32)
-            drawn.choice([-1.0, 1.0], size=count)
-            risk._skip_uint32(jumped.bit_generator, count)
-            assert jumped.bit_generator.state == drawn.bit_generator.state, count
+                state = rng.bit_generator.state
+                rng.bit_generator.state = {**state, "has_uint32": 1, "uinteger": 0x9E3779B9}
+            results.append([
+                mc_symmetrization_check(spec, 0.7, 100, 7, design, 4, rng),
+                mc_noise_check(spec, 2.0, 100, 7, Noise("laplace", 0.4), design, 4, rng),
+            ])
+            assert rng.bit_generator.state["has_uint32"] == pending
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("design", ["uniform", "rademacher"])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda cls: cls.__name__)
+    def test_a_check_takes_two_raw_words(self, bit_generator, design):
+        spec = shipped_class_specs(3)["pair"]
+        checks = (
+            lambda rng: mc_symmetrization_check(spec, 0.7, 9, 5, design, 3, rng),
+            lambda rng: mc_noise_check(spec, 2.0, 9, 5, Noise("gaussian", 0.5), design, 3, rng),
+        )
+        for check in checks:
+            checked, raw = (np.random.Generator(bit_generator(13)) for _ in range(2))
+            check(checked)
+            raw.bit_generator.random_raw(2)
+            assert plain(checked.bit_generator.state) == plain(raw.bit_generator.state)
 
     @pytest.mark.parametrize("design", ["uniform", "rademacher"])
     def test_peak_grows_by_the_per_trial_arrays_alone(self, design):

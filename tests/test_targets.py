@@ -21,18 +21,18 @@ from ridgepursuit import (
     mc_l2_sq_distance_to,
     ramp_sample_distance_to,
     ramp_sampler_normalizer,
-    read_dataset_csv,
     sample_ramp_model,
     spectral_norm,
     target_gradient_at_zero,
     write_csv,
-    write_dataset_csv,
 )
 from ridgepursuit import Activation, RidgeUnit, best_of
 from ridgepursuit.targets import (
     _abs_cos_integral,
+    _dataset_bytes,
     _draw_design,
     _ramp_distance_bytes,
+    _ramp_draws_bytes,
     _ramp_network_values,
 )
 
@@ -394,6 +394,20 @@ class TestGenDataset:
         data = gen_dataset(t, 30, 2, Noise("zero"), seed=1, design="rademacher")
         assert set(np.unique(data.X)) <= {-1.0, 1.0}
 
+    @pytest.mark.parametrize("design", ["uniform", "rademacher"])
+    @pytest.mark.parametrize("d, atoms", [(1, 1), (2, 8), (64, 1), (64, 8)])
+    def test_peak_memory_within_the_byte_bound(self, d, atoms, design):
+        t = atoms_target(atoms, d, seed=2)
+        n = 5000
+        for noise in (Noise("zero"), Noise("gaussian", 0.5), Noise("laplace", 0.3)):
+            tracemalloc.start()
+            try:
+                gen_dataset(t, n, d, noise, seed=3, design=design)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= _dataset_bytes(n, d, atoms), noise.kind
+
     def test_invalid_arguments(self):
         t = one_atom_target()
         with pytest.raises(ValueError):
@@ -562,6 +576,21 @@ class TestRampSampleDistance:
             tracemalloc.stop()
         assert peak <= _ramp_distance_bytes(n, 2, 3)
 
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    def test_best_of_draws_within_the_byte_bound(self, d):
+        # best_of holds the best network and the current one; the scorer's
+        # mc_points arrays are bounded by _ramp_distance_bytes.
+        target = atoms_target(3, d, seed=5)
+        distance = ramp_sample_distance_to(target, d, n_points=16, seed=1)
+        m = 4000
+        tracemalloc.start()
+        try:
+            best_of(lambda rng: sample_ramp_model(target, m, rng), distance, k=3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _ramp_draws_bytes(m, d) + _ramp_distance_bytes(16, d, 3)
+
 
 class TestWriteCsv:
     def render(self, columns, rows, header_lines=()):
@@ -591,29 +620,3 @@ class TestWriteCsv:
         text = self.render(("m", "label"), [(1, "a b"), (2, 'say "x"')], header_lines=["k=v", "n=2"])
         assert text == '# k=v\n# n=2\nm,label\n1,a b\n2,say "x"\n'
         assert self.render(["m"], []) == "m\n"
-
-
-class TestDatasetCsv:
-    def test_roundtrip_lossless(self, tmp_path, rng):
-        t = one_atom_target()
-        data = gen_dataset(t, 20, 2, Noise("gaussian", 0.4), seed=9)
-        path = tmp_path / "data.csv"
-        write_dataset_csv(data, str(path), header_lines=["made by tests"])
-        X, Y = read_dataset_csv(str(path))
-        np.testing.assert_array_equal(X, data.X)
-        np.testing.assert_array_equal(Y, data.Y)
-        text = path.read_text()
-        assert text.startswith("# made by tests\n")
-        assert "x1,x2,y" in text.splitlines()[1]
-
-    def test_rejects_malformed_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            read_dataset_csv(str(path))
-
-    def test_rejects_empty(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ValueError):
-            read_dataset_csv(str(path))
