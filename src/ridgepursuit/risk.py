@@ -30,7 +30,7 @@ from .dictionary import Activation, RidgeUnit, eval_unit
 from .greedy import GreedyConfig, fit_lpgp
 from .model import RidgeModel
 from .penalty import PenaltyConfig, penalty_for_regime, tail_tn, truncate
-from .targets import Dataset, Noise, _draw_design, gen_dataset, write_csv
+from .targets import DESIGN_LAWS, Dataset, Noise, _draw_design, gen_dataset, write_csv
 
 __all__ = [
     "LossReport",
@@ -94,7 +94,9 @@ class CountableClassSpec:
     may evaluate them on any block of rows.  ``complexities`` L(g), finite
     and nonnegative, must satisfy sum_g e^{-L(g)} <= 1; ``sup_bound``, finite
     and nonnegative, bounds sup |g| over the class (used as the level K in
-    the noise-correlation constant).
+    the noise-correlation constant).  A ``sup_bound`` of 0 declares every
+    function of the class the zero function, so the Monte Carlo checks
+    draw nothing for it (``_sup_over_class``).
     """
 
     functions: tuple[Callable[[np.ndarray], np.ndarray], ...]
@@ -287,6 +289,7 @@ def _sup_over_class(
     rng: np.random.Generator,
     draw: Callable[[int, np.random.Generator], np.ndarray],
     stat: Callable[..., np.ndarray],
+    sample_shape: tuple[int, ...],
 ) -> tuple[float, float]:
     """(mean, SE) over trials of the supremum over the class of a per-trial
     statistic, in one pass over blocks of whole trials (``_trial_blocks``).
@@ -303,8 +306,24 @@ def _sup_over_class(
     block's per-trial statistic with G the (trials, n) values of g on the
     block's design, into the running per-trial maximum.  So the check
     holds that maximum and one block, and no value of the class outside it.
+
+    A class with ``sup_bound`` 0 is the zero function, whatever its
+    functions' count and complexities, so every trial has the statistic of
+    a one-trial block with G = 0 and a zero second sample of
+    ``sample_shape``: that value fills the trials, and nothing is drawn.
+    The two words are taken all the same, so the generator ends where a
+    drawing check leaves it.
     """
-    seeds = np.random.SeedSequence(rng.bit_generator.random_raw(2)).spawn(2)
+    if design not in DESIGN_LAWS:
+        raise ValueError(f"unknown design law {design!r}; expected {DESIGN_LAWS}")
+    words = rng.bit_generator.random_raw(2)
+    if spec.sup_bound == 0:
+        one, G, sample = np.full(1, -math.inf), np.zeros((1, n)), np.zeros(sample_shape)
+        for g, L in zip(spec.functions, spec.complexities):
+            np.maximum(one, stat(g, L, G, sample), out=one)
+        best = np.full(trials, one[0])
+        return float(best.mean()), float(best.std(ddof=1) / math.sqrt(trials))
+    seeds = np.random.SeedSequence(words).spawn(2)
     first, second = (np.random.Generator(type(rng.bit_generator)(s)) for s in seeds)
     best = np.full(trials, -math.inf)
     # The design is deleted before the second sample is drawn, and both
@@ -342,7 +361,8 @@ def mc_symmetrization_check(
     ``rng`` gives two 64-bit words, which seed the independent generators
     of X and X' (``_sup_over_class``).  One pass over blocks of whole trials
     holds the per-trial maxima, trials floats, and one block, however large
-    d and the class are.
+    d and the class are.  A class with ``sup_bound`` 0 draws no X or X':
+    its statistic is -(gamma/n) min_g L(g) in every trial.
     """
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ValueError(f"need a finite gamma > 0, got {gamma}")
@@ -350,6 +370,8 @@ def mc_symmetrization_check(
         raise ValueError(f"need trials >= 2 for a standard error, got {trials}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     rng = rng if rng is not None else np.random.default_rng()
 
     def stat(g, L, G, Xp):
@@ -365,7 +387,7 @@ def mc_symmetrization_check(
     def draw(rows, second):
         return _draw_design(rows, d, second, design)
 
-    return _sup_over_class(spec, n, trials, d, design, rng, draw, stat)
+    return _sup_over_class(spec, n, trials, d, design, rng, draw, stat, (n, d))
 
 
 def mc_noise_check(
@@ -387,7 +409,8 @@ def mc_noise_check(
     ``rng`` gives two 64-bit words, which seed the independent generators
     of X and the noise (``_sup_over_class``).  One pass over blocks of whole
     trials holds the per-trial maxima, trials floats, and one block, however
-    large d and the class are.
+    large d and the class are.  A class with ``sup_bound`` 0 draws no X or
+    noise: its statistic is -(gamma/n) min_g L(g) in every trial.
     """
     if not (A > 0 and math.isfinite(A)):
         raise ValueError(f"need a finite A > 0, got {A}")
@@ -395,6 +418,8 @@ def mc_noise_check(
         raise ValueError(f"need trials >= 2 for a standard error, got {trials}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     rng = rng if rng is not None else np.random.default_rng()
     gamma = A * noise.variance / 2.0 + spec.sup_bound * noise.bernstein_eta
 
@@ -404,7 +429,7 @@ def mc_noise_check(
     def draw(rows, second):
         return noise.draw(rows, second).reshape(-1, n)
 
-    return _sup_over_class(spec, n, trials, d, design, rng, draw, stat)
+    return _sup_over_class(spec, n, trials, d, design, rng, draw, stat, (1, n))
 
 
 def shipped_class_specs(d: int = 1) -> dict[str, CountableClassSpec]:
@@ -413,6 +438,8 @@ def shipped_class_specs(d: int = 1) -> dict[str, CountableClassSpec]:
     ``zero``: the zero function alone.  ``singleton``: one bounded ridge sine
     unit.  ``pair``: two units with the uniform codelength log 2.
     """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     sine = Activation("sine")
     theta_a = np.append(np.full(d, 1.0 / d), 0.5)
     theta_b = np.append(np.full(d, -0.5 / d), 1.0)

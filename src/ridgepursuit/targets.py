@@ -374,19 +374,34 @@ def mc_l2_sq_distance_to(
     """f -> ``mc_l2_sq_distance(f, g, ...)``, drawing the design and g's values once.
 
     Scoring many callables against one g then costs one evaluation of each.
-    The design and g's values are read-only.
+    The design and g's values are read-only.  g and every f must give one
+    value a point, shape (n_points,): a column (n_points, 1) would broadcast
+    against the other into an n_points x n_points array.
     """
+    if n_points < 1:
+        raise ValueError(f"need n_points >= 1, got {n_points}")
     rng = np.random.default_rng(seed)
     X = _draw_design(n_points, d, rng, design)
     X.setflags(write=False)
-    g_values = np.array(g(X), dtype=float)
+    g_values = _point_values(g, X, "g").copy()
     g_values.setflags(write=False)
 
     def distance(f) -> float:
-        diff = np.asarray(f(X), dtype=float) - g_values
+        diff = _point_values(f, X, "f") - g_values
         return float(np.mean(diff**2))
 
     return distance
+
+
+def _point_values(f, X: np.ndarray, name: str) -> np.ndarray:
+    """f's values at the rows of X as a float array, checked to be one a row."""
+    values = np.asarray(f(X), dtype=float)
+    if values.shape != (X.shape[0],):
+        raise ValueError(
+            f"{name} gave values of shape {values.shape} at {X.shape[0]} points; "
+            f"need ({X.shape[0]},)"
+        )
+    return values
 
 
 def _ramp_distance_bytes(n_points: int, d: int, n_atoms: int) -> float:
@@ -430,6 +445,8 @@ def ramp_sample_distance_to(
     networks only, and ``mc_l2_sq_distance_to`` scores any callable.
     ``_ramp_distance_bytes`` bounds its memory.
     """
+    if n_points < 1:
+        raise ValueError(f"need n_points >= 1, got {n_points}")
     rng = np.random.default_rng(seed)
     X = _draw_design(n_points, d, rng, design)
     X.setflags(write=False)

@@ -10,6 +10,8 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import mc_oracle
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ import ridgepursuit
 from ridgepursuit import cli, risk
 from ridgepursuit.cli import ConfigError, RunConfig, SUBCOMMANDS, main, parse_config
 from ridgepursuit.penalty import REGIMES, PenaltyConfig, penalty_for_regime
+from ridgepursuit.targets import write_csv
 
 
 def read_csv_with_comments(path):
@@ -713,6 +716,32 @@ class TestConcentrationCheck:
         assert {row[0] for row in data} == {"symmetrization", "noise"}
         assert {row[1] for row in data} == {"zero", "singleton", "pair"}
         assert all(row[7] == "true" for row in data)
+
+    @pytest.mark.parametrize("design", ["uniform", "rademacher"])
+    def test_rows_match_the_whole_array_oracle(self, design, tmp_path):
+        # Both checks on each shipped class in name order, on one generator
+        # seeded by --seed: the oracle draws for the zero class too, and its
+        # rows are the CLI's, byte for byte.
+        out = tmp_path / "cc.csv"
+        overrides = [("d", "3"), ("n", "40"), ("cc_trials", "300"), ("design", design)]
+        argv = ["concentration-check", "--seed", "17", "--out", str(out)]
+        for key, value in overrides:
+            argv += ["--set", f"{key}={value}"]
+        assert main(argv) == 0
+        config = parse_config(None, overrides=overrides)
+        noise = cli._build_noise(config)
+        rng = np.random.default_rng(17)
+        rows = []
+        gamma, A = config["gamma"], config["A"]
+        for name, spec in sorted(risk.shipped_class_specs(d=3).items()):
+            sym = mc_oracle.mc_symmetrization_check(spec, gamma, 40, 300, design, 3, rng)
+            eps = mc_oracle.mc_noise_check(spec, A, 40, 300, noise, design, 3, rng)
+            for check, constant, (mean, se) in (("symmetrization", gamma, sym), ("noise", A, eps)):
+                rows.append((check, name, constant, 40, 300, mean, se, mean <= 3.0 * se))
+        want = io.StringIO()
+        write_csv(want, ("check", "spec", "constant", "n", "trials", "mean", "se", "pass"), rows)
+        got = "".join(line for line in out.read_text().splitlines(True) if line[0] != "#")
+        assert got == want.getvalue()
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_peak_memory_does_not_grow_with_d(self, tmp_path):

@@ -1425,9 +1425,7 @@ def sine_cover_target(rng, n=150, d=3):
 
 class TestFitLpgp:
     def test_restarts_run_on_the_calling_thread(self, rng, monkeypatch):
-        # No setting may move work off the caller's thread, not even this
-        # variable, which once sized a pool over the restarts.
-        monkeypatch.setenv("RIDGE_THREADS", "2")
+        # Every restart runs on the caller's thread: no pool over the restarts.
         threads = set()
         ascend = greedy._ascend_batch
 

@@ -356,6 +356,11 @@ class TestShippedSpecs:
         assert specs["singleton"].sup_bound == 1.0
         assert specs["pair"].sup_bound == 1.0
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_d_below_one_rejected(self, d):
+        with pytest.raises(ValueError, match=f"need d >= 1, got {d}"):
+            shipped_class_specs(d)
+
     def test_functions_are_batch_callables_with_bounded_range(self, rng):
         for d in (1, 3):
             for name, spec in shipped_class_specs(d).items():
@@ -632,6 +637,97 @@ class TestBlockedChecksMatchOracle:
             assert peak <= bound
 
 
+def zero_pair():
+    """Two zero functions with complexities (log 2, log 2): the supremum is
+    -gamma log 2 / n, not 0."""
+    return CountableClassSpec(
+        functions=(lambda X: np.zeros(len(X)), lambda X: np.zeros(len(X))),
+        complexities=(math.log(2.0), math.log(2.0)),
+        sup_bound=0.0,
+    )
+
+
+class TestZeroClassDrawsNothing:
+    """A class with sup_bound 0 is settled from one zero block: both checks
+    return the whole-array ones' (mean, se) bit for bit and take the same two
+    raw words, but draw no design, copy or noise."""
+
+    @pytest.mark.parametrize("pending", [False, True], ids=["aligned", "pending-half"])
+    @pytest.mark.parametrize("design", ["uniform", "rademacher"])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda cls: cls.__name__)
+    def test_no_draw_and_the_oracles_end_state(self, bit_generator, design, pending, monkeypatch):
+        def make_rng():
+            rng = np.random.Generator(bit_generator(14))
+            if pending:
+                rng.integers(0, 10, dtype=np.uint32)
+            return rng
+
+        noise = Noise("laplace", 0.4)
+        classes = (shipped_class_specs(3)["zero"], zero_pair())
+        want_rng = make_rng()
+        want = []
+        for spec in classes:
+            want.append(mc_oracle.mc_symmetrization_check(spec, 0.7, 9, 5, design, 3, want_rng))
+            want.append(mc_oracle.mc_noise_check(spec, 2.0, 9, 5, noise, design, 3, want_rng))
+
+        calls = []
+        draw_design, draw_noise = risk._draw_design, Noise.draw
+        monkeypatch.setattr(
+            risk, "_draw_design", lambda *a: calls.append("design") or draw_design(*a)
+        )
+        monkeypatch.setattr(
+            Noise, "draw", lambda self, *a: calls.append("noise") or draw_noise(self, *a)
+        )
+        got_rng = make_rng()
+        got = []
+        for spec in classes:
+            got.append(mc_symmetrization_check(spec, 0.7, 9, 5, design, 3, got_rng))
+            got.append(mc_noise_check(spec, 2.0, 9, 5, noise, design, 3, got_rng))
+        assert calls == []
+        assert got == want
+        assert plain(got_rng.bit_generator.state) == plain(want_rng.bit_generator.state)
+        # The counters see the draws of a class that is not zero.
+        pair = shipped_class_specs(3)["pair"]
+        mc_noise_check(pair, 2.0, 9, 5, noise, design, 3, got_rng)
+        assert calls == ["design", "noise"]
+
+    @pytest.mark.parametrize("design", ["uniform", "rademacher"])
+    @pytest.mark.parametrize("n", [1, 7, 256])
+    def test_two_zero_functions_match_the_oracle(self, n, design):
+        spec, trials = zero_pair(), 1000
+        got_rng, want_rng = np.random.default_rng(15), np.random.default_rng(15)
+        got = mc_symmetrization_check(spec, 0.7, n, trials, design, 3, got_rng)
+        assert got == mc_oracle.mc_symmetrization_check(spec, 0.7, n, trials, design, 3, want_rng)
+        assert got[0] == pytest.approx(-0.7 * math.log(2.0) / n, rel=1e-12)
+        for noise in CHECK_NOISES:
+            got = mc_noise_check(spec, 2.0, n, trials, noise, design, 3, got_rng)
+            want = mc_oracle.mc_noise_check(spec, 2.0, n, trials, noise, design, 3, want_rng)
+            assert got == want, noise
+            gamma = 2.0 * noise.variance / 2.0
+            assert got[0] == pytest.approx(-gamma * math.log(2.0) / n, rel=1e-12, abs=0.0)
+        assert plain(got_rng.bit_generator.state) == plain(want_rng.bit_generator.state)
+
+    def test_unknown_design_still_rejected(self):
+        spec = shipped_class_specs()["zero"]
+        with pytest.raises(ValueError, match="unknown design law 'sobol'"):
+            mc_symmetrization_check(spec, 1.0, 10, 10, design="sobol")
+        with pytest.raises(ValueError, match="unknown design law 'sobol'"):
+            mc_noise_check(spec, 1.0, 10, 10, Noise("gaussian", 0.5), design="sobol")
+
+
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("name", ["zero", "pair"])
+def test_d_below_one_rejected_before_a_draw(name, d):
+    spec = shipped_class_specs()[name]
+    rng = np.random.default_rng(16)
+    before = plain(rng.bit_generator.state)
+    with pytest.raises(ValueError, match=f"need d >= 1, got {d}"):
+        mc_symmetrization_check(spec, 1.0, 10, 10, d=d, rng=rng)
+    with pytest.raises(ValueError, match=f"need d >= 1, got {d}"):
+        mc_noise_check(spec, 2.0, 10, 10, Noise("gaussian", 0.5), d=d, rng=rng)
+    assert plain(rng.bit_generator.state) == before
+
+
 # ---------------------------------------------------------------------------
 # Risk curve
 # ---------------------------------------------------------------------------
@@ -691,10 +787,8 @@ class TestRiskCurve:
         row = risk_curve(target=opaque, oracle_v=0.5, **kwargs)[0]
         assert math.isfinite(row.resolvability_proxy)
 
-    def test_trials_run_on_the_calling_thread(self, monkeypatch):
-        # No setting may move work off the caller's thread, not even this
-        # variable, which once sized a pool over the trials.
-        monkeypatch.setenv("RIDGE_THREADS", "2")
+    def test_trials_run_on_the_calling_thread(self):
+        # Every trial runs on the caller's thread: no pool over the trials.
         gcfg, pcfg = small_risk_configs()
         fstar = ramp_model_target()
         threads = set()

@@ -485,6 +485,28 @@ class TestMcDistance:
             assert distance(model) == float(np.mean(diff**2))
             assert distance(model) == mc_l2_sq_distance(model, t, 2, 3000, 11, design)
 
+    @pytest.mark.parametrize("n_points", [0, -3])
+    def test_no_points_rejected(self, n_points):
+        # Zero points once built a scorer that returned nan and warned.
+        t = one_atom_target()
+        with pytest.raises(ValueError, match=f"need n_points >= 1, got {n_points}"):
+            mc_l2_sq_distance_to(t, 2, n_points=n_points)
+
+    def test_column_values_rejected(self):
+        # A column (n, 1) against g's (n,) once broadcast to n x n: a wrong
+        # distance, and 80 GB at the default n_points.
+        t = one_atom_target()
+        column = lambda X: eval_target(t, X)[:, None]  # noqa: E731
+        distance = mc_l2_sq_distance_to(t, 2, n_points=3000)
+        with pytest.raises(ValueError, match=r"f gave values of shape \(3000, 1\)"):
+            distance(column)
+        with pytest.raises(ValueError, match=r"f gave values of shape \(\)"):
+            distance(lambda X: 0.0)
+        with pytest.raises(ValueError, match=r"g gave values of shape \(3000, 1\)"):
+            mc_l2_sq_distance_to(column, 2, n_points=3000)
+        with pytest.raises(ValueError, match=r"g gave values of shape \(3000, 1\)"):
+            mc_l2_sq_distance(t, column, d=2, n_points=3000)
+
 
 def atoms_target(J, d, seed):
     """J atoms with integer frequencies in [-3, 3]^d (none all zero) and
@@ -533,6 +555,11 @@ class TestRampSampleDistance:
         assert model.n_terms == 0
         want = mc_l2_sq_distance_to(target, 2, n_points=500, seed=2)(model)
         assert ramp_sample_distance_to(target, 2, n_points=500, seed=2)(model) == want
+
+    @pytest.mark.parametrize("n_points", [0, -3])
+    def test_no_points_rejected(self, n_points):
+        with pytest.raises(ValueError, match=f"need n_points >= 1, got {n_points}"):
+            ramp_sample_distance_to(one_atom_target(), 2, n_points=n_points)
 
     @pytest.mark.parametrize("design", ["uniform", "rademacher"])
     def test_best_of_picks_the_generic_scorers_winner(self, design):
